@@ -273,7 +273,7 @@ def cmd_tower(cfg: RunConfig) -> dict:
         cache_info["key"] = key
         hit = cache.get(key)
         if hit is not None:
-            tower = tower_from_doc(json.loads(hit))
+            tower = tower_from_doc(json.loads(hit), rank_cap=cfg.rank_cap)
             cache_info["hit"] = True
     if tower is None:
         tower = build_tower(cfg.n, cfg.q, cfg.m, prec=cfg.prec,

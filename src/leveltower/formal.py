@@ -81,7 +81,11 @@ class FormalOModule:
         return self.ring.from_field(self._embed[c])
 
     def pi_poly(self):
-        """[pi](T) as a dense coefficient list of length q^n + 1."""
+        """[pi](T) as a dense coefficient list of length q^n + 1.
+
+        For polynomial work only: division, stage polynomials, [pi^k] and the
+        quotient.  To evaluate [pi] at a point use pi_eval.
+        """
         ring, q, n = self.ring, self.q, self.n
         out = [ring.zero()] * (q ** n + 1)
         out[1] = ring.pi()
@@ -89,6 +93,16 @@ class FormalOModule:
             out[q ** i] = u
         out[q ** n] = ring.one()
         return out
+
+    def pi_eval(self, x: RingElem) -> RingElem:
+        """[pi](x) = pi*x + sum_i u_i*x^(q^i) + x^(q^n), by iterated Frobenius."""
+        acc = self.ring.pi() * x
+        xq = x
+        for u in self.u_values:
+            xq = xq.qpower(self.q)
+            if u:
+                acc = acc + u * xq
+        return acc + xq.qpower(self.q)
 
     def pi_power(self, k: int):
         """[pi^k](T), cached; degree q^(n*k), derivative pi^k."""
@@ -107,13 +121,15 @@ class FormalOModule:
         return poly_trim(out)
 
     def act(self, digits, value: RingElem) -> RingElem:
-        """Evaluate [alpha] at a point value without building the polynomial."""
+        """Evaluate [alpha] at a point value without building any polynomial.
+
+        Applies [pi] through pi_eval; alpha_mult builds [alpha](T) instead.
+        """
         acc = self.ring.zero()
         cur = value
-        pp = self.pi_poly()
         for i, c in enumerate(digits):
             if i:
-                cur = poly_eval(pp, cur)
+                cur = self.pi_eval(cur)
             if c:
                 acc = acc + self.scalar(c) * cur
         return acc
@@ -142,6 +158,8 @@ def make_module(n: int, q: int, u_spec=None, prec: int = 3,
         sum_i c_i pi^i.
     The default makes every middle coefficient a square-zero formal generator.
     """
+    if n < 1:
+        raise PreconditionError("height n must be >= 1")
     if u_spec is None:
         u_spec = [2] * (n - 1)
     u_spec = list(u_spec)
@@ -276,14 +294,13 @@ def check_level(phi: LevelStructure, pair_cap: int = 20000):
     report["pairs_checked"] = pairs
 
     gen = module.scalar_field.generator
-    pp = module.pi_poly()
     for v in vecs:
         pv = values[v]
         if values[ch.vscale(gen, v)] != module.scalar(gen) * pv:
             report["witness"] = {"kind": "scalar", "v": v}
             return report
         target = values[ch.vscale(ch.pi, v)] if m > 1 else values[zero_vec]
-        if poly_eval(pp, pv) != target:
+        if module.pi_eval(pv) != target:
             report["witness"] = {"kind": "pi-linearity", "v": v}
             return report
 
@@ -291,7 +308,7 @@ def check_level(phi: LevelStructure, pair_cap: int = 20000):
     for v in phi.torsion_vectors():
         prod = poly_mul(prod, [ring.zero() - values[v], ring.one()])
     try:
-        quo = poly_divide_exact(pp, prod)
+        quo = poly_divide_exact(module.pi_poly(), prod)
     except Exception as exc:  # NonExactDivision carries the witness coefficient
         report["witness"] = {"kind": "divisor", "detail": str(exc),
                              "remainder": repr(getattr(exc, "remainder", None))}
@@ -372,7 +389,6 @@ def build_tower(n: int, q: int, m: int, prec: int | None = None, u_spec=None,
 
     stage_degrees = []
     # level 1, basis point by basis point
-    ch1 = ChainRing(fld, 1)
     span = {tuple([0] * n): ring.zero()}
     level1_basis = []
     for i in range(n):
@@ -385,7 +401,6 @@ def build_tower(n: int, q: int, m: int, prec: int | None = None, u_spec=None,
         ring, theta = ring_extend(ring, f_i, name=f"y{i + 1}_1", rank_cap=rank_cap)
         module = FormalOModule(ring, n, q, [convert(u, ring) for u in module.u_values])
         span = {v: convert(val, ring) for v, val in span.items()}
-        level1_basis = [convert(b, ring) for b in level1_basis]
         level1_basis.append(theta)
         new_span = {}
         for c in range(q):
@@ -398,27 +413,22 @@ def build_tower(n: int, q: int, m: int, prec: int | None = None, u_spec=None,
     level_value_dicts = [span]
     basis_images = [level1_basis]
 
-    # higher levels
+    # higher levels; an element keeps its indices in every extension, so values
+    # are converted only where they meet a newer ring
     for level in range(2, m + 1):
-        prev_basis = basis_images[-1]
         new_basis = []
-        for j in range(n):
-            target = prev_basis[j]
+        for j, target in enumerate(basis_images[-1]):
             g = list(module.pi_poly())
-            g[0] = g[0] - target
+            g[0] = g[0] - convert(target, ring)
             stage_degrees.append(len(poly_trim(g)) - 1)
             ring, y = ring_extend(ring, g, name=f"y{j + 1}_{level}", rank_cap=rank_cap)
             module = FormalOModule(ring, n, q, [convert(u, ring) for u in module.u_values])
-            basis_images = [[convert(b, ring) for b in lvl] for lvl in basis_images]
-            level_value_dicts = [{v: convert(val, ring) for v, val in d.items()}
-                                 for d in level_value_dicts]
-            new_basis = [convert(b, ring) for b in new_basis]
             new_basis.append(y)
-            prev_basis = basis_images[-1]
         basis_images.append(new_basis)
         # assemble the full value table for this level
         chl = ChainRing(fld, level)
-        col = [basis_images[k] for k in range(level)]  # col[k][j] = phi_{k+1} basis value
+        # col[k][j] = phi_{k+1} basis value
+        col = [[convert(b, ring) for b in lvl] for lvl in basis_images]
         vals = {}
         from itertools import product as iproduct
         for vec in iproduct(range(chl.size), repeat=n):
@@ -431,6 +441,10 @@ def build_tower(n: int, q: int, m: int, prec: int | None = None, u_spec=None,
                         acc = acc + module.scalar(d) * col[level - i - 1][j]
             vals[vec] = acc
         level_value_dicts.append(vals)
+
+    basis_images = [[convert(b, ring) for b in lvl] for lvl in basis_images]
+    level_value_dicts = [{v: convert(val, ring) for v, val in d.items()}
+                         for d in level_value_dicts]
 
     expected = gl_order(n, q, m)
     got = 1

@@ -5,10 +5,17 @@ stage polynomial g_j is monic over the ring below it and all of its non-leading
 coefficients are nilpotent (so every adjoined root is nilpotent and the ring stays
 local with residue field F_Q).  Elements are kept in normal form on the monomial
 basis pi^a * prod u_i^(b_i) * prod t_j^(c_j) with exponents below the bounds
-(M, N_i, deg g_j); the basis is ordered mixed-radix with the newest generator most
-significant.  Multiplication reduces out-of-bound monomials through cached
+(M, N_i, deg g_j).  Multiplication reduces out-of-bound monomials through cached
 rewriting of t_j^(deg g_j) by the stage polynomials, which terminates because the
 top generator's degree strictly drops at each rewrite.
+
+Index invariant: a basis monomial's index is its exponent vector read in mixed
+radix, sum e_k * stride_k, with pi the least and the newest generator the most
+significant digit.  Adjoining a stage appends a digit above all others, so every
+element of an ancestor ring keeps its indices in each extension and nothing is
+ever re-keyed.  No table over the whole rank is built: exponent vectors are
+decoded only for the indices arithmetic touches, and the product of two basis
+monomials whose exponents stay in bound has index i + j.
 """
 
 from __future__ import annotations
@@ -48,17 +55,21 @@ class CoeffRing:
             strides.append(s)
             s *= b
         self._strides = tuple(strides)
-        exps = []
-        for idx in range(rank):
-            e, r = [], idx
-            for b in self._bounds:
-                e.append(r % b)
-                r //= b
-            exps.append(tuple(e))
-        self._exps = exps
-        self._index = {e: i for i, e in enumerate(exps)}
-        self._reduce_cache: dict[tuple, dict] = {}
+        # Packed exponent vectors: one w-bit field per generator, pi lowest.  A
+        # field holds a sum of two in-bound exponents (at most 2b - 2) without
+        # spilling, and adding _offset sets a field's top bit exactly when its
+        # exponent reaches the bound, so `(key + _offset) & _high` tests a whole
+        # product for being in bound at once.
+        w = (2 * max(self._bounds)).bit_length() + 1
+        half = 1 << (w - 1)
+        self._shifts = tuple(w * k for k in range(len(self._bounds)))
+        self._mask = (1 << w) - 1
+        self._offset = sum((half - b) << sh for b, sh in zip(self._bounds, self._shifts))
+        self._high = sum(half << sh for sh in self._shifts)
+        self._packed = _PackedExponents(self._bounds, self._shifts)
+        self._reduce_cache: dict[int, dict] = {}
         self._tpow_cache: dict[tuple, dict] = {}
+        self._qpow_cache: dict[tuple, dict] = {}
 
     # -- constructors ---------------------------------------------------------
 
@@ -79,11 +90,9 @@ class CoeffRing:
         return self.from_field(self.field.from_int(n))
 
     def _gen(self, pos: int) -> "RingElem":
-        e = [0] * len(self._bounds)
         if self._bounds[pos] == 1:
             return self.zero()
-        e[pos] = 1
-        return RingElem(self, {self._index[tuple(e)]: 1})
+        return RingElem(self, {self._strides[pos]: 1})
 
     def pi(self) -> "RingElem":
         return self._gen(0)
@@ -119,48 +128,47 @@ class CoeffRing:
 
     # -- normal-form kernel -----------------------------------------------------
 
-    def _reduce_monomial(self, es: tuple) -> dict:
-        """Normal form of an out-of-bound monomial as a coefficient dict."""
-        hit = self._reduce_cache.get(es)
+    def _unpack(self, key: int) -> list:
+        """Exponent vector of a packed monomial."""
+        return [(key >> sh) & self._mask for sh in self._shifts]
+
+    def _exponents(self, idx: int) -> list:
+        """Exponent vector of the basis monomial with index idx."""
+        return self._unpack(self._packed[idx])
+
+    def _reduce_monomial(self, key: int) -> dict:
+        """Normal form of an out-of-bound monomial, given packed, as a coefficient dict."""
+        hit = self._reduce_cache.get(key)
         if hit is not None:
             return hit
-        if es[0] >= self.prec:
+        es = self._unpack(key)
+        if es[0] >= self.prec or any(e >= n for e, n in zip(es[1:], self.u_orders)):
             out: dict = {}
         else:
-            out = None
-            for i, n in enumerate(self.u_orders):
-                if es[1 + i] >= n:
-                    out = {}
-                    break
-            if out is None:
-                # find the topmost over-bound tower exponent
-                base = 1 + self.n_u
-                j = None
-                for k in range(len(self.stages) - 1, -1, -1):
-                    if es[base + k] >= self._bounds[base + k]:
-                        j = k
-                        break
-                assert j is not None, "reduce called on an in-bound monomial"
-                rest = list(es)
-                e = rest[base + j]
-                rest[base + j] = 0
-                out = self._mul_dicts(self._theta_power(j, e), self._monomial_dict(tuple(rest)))
-        self._reduce_cache[es] = out
+            # split off the topmost over-bound tower exponent
+            base = 1 + self.n_u
+            j = max(k for k in range(len(self.stages))
+                    if es[base + k] >= self._bounds[base + k])
+            e = es[base + j]
+            rest = key - (e << self._shifts[base + j])
+            if (rest + self._offset) & self._high:
+                rest_dict = self._reduce_monomial(rest)
+            else:
+                rest_dict = {self._unpack_index(rest): 1}
+            out = self._mul_dicts(self._theta_power(j, e), rest_dict)
+        self._reduce_cache[key] = out
         return out
 
-    def _monomial_dict(self, es: tuple) -> dict:
-        if all(e < b for e, b in zip(es, self._bounds)):
-            return {self._index[es]: 1}
-        return self._reduce_monomial(es)
+    def _unpack_index(self, key: int) -> int:
+        """Index of an in-bound packed monomial."""
+        return sum(e * st for e, st in zip(self._unpack(key), self._strides))
 
     def _theta_power(self, j: int, e: int) -> dict:
         """Normal form of t_j^e."""
         base = 1 + self.n_u
         d = self._bounds[base + j]
         if e < d:
-            es = [0] * len(self._bounds)
-            es[base + j] = e
-            return {self._index[tuple(es)]: 1}
+            return {e * self._strides[base + j]: 1}
         key = (j, e)
         hit = self._tpow_cache.get(key)
         if hit is not None:
@@ -185,35 +193,48 @@ class CoeffRing:
         self._tpow_cache[key] = out
         return out
 
+    def _qpower_monomial(self, idx: int, q: int) -> dict:
+        """Normal form of m^q for the basis monomial m with index idx."""
+        key = (idx, q)
+        hit = self._qpow_cache.get(key)
+        if hit is not None:
+            return hit
+        es = self._exponents(idx)
+        base = 1 + self.n_u
+        if any(q * e >= b for e, b in zip(es[:base], self._bounds)):
+            out: dict = {}
+        else:
+            out = {q * sum(e * st for e, st in zip(es[:base], self._strides)): 1}
+            for j, e in enumerate(es[base:]):
+                if e and out:
+                    out = self._mul_dicts(out, self._theta_power(j, q * e))
+        self._qpow_cache[key] = out
+        return out
+
     def _mul_dicts(self, A: dict, B: dict) -> dict:
         if not A or not B:
             return {}
         if len(A) > len(B):
             A, B = B, A
-        field = self.field
-        fmul, fadd = field.mul, field.add
-        exps, index, bounds = self._exps, self._index, self._bounds
+        fmul, fadd = self.field.mul, self.field.add
+        packed, offset, high = self._packed, self._offset, self._high
+        reduce = self._reduce_monomial
+        terms = [(j, cj, packed[j]) for j, cj in B.items()]
         out: dict = {}
+        get = out.get
         for i, ci in A.items():
-            ei = exps[i]
-            for j, cj in B.items():
+            pi = packed[i]
+            po = pi + offset
+            for j, cj, pj in terms:
                 c = fmul(ci, cj)
-                es = tuple(x + y for x, y in zip(ei, exps[j]))
-                k = index.get(es)
-                if k is not None:
-                    s = fadd(out.get(k, 0), c)
-                    if s:
-                        out[k] = s
-                    elif k in out:
-                        del out[k]
+                if (po + pj) & high:
+                    for k, ck in reduce(pi + pj).items():
+                        out[k] = fadd(get(k, 0), fmul(c, ck))
                 else:
-                    for k2, c2 in self._reduce_monomial(es).items():
-                        s = fadd(out.get(k2, 0), fmul(c, c2))
-                        if s:
-                            out[k2] = s
-                        elif k2 in out:
-                            del out[k2]
-        return out
+                    # in bound: no digit carries, so the index is the plain sum
+                    k = i + j
+                    out[k] = fadd(get(k, 0), c)
+        return {k: c for k, c in out.items() if c}
 
     # -- misc -------------------------------------------------------------------
 
@@ -231,6 +252,24 @@ class CoeffRing:
     def __repr__(self):
         return (f"CoeffRing(q={self.field.q}, M={self.prec}, u={list(self.u_orders)}, "
                 f"stages={[(n, d) for (n, _, d) in self.stages]}, rank={self.rank})")
+
+
+class _PackedExponents(dict):
+    """Memo index -> packed exponent vector, filled only for indices looked up."""
+
+    __slots__ = ("bounds", "shifts")
+
+    def __init__(self, bounds, shifts):
+        super().__init__()
+        self.bounds, self.shifts = bounds, shifts
+
+    def __missing__(self, idx: int) -> int:
+        key, r = 0, idx
+        for b, sh in zip(self.bounds, self.shifts):
+            r, e = divmod(r, b)
+            key |= e << sh
+        self[idx] = key
+        return key
 
 
 def _dict_to_coords(d: dict, rank: int) -> list[int]:
@@ -342,6 +381,28 @@ class RingElem:
                 raise AssertionError("inverse iteration failed to terminate")
         return cinv * acc
 
+    def qpower(self, q: int) -> "RingElem":
+        """self^q by Frobenius, for q a power of the characteristic p.
+
+        The ring is commutative of characteristic p, so x -> x^q is a ring
+        endomorphism: each term c*m maps to c^q * NF(m^q).
+        """
+        ring = self.ring
+        p = ring.field.p
+        t = q
+        while t > 1 and t % p == 0:
+            t //= p
+        if q < 1 or t != 1:
+            raise PreconditionError(f"q={q} is not a power of the characteristic {p}")
+        fadd, fmul, fpow = ring.field.add, ring.field.mul, ring.field.pow
+        out: dict = {}
+        get = out.get
+        for i, c in self.d.items():
+            cq = fpow(c, q)
+            for k, ck in ring._qpower_monomial(i, q).items():
+                out[k] = fadd(get(k, 0), fmul(cq, ck))
+        return RingElem(ring, {k: c for k, c in out.items() if c})
+
     def nf(self) -> "RingElem":
         """Re-normalize (drop stored zeros); idempotent by construction."""
         return RingElem(self.ring, {i: c for i, c in self.d.items() if c})
@@ -356,7 +417,7 @@ class RingElem:
                 [n for (n, _, _) in self.ring.stages]
         parts = []
         for i in sorted(self.d):
-            es = self.ring._exps[i]
+            es = self.ring._exponents(i)
             mono = "*".join(f"{nm}^{e}" if e > 1 else nm
                             for nm, e in zip(names, es) if e)
             c = self.d[i]
@@ -397,18 +458,10 @@ def ring_extend(ring: CoeffRing, poly, name: str | None = None,
         return ring, ring.zero() - coeffs[0]
     name = name or f"t{len(ring.stages) + 1}"
     cap = rank_cap if rank_cap is not None else ring.rank_cap
-    # re-key old stage coefficient dicts into the extended index space
+    # indices of `ring` are indices of the extension, so coefficients carry over as is
+    stage = (name, tuple(c.d for c in coeffs[:-1]), deg)
     ext = CoeffRing(ring.field, ring.prec, ring.u_orders,
-                    _stages=tuple(ring.stages) + ((name, (), deg),), rank_cap=cap)
-
-    def lift_dict(d: dict) -> dict:
-        return {ext._index[ring._exps[i] + (0,)]: c for i, c in d.items()}
-
-    stages = []
-    for (nm, cs, dg) in ring.stages:
-        stages.append((nm, tuple(lift_dict(c) for c in cs), dg))
-    stages.append((name, tuple(lift_dict(c.d) for c in coeffs[:-1]), deg))
-    ext.stages = tuple(stages)
+                    _stages=ring.stages + (stage,), rank_cap=cap)
     root = ext.stage_gen(len(ext.stages))
     return ext, root
 
@@ -425,9 +478,8 @@ def convert(elem: RingElem, target: CoeffRing) -> RingElem:
     for (a, b) in zip(src.stages, target.stages):
         if a[0] != b[0] or a[2] != b[2]:
             raise PreconditionError("stage mismatch between rings")
-    pad = (0,) * (len(target.stages) - len(src.stages))
-    return RingElem(target, {target._index[src._exps[i] + pad]: c
-                             for i, c in elem.d.items()})
+    # the new generators are the most significant digits: every index is unchanged
+    return RingElem(target, elem.d)
 
 
 # -- polynomials over a CoeffRing (plain coefficient lists, low degree first) --

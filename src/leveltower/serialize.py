@@ -24,7 +24,7 @@ from .cyclotomic import Cyclotomic
 from .errors import OracleMismatch, PreconditionError
 from .formal import FormalOModule, Tower
 from .fq import FqField
-from .rings import CoeffRing, RingElem
+from .rings import DEFAULT_RANK_CAP, CoeffRing, RingElem
 
 RING_SCHEMA = "leveltower/ring/1"
 TOWER_SCHEMA = "leveltower/tower/1"
@@ -72,7 +72,7 @@ def _coords_to_dict(coords) -> dict:
     return {i: c for i, c in enumerate(coords) if c}
 
 
-def ring_from_doc(doc) -> CoeffRing:
+def ring_from_doc(doc, rank_cap: int = DEFAULT_RANK_CAP) -> CoeffRing:
     if doc.get("schema") != RING_SCHEMA:
         raise PreconditionError(f"not a ring document: {doc.get('schema')!r}")
     fd = doc["field"]
@@ -82,7 +82,8 @@ def ring_from_doc(doc) -> CoeffRing:
     stages = tuple(
         (st["name"], [_coords_to_dict(c) for c in st["coeffs"]], st["degree"])
         for st in doc["stages"])
-    ring = CoeffRing(field, doc["prec"], tuple(doc["u_orders"]), _stages=stages)
+    ring = CoeffRing(field, doc["prec"], tuple(doc["u_orders"]), _stages=stages,
+                     rank_cap=rank_cap)
     if ring.rank != doc["rank"]:
         raise OracleMismatch(
             f"reconstructed ring rank {ring.rank} != documented {doc['rank']}")
@@ -110,11 +111,11 @@ def tower_to_doc(tower: Tower) -> dict:
     }
 
 
-def tower_from_doc(doc) -> Tower:
+def tower_from_doc(doc, rank_cap: int = DEFAULT_RANK_CAP) -> Tower:
     if doc.get("schema") != TOWER_SCHEMA:
         raise PreconditionError(f"not a tower document: {doc.get('schema')!r}")
-    ring = ring_from_doc(doc["ring"])
-    base_ring = CoeffRing(ring.field, ring.prec, ring.u_orders)
+    ring = ring_from_doc(doc["ring"], rank_cap=rank_cap)
+    base_ring = CoeffRing(ring.field, ring.prec, ring.u_orders, rank_cap=rank_cap)
 
     def elem(coords) -> RingElem:
         return RingElem(ring, _coords_to_dict(coords))

@@ -58,6 +58,24 @@ def test_tower_cache_hit(capsys, tmp_path):
     assert d1["results"]["level_check"] == d2["results"]["level_check"]
 
 
+def test_tower_cache_hit_keeps_rank_cap(capsys, tmp_path):
+    # the ring of (2,2,3) has rank 12288, above the default cap; a reload must honour the flag
+    argv = ["tower", "--q", "2", "--n", "2", "--m", "3", "--rank-cap", "100000",
+            "--cache-dir", str(tmp_path)]
+    code1, out1, _ = run(capsys, *argv)
+    code2, out2, err2 = run(capsys, *argv)
+    assert code1 == 0
+    assert code2 == 0, err2
+    assert json.loads(out1)["results"]["cache"]["hit"] is False
+    assert json.loads(out2)["results"]["cache"]["hit"] is True
+
+
+def test_tower_height_zero_exit(capsys):
+    code, out, err = run(capsys, "tower", "--q", "2", "--n", "0", "--m", "1")
+    assert code == 2
+    assert "height n must be >= 1" in err
+
+
 def test_reports_are_byte_identical(capsys):
     code1, out1, _ = run(capsys, "jl", "--q", "2")
     code2, out2, _ = run(capsys, "jl", "--q", "2")

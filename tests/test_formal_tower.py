@@ -1,6 +1,7 @@
 """Formal module arithmetic, level towers, and the level-structure checker."""
 
 import dataclasses
+import random
 
 import pytest
 
@@ -13,7 +14,7 @@ from leveltower.formal import (
     make_module,
 )
 from leveltower.groups import group_gl
-from leveltower.rings import poly_trim
+from leveltower.rings import poly_eval, poly_trim
 
 
 def test_pi_poly_shape():
@@ -117,3 +118,22 @@ def test_act_matches_alpha_polynomial():
     for v in list(phi.values)[:6]:
         x = phi.values[v]
         assert mod.act(digits, x) == poly_eval(pol, x)
+
+
+@pytest.mark.parametrize("q,density,cases", [(2, 0.4, 200), (4, 0.03, 20)])
+def test_pi_eval_matches_the_pi_polynomial(q, density, cases):
+    tower = build_tower(2, q, 1)
+    mod = tower.module
+    rng = random.Random(60_000 + q)
+    pp = mod.pi_poly()
+    points = list(tower.structure.values.values())
+    points += [tower.ring.random_element(rng, density=density) for _ in range(cases)]
+    for x in points:
+        assert mod.pi_eval(x) == poly_eval(pp, x)
+
+
+def test_check_level_above_the_default_rank_cap():
+    tower = build_tower(2, 3, 2, rank_cap=10 ** 7)
+    assert tower.ring.rank == 23_328
+    report = check_level(tower.structure)
+    assert report["ok"], report["witness"]

@@ -4,8 +4,10 @@ import random
 
 import pytest
 
+from leveltower.errors import PreconditionError
+from leveltower.formal import build_tower
 from leveltower.fq import FqField
-from leveltower.rings import CoeffRing, ring_extend
+from leveltower.rings import CoeffRing, convert, ring_extend
 
 CASES = 1000
 
@@ -55,3 +57,51 @@ def test_normal_form_idempotent(ridx):
         assert nf1 == nf2
         assert nf1.coords() == nf2.coords()
         assert x == nf1
+
+
+@pytest.mark.parametrize("q,density,cases", [(2, 0.4, 200), (4, 0.1, 50)])
+def test_qpower_is_the_qth_power(q, density, cases):
+    ring = build_tower(2, q, 1).ring
+    rng = random.Random(40_000 + q)
+    for _ in range(cases):
+        x = ring.random_element(rng, density=density)
+        assert x.qpower(q) == x ** q
+    assert ring.one().qpower(1) == ring.one()
+
+
+def test_qpower_moves_coefficients_of_a_larger_field():
+    # over F_4 squaring is not the identity on coefficients
+    base = CoeffRing(FqField(2, 2), 3, (2,))
+    ring, _root = ring_extend(base, [base.pi(), base.u(1), base.zero(), base.one()], "s")
+    rng = random.Random(45_000)
+    for _ in range(200):
+        x = ring.random_element(rng)
+        assert x.qpower(2) == x ** 2
+        assert x.qpower(4) == x ** 4
+
+
+def test_qpower_rejects_a_non_power_of_p():
+    ring = CoeffRing(FqField(2, 1), 2, (2,))
+    with pytest.raises(PreconditionError):
+        ring.pi().qpower(3)
+
+
+def test_convert_keeps_indices_through_every_stage():
+    base = CoeffRing(FqField(3, 1), 3, (2,))
+    rings = [base]
+    # X^3 + u*X + pi, then X^2 + t1*X + pi*u over the first extension
+    ext1, t1 = ring_extend(base, [base.pi(), base.u(1), base.zero(), base.one()], "t1")
+    ext2, _t2 = ring_extend(ext1, [convert(base.pi() * base.u(1), ext1), t1, ext1.one()],
+                            "t2")
+    rings += [ext1, ext2]
+    rng = random.Random(50_000)
+    for k, src in enumerate(rings):
+        for _ in range(50):
+            a = src.random_element(rng)
+            b = src.random_element(rng)
+            for target in rings[k:]:
+                ca, cb = convert(a, target), convert(b, target)
+                assert ca.d == a.d and ca.ring is target
+                # the embedding is a ring map in the extension's index space
+                assert convert(a * b, target) == ca * cb
+                assert convert(a + b, target) == ca + cb
