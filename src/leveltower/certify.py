@@ -1,5 +1,4 @@
-"""Sound-but-incomplete certification of regular elliptic elements, and the
-normalized filtration subgroups K(r) attached to a certified element.
+"""Sound-but-incomplete certification of regular elliptic elements.
 
 The certifier looks at the Newton polygon of the characteristic polynomial
 and, on a single integral slope, at the residue factorization.  It answers
@@ -13,22 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, inf
+from math import gcd
 
 from .errors import CertificationError, Inconclusive, PreconditionError, PrecisionError
-from .fq import FqField
 from .fqpoly import factor
 from .laurent import Laurent
-from .matrices import (
-    WORK_PREC,
-    det,
-    hnf,
-    lattice_intersect,
-    mat_identity,
-    mat_inv_gauss,
-    mat_mul,
-    mat_shift,
-)
+from .matrices import det
 
 
 @dataclass
@@ -199,120 +188,3 @@ def _separability(coeffs, n: int):
             raise PrecisionError("discriminant vanishes at precision, separability unknown")
         return False, None
     return True, disc.valuation()
-
-
-@dataclass
-class KSubgroup:
-    """K(r) = 1 + J(r) for the chain of fractional ideal lattices of F[g].
-
-    `basis` is the canonical n^2 x n^2 triangular basis of J(r), rows/columns
-    indexed by the matrix positions (i, j) flattened row-major.
-    """
-
-    n: int
-    r: int
-    e: int
-    basis: tuple
-
-    def basis_matrices(self):
-        n = len(self.basis)
-        side = self.n
-        out = []
-        for j in range(n):
-            col = [self.basis[i][j] for i in range(n)]
-            out.append(tuple(tuple(col[a * side + b] for b in range(side))
-                             for a in range(side)))
-        return out
-
-    def diag_exponents(self):
-        return [self.basis[i][i].valuation() for i in range(len(self.basis))]
-
-    def contains_displacement(self, X) -> bool:
-        """Whether the n x n matrix X lies in J(r), i.e. 1 + X in K(r)."""
-        side = self.n
-        x = [X[a][b] for a in range(side) for b in range(side)]
-        H = self.basis
-        n = len(H)
-        coords = [None] * n
-        for i in range(n - 1, -1, -1):
-            acc = x[i]
-            for j in range(i + 1, n):
-                acc = acc - H[i][j] * coords[j]
-            a_i = H[i][i].valuation()
-            if acc.is_zero():
-                coords[i] = Laurent.zero(acc.field)
-                continue
-            if acc.valuation() < a_i:
-                return False
-            coords[i] = acc.shift(-a_i)
-        return True
-
-    def log_index_from(self, other: "KSubgroup") -> int:
-        """log_q [other : self] for nested subgroups of the same element."""
-        return sum(self.diag_exponents()) - sum(other.diag_exponents())
-
-
-def uniformizer_matrix(g, cert: EllipticCertificate):
-    """A matrix generating the maximal ideal of F[g], valuation 1 in E."""
-    field = g[0][0].field
-    n = len(g)
-    if cert.e == 1:
-        return mat_shift(mat_identity(field, n), 1)
-    d = cert.det_val % n
-    if gcd(d, n) != 1:
-        raise PreconditionError("no tame uniformizer recipe for this certificate")
-    a = pow(d, -1, n)
-    b = (1 - a * cert.det_val) // n
-    P = mat_identity(field, n)
-    for _ in range(a):
-        P = mat_mul(P, g)
-    return mat_shift(P, b)
-
-
-def normalized_subgroup_Kr(g, cert: EllipticCertificate, r: int,
-                           work_prec: int = WORK_PREC) -> KSubgroup:
-    """The r-th normalized filtration subgroup attached to a certified g.
-
-    J(r) is the intersection over one period of uniformizer shifts of the
-    homomorphism lattices Hom(L, pi_E^r L) along the chain of fractional
-    ideals L of the order o[g]; K(r) = 1 + J(r).
-    """
-    if r < 0:
-        raise PreconditionError("r must be >= 0")
-    field = g[0][0].field
-    n = len(g)
-    e = cert.e
-    piE = uniformizer_matrix(g, cert)
-
-    # lattice L_{r'}: columns piE^{r'} g^i e1
-    gpow = [mat_identity(field, n)]
-    for _ in range(n - 1):
-        gpow.append(mat_mul(gpow[-1], g))
-
-    def chain_lattice(k: int):
-        shift, kk = divmod(k, e)  # piE^e and pi span the same ideal
-        P = mat_identity(field, n)
-        for _ in range(kk):
-            P = mat_mul(P, piE)
-        cols = []
-        for i in range(n):
-            PG = mat_mul(P, gpow[i])
-            cols.append(tuple(PG[a][0] for a in range(n)))
-        H = hnf(cols, work_prec)
-        return mat_shift(H, shift)
-
-    J = None
-    for rp in range(e):
-        B1 = chain_lattice(rp)
-        B2 = chain_lattice(rp + r)
-        B1inv = mat_inv_gauss(B1, work_prec)
-        flat_cols = []
-        for i in range(n):
-            for j in range(n):
-                Eij = [[Laurent.zero(field)] * n for _ in range(n)]
-                Eij[i][j] = Laurent.one(field)
-                Mk = mat_mul(mat_mul(B2, tuple(tuple(row) for row in Eij)), B1inv)
-                flat_cols.append(tuple(Mk[a][b] for a in range(n) for b in range(n)))
-        Hk = hnf(flat_cols, work_prec)
-        J = Hk if J is None else lattice_intersect(J, Hk, work_prec)
-    return KSubgroup(n=n, r=r, e=e, basis=J)

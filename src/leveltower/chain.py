@@ -105,24 +105,14 @@ class ChainRing:
     def from_field(self, c: int) -> int:
         return c
 
-    def units(self):
-        return [a for a in range(self.size) if a % self.q]
-
     def elements(self):
         return range(self.size)
-
-    def reduce_to(self, a: int, m2: int) -> int:
-        """Image in o/pi^m2 for m2 <= m."""
-        return a % (self.q ** m2)
 
     # -- vectors (tuples) and matrices (row-major tuples of tuples) ------------
 
     def vadd(self, v, w):
         add = self._add
         return tuple(add[a][b] for a, b in zip(v, w))
-
-    def vneg(self, v):
-        return tuple(self._neg[a] for a in v)
 
     def vscale(self, c, v):
         mul = self._mul
@@ -156,9 +146,6 @@ class ChainRing:
             out.append(tuple(row))
         return tuple(out)
 
-    def identity(self, n):
-        return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
     def det(self, M):
         n = len(M)
         if n == 1:
@@ -175,9 +162,6 @@ class ChainRing:
                     break
             total = self.add(total, term if sign > 0 else self.neg(term))
         return total
-
-    def mat_invertible(self, M) -> bool:
-        return self.is_unit(self.det(M))
 
     def mat_inv(self, M):
         """Inverse via Gaussian elimination with unit pivots (local ring)."""

@@ -12,36 +12,13 @@ from fractions import Fraction
 
 from .cyclotomic import Cyclotomic
 from .errors import CapExceeded, OracleMismatch, PreconditionError
+from .fq import _factor, _is_prime
 from .groups import FiniteGroup
 
 __all__ = ["CharacterTable", "character_table", "cuspidal_characters"]
 
 TABLE_ORDER_CAP = 5000
 _FLAT_TABLE_CAP = 1500
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def _prime_factors(n: int):
-    out = set()
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.add(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.add(n)
-    return sorted(out)
 
 
 def _choose_prime(exponent: int, order: int) -> int:
@@ -53,7 +30,7 @@ def _choose_prime(exponent: int, order: int) -> int:
 
 
 def _primitive_root(p: int) -> int:
-    fac = _prime_factors(p - 1)
+    fac = _factor(p - 1)
     for g in range(2, p):
         if all(pow(g, (p - 1) // r, p) != 1 for r in fac):
             return g
@@ -84,25 +61,8 @@ def _echelon_mod_p(rows, p: int):
 
 def _kernel_mod_p(rows, p: int):
     """Basis of the right kernel of the matrix with the given rows, over F_p."""
-    if not rows:
-        return []
     ncols = len(rows[0])
-    mat = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(mat)) if mat[i][c] % p), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        inv = pow(mat[r][c], p - 2, p)
-        mat[r] = [x * inv % p for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] % p:
-                f = mat[i][c]
-                mat[i] = [(x - f * y) % p for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
+    mat, pivots = _echelon_mod_p(rows, p)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:

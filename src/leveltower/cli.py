@@ -20,23 +20,19 @@ from dataclasses import dataclass, fields as dc_fields
 from time import perf_counter
 
 from .certify import regular_elliptic_certify
-from .chartab import TABLE_ORDER_CAP
-from .counting import BRUTE_LATTICE_CAP, count_brute, count_structured
+from .counting import count_brute, count_structured
 from .division import DivisionAlgebra, total_fixed_points
 from .errors import (
     CapExceeded,
     LevelTowerError,
-    NoNormalForm,
     NonExactDivision,
-    NonLinearIsogeny,
     NotAFlag,
     OracleMismatch,
     PrecisionError,
     PreconditionError,
 )
 from .formal import build_tower, check_level, gl_order
-from .fq import FqField
-from .groups import GROUP_ORDER_CAP
+from .fq import FqField, split_prime_power
 from .induced import JL_Q_CAP, jl_match
 from .laurent import Laurent
 from .matrices import charpoly, det, mat_reduce_mod
@@ -70,8 +66,7 @@ EXIT_CODES = {
 def exit_code_for(exc: BaseException) -> int | None:
     if isinstance(exc, CapExceeded):
         return EXIT_CAP
-    if isinstance(exc, (OracleMismatch, NonExactDivision, NonLinearIsogeny,
-                        NoNormalForm)):
+    if isinstance(exc, (OracleMismatch, NonExactDivision)):
         return EXIT_MISMATCH
     if isinstance(exc, (PreconditionError, NotAFlag, PrecisionError)):
         return EXIT_PRECONDITION
@@ -88,11 +83,7 @@ class RunConfig:
     m: int = 1
     prec: int | None = None
     u_spec: str | None = None
-    bound: int | None = None
     rank_cap: int = DEFAULT_RANK_CAP
-    group_cap: int = GROUP_ORDER_CAP
-    table_cap: int = TABLE_ORDER_CAP
-    lattice_cap: int = BRUTE_LATTICE_CAP
     jl_q_cap: int = JL_Q_CAP
     pair_cap: int = 20000
     scan_m: int = 3
@@ -104,8 +95,7 @@ class RunConfig:
         out = {f.name: getattr(self, f.name) for f in dc_fields(self)}
         if out["format"] not in ("json", "csv", "text"):
             raise PreconditionError(f"unknown output format {out['format']!r}")
-        for key in ("rank_cap", "group_cap", "table_cap", "lattice_cap",
-                    "jl_q_cap", "pair_cap"):
+        for key in ("rank_cap", "jl_q_cap", "pair_cap"):
             if out[key] <= 0:
                 raise PreconditionError(f"cap {key} must be positive")
         return out
@@ -123,8 +113,7 @@ class RunConfig:
         return out
 
 
-_INT_KEYS = {"q", "n", "m", "prec", "bound", "rank_cap", "group_cap", "table_cap",
-             "lattice_cap", "jl_q_cap", "pair_cap", "scan_m", "seed"}
+_INT_KEYS = {"q", "n", "m", "prec", "rank_cap", "jl_q_cap", "pair_cap", "scan_m", "seed"}
 
 
 def load_config_file(path: str) -> dict:
@@ -335,7 +324,7 @@ def cmd_strata(cfg: RunConfig) -> dict:
 
 
 def cmd_strata_action(cfg: RunConfig, g_spec: str) -> dict:
-    field = FqField(*_split(cfg.q))
+    field = FqField(*split_prime_power(cfg.q))
     g = parse_matrix(g_spec, field)
     cert = regular_elliptic_certify(charpoly(g))
     if cert.det_val != 0:
@@ -405,23 +394,10 @@ def cmd_jl(cfg: RunConfig) -> dict:
     return doc
 
 
-def _split(q: int):
-    p = 2
-    while q % p:
-        p += 1
-    f = 0
-    t = 1
-    while t < q:
-        t *= p
-        f += 1
-    return p, f
-
-
 def cmd_selftest(cfg: RunConfig) -> dict:
     """A quick battery of cross-checked identities; any failure raises."""
     import random
 
-    from .cyclotomic import Cyclotomic
     from .chartab import character_table, cuspidal_characters
     from .groups import group_gl
 
@@ -562,11 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--m", type=int)
     common.add_argument("--prec", type=int)
     common.add_argument("--u-spec", dest="u_spec")
-    common.add_argument("--bound", type=int)
     common.add_argument("--rank-cap", dest="rank_cap", type=int)
-    common.add_argument("--group-cap", dest="group_cap", type=int)
-    common.add_argument("--table-cap", dest="table_cap", type=int)
-    common.add_argument("--lattice-cap", dest="lattice_cap", type=int)
     common.add_argument("--jl-q-cap", dest="jl_q_cap", type=int)
     common.add_argument("--pair-cap", dest="pair_cap", type=int)
     common.add_argument("--scan-m", dest="scan_m", type=int)

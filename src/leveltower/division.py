@@ -21,7 +21,7 @@ ramified separable case (where it is a field).
 from .certify import regular_elliptic_certify
 from .counting import CountResult, count_brute, count_structured
 from .errors import OracleMismatch, PreconditionError
-from .fq import FqField
+from .fq import FqField, split_prime_power
 from .laurent import Laurent
 from .matrices import charpoly, companion, det
 
@@ -34,20 +34,6 @@ __all__ = [
     "total_fixed_points",
     "TotalFixedReport",
 ]
-
-
-def _split_prime_power(q: int):
-    for p in range(2, q + 1):
-        if q % p == 0:
-            s = 0
-            r = q
-            while r % p == 0:
-                r //= p
-                s += 1
-            if r != 1:
-                raise PreconditionError(f"q = {q} is not a prime power")
-            return p, s
-    raise PreconditionError("q must be at least 2")
 
 
 class DElem:
@@ -105,7 +91,7 @@ class DivisionAlgebra:
     def __init__(self, q: int, n: int):
         if n < 1:
             raise PreconditionError("degree must be >= 1")
-        p, s = _split_prime_power(q)
+        p, s = split_prime_power(q)
         self.q, self.n, self.p, self.s = q, n, p, s
         self.big = FqField(p, s * n)
         self.small = FqField(p, s)

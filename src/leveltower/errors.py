@@ -41,14 +41,6 @@ class NonExactDivision(LevelTowerError):
         self.remainder = remainder
 
 
-class NonLinearIsogeny(LevelTowerError):
-    """A subgroup product polynomial failed the additivity (q-power support) check."""
-
-
-class NoNormalForm(LevelTowerError):
-    """A quotient module law could not be put in the standard polynomial shape."""
-
-
 class NotAFlag(LevelTowerError):
     """The greedy chain construction produced a non-subgroup or non-free step."""
 

@@ -1,5 +1,5 @@
 """Additive formal o-modules in polynomial normal form, full level
-structures, level towers, and quotients by finite flat subgroups.
+structures and level towers.
 
 Conventions used throughout:
 
@@ -18,12 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .chain import ChainRing
-from .errors import (
-    NoNormalForm,
-    NonLinearIsogeny,
-    PreconditionError,
-)
-from .fq import FqField
+from .errors import PreconditionError
+from .fq import FqField, split_prime_power
 from .rings import (
     CoeffRing,
     DEFAULT_RANK_CAP,
@@ -31,9 +27,7 @@ from .rings import (
     convert,
     poly_add,
     poly_compose,
-    poly_derivative,
     poly_divide_exact,
-    poly_eval,
     poly_mul,
     poly_scale,
     poly_trim,
@@ -55,14 +49,10 @@ class FormalOModule:
         u_values = list(u_values)
         if len(u_values) != n - 1:
             raise PreconditionError(f"expected {n - 1} middle coefficients, got {len(u_values)}")
-        p = ring.field.p
-        f = 0
-        qq = 1
-        while qq < q:
-            qq *= p
-            f += 1
-        if qq != q:
-            raise PreconditionError(f"q={q} is not a power of the coefficient characteristic {p}")
+        p, f = split_prime_power(q)
+        if p != ring.field.p:
+            raise PreconditionError(
+                f"q={q} is not a power of the coefficient characteristic {ring.field.p}")
         if ring.field.f % f != 0:
             raise PreconditionError("the scalar field F_q does not embed in the coefficient field")
         self.ring = ring
@@ -167,7 +157,7 @@ def make_module(n: int, q: int, u_spec=None, prec: int = 3,
         raise PreconditionError(f"u_spec must have {n - 1} entries")
     if prec < 2:
         raise PreconditionError("precision must be >= 2 so pi is visible")
-    fld = _field_for_q(q)
+    fld = FqField(*split_prime_power(q))
     u_orders = tuple(s for s in u_spec if isinstance(s, int) and s >= 2)
     ring = CoeffRing(fld, prec, u_orders=u_orders, rank_cap=rank_cap)
     u_values = []
@@ -184,29 +174,6 @@ def make_module(n: int, q: int, u_spec=None, prec: int = 3,
     return FormalOModule(ring, n, q, u_values)
 
 
-def _field_for_q(q: int) -> FqField:
-    p, f = _split_prime_power(q)
-    return FqField(p, f)
-
-
-def _split_prime_power(q: int):
-    if q < 2:
-        raise PreconditionError("q must be a prime power >= 2")
-    p = None
-    for cand in range(2, q + 1):
-        if q % cand == 0:
-            p = cand
-            break
-    f = 0
-    qq = 1
-    while qq < q:
-        qq *= p
-        f += 1
-    if qq != q:
-        raise PreconditionError(f"q={q} is not a prime power")
-    return p, f
-
-
 def _pi_poly_value(ring: CoeffRing, digits) -> RingElem:
     out = ring.zero()
     pi = ring.pi()
@@ -216,14 +183,6 @@ def _pi_poly_value(ring: CoeffRing, digits) -> RingElem:
             out = out + ring.from_field(c) * pw
         pw = pw * pi
     return out
-
-
-def alpha_mult(module: FormalOModule, digits):
-    return module.alpha_mult(digits)
-
-
-def pi_power(module: FormalOModule, k: int):
-    return module.pi_power(k)
 
 
 @dataclass
@@ -236,11 +195,6 @@ class LevelStructure:
 
     def __post_init__(self):
         self.chain = ChainRing(self.module.scalar_field, self.m)
-
-    def basis_image(self, j: int) -> RingElem:
-        """phi(pi^{-m} e_j), 1-based j."""
-        v = tuple(1 if t == j - 1 else 0 for t in range(self.module.n))
-        return self.values[v]
 
     def torsion_vectors(self):
         """Vectors killed by pi, i.e. with all digits below the top one zero."""
@@ -456,117 +410,3 @@ def build_tower(n: int, q: int, m: int, prec: int | None = None, u_spec=None,
     return Tower(n=n, q=q, m=m, base_ring=base_ring, ring=ring, module=module,
                  stage_degrees=stage_degrees, level_values=level_value_dicts,
                  basis_images=basis_images, u_spec_label=_u_spec_label(n, u_spec))
-
-
-def subgroup_product(module: FormalOModule, point_values):
-    """prod (T - val) over a finite set of point values, with linearity check.
-
-    Returns (psi, s) where s[i] is the coefficient of T^(q^i).  Raises
-    NonLinearIsogeny if any coefficient sits at a non-q-power exponent or the
-    set size is not a q-power.
-    """
-    ring, q = module.ring, module.q
-    vals = list(point_values)
-    size = len(vals)
-    j = 0
-    t = 1
-    while t < size:
-        t *= q
-        j += 1
-    if t != size:
-        raise NonLinearIsogeny(f"subgroup size {size} is not a power of q={q}")
-    psi = [ring.one()]
-    for v in vals:
-        psi = poly_mul(psi, [ring.zero() - v, ring.one()])
-    qpows = {q ** i: i for i in range(j + 1)}
-    s = [ring.zero()] * (j + 1)
-    for e, c in enumerate(psi):
-        if c.is_zero():
-            continue
-        if e not in qpows:
-            raise NonLinearIsogeny(f"coefficient at exponent {e} is nonzero")
-        s[qpows[e]] = c
-    if s[j] != ring.one():
-        raise NonLinearIsogeny("product is not monic in the expected degree")
-    return psi, s
-
-
-@dataclass
-class QuotientResult:
-    module: FormalOModule       # the target of the isogeny, in normal form
-    psi: list                   # the isogeny polynomial
-    values: dict                # induced structure on coset representatives
-    cosets: dict                # vector -> chosen representative
-
-
-def quotient_by_subgroup(phi: LevelStructure, subgroup) -> QuotientResult:
-    """Quotient by a finite subgroup given as a list of domain vectors.
-
-    Builds psi = prod_{a in A} (T - phi(a)), checks it is F_q-linear, and
-    solves [pi]_Y o psi = psi o [pi]_X for the unique normal-form law Y.
-    The triangular solve walks the unknown coefficients top down; every
-    leftover equation is checked and any failure raises NoNormalForm.
-    """
-    module, ring, q, n = phi.module, phi.module.ring, phi.module.q, phi.module.n
-    ch = phi.chain
-    A = sorted(set(tuple(a) for a in subgroup))
-    zero_vec = tuple([0] * n)
-    if zero_vec not in A:
-        raise PreconditionError("subgroup must contain 0")
-    Aset = set(A)
-    for a in A:
-        for b in A:
-            if ch.vadd(a, b) not in Aset:
-                raise PreconditionError(f"not closed under addition at {a}+{b}")
-        for c in range(ch.size):
-            if ch.vscale(c, a) not in Aset:
-                raise PreconditionError(f"not closed under o-scaling at {c}*{a}")
-
-    psi, s = subgroup_product(module, [phi.values[a] for a in A])
-    j = len(s) - 1
-
-    # W = psi o [pi]_X, an additive polynomial supported on q-power exponents
-    pp = module.pi_poly()
-    W = {}
-    for i in range(j + 1):
-        if s[i].is_zero():
-            continue
-        qe = q ** i
-        for e, c in enumerate(pp):
-            if c.is_zero():
-                continue
-            key = e * qe
-            W[key] = W.get(key, ring.zero()) + s[i] * (c ** qe)
-    w = [W.get(q ** k, ring.zero()) for k in range(n + j + 1)]
-
-    cprime = [ring.zero()] * (n + 1)
-    for k in range(n + j, -1, -1):
-        acc = ring.zero()
-        for l in range(j + 1):
-            i = k - l
-            if 0 <= i <= n and l != j:
-                if not cprime[i].is_zero() and not s[l].is_zero():
-                    acc = acc + cprime[i] * (s[l] ** (q ** i))
-        if k >= j:
-            cprime[k - j] = w[k] - acc
-        else:
-            if acc != w[k]:
-                raise NoNormalForm(f"inconsistent equation at exponent q^{k}")
-    if cprime[0] != ring.pi():
-        raise NoNormalForm("linear coefficient of the induced law is not pi")
-    if cprime[n] != ring.one():
-        raise NoNormalForm("induced law is not monic of the right degree")
-    target = FormalOModule(ring, n, q, cprime[1:n])
-
-    cosets = {}
-    values = {}
-    for v in sorted(phi.values.keys()):
-        if v in cosets:
-            continue
-        orbit = sorted(ch.vadd(v, a) for a in A)
-        rep = orbit[0]
-        img = poly_eval(psi, phi.values[rep])
-        for w_vec in orbit:
-            cosets[w_vec] = rep
-        values[rep] = img
-    return QuotientResult(module=target, psi=psi, values=values, cosets=cosets)

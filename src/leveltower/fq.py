@@ -8,6 +8,8 @@ table lookups.  Subfield embeddings are computed by root-finding and cached.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .errors import CapExceeded, PreconditionError
 
 _Q_CAP = 1 << 16
@@ -35,6 +37,17 @@ def _factor(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def split_prime_power(q: int) -> tuple[int, int]:
+    """(p, f) with q = p^f; PreconditionError unless q is a prime power >= 2."""
+    if q < 2:
+        raise PreconditionError(f"q = {q} must be a prime power >= 2")
+    fac = _factor(q)
+    if len(fac) != 1:
+        raise PreconditionError(f"q = {q} is not a prime power")
+    [(p, f)] = fac.items()
+    return p, f
 
 
 # -- dense polynomial helpers over F_p (coefficient lists, low degree first) --
@@ -108,6 +121,7 @@ def _poly_irreducible(g, p) -> bool:
     return True
 
 
+@cache
 def _default_modulus(p: int, f: int) -> tuple[int, ...]:
     """First monic irreducible of degree f over F_p in lexicographic order."""
     if f == 1:

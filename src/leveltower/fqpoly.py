@@ -25,41 +25,10 @@ def fp_deg(f) -> int:
     return len(f) - 1 if f else -1
 
 
-def fp_add(field, f, g):
-    n = max(len(f), len(g))
-    out = []
-    for i in range(n):
-        a = f[i] if i < len(f) else 0
-        b = g[i] if i < len(g) else 0
-        out.append(field.add(a, b))
-    return fp_trim(out)
-
-
-def fp_neg(field, f):
-    return [field.neg(a) for a in f]
-
-
-def fp_sub(field, f, g):
-    return fp_add(field, f, fp_neg(field, g))
-
-
 def fp_scale(field, c, f):
     if not c:
         return []
     return [field.mul(c, a) for a in f]
-
-
-def fp_mul(field, f, g):
-    f, g = fp_trim(f), fp_trim(g)
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                if b:
-                    out[i + j] = field.add(out[i + j], field.mul(a, b))
-    return out
 
 
 def fp_divmod(field, f, g):
@@ -79,52 +48,11 @@ def fp_divmod(field, f, g):
     return fp_trim(quo), rem
 
 
-def fp_mod(field, f, g):
-    return fp_divmod(field, f, g)[1]
-
-
-def fp_gcd(field, f, g):
-    f, g = fp_trim(f), fp_trim(g)
-    while g:
-        f, g = g, fp_mod(field, f, g)
-    if f:
-        f = fp_scale(field, field.inv(f[-1]), f)
-    return f
-
-
-def fp_eval(field, f, x):
-    acc = 0
-    for a in reversed(f):
-        acc = field.add(field.mul(acc, x), a)
-    return acc
-
-
-def fp_derivative(field, f):
-    out = []
-    for i in range(1, len(f)):
-        c = 0
-        for _ in range(i % field.p):
-            c = field.add(c, f[i])
-        out.append(c)
-    return fp_trim(out)
-
-
 def fp_monic(field, f):
     f = fp_trim(f)
     if not f:
         return f
     return fp_scale(field, field.inv(f[-1]), f)
-
-
-def fp_pow_mod(field, f, e: int, mod):
-    out = [1]
-    base = fp_mod(field, f, mod)
-    while e:
-        if e & 1:
-            out = fp_mod(field, fp_mul(field, out, base), mod)
-        base = fp_mod(field, fp_mul(field, base, base), mod)
-        e >>= 1
-    return out
 
 
 def monic_polys(field: FqField, deg: int):
@@ -168,15 +96,3 @@ def factor(field: FqField, f):
         d += 1
     return unit, sorted(((list(k), v) for k, v in out.items()),
                         key=lambda kv: (len(kv[0]), kv[0]))
-
-
-def is_irreducible(field: FqField, f) -> bool:
-    f = fp_trim(f)
-    if fp_deg(f) < 1:
-        return False
-    _, parts = factor(field, f)
-    return len(parts) == 1 and parts[0][1] == 1 and fp_deg(parts[0][0]) == fp_deg(f)
-
-
-def roots(field: FqField, f):
-    return [x for x in range(field.q) if fp_eval(field, f, x) == 0]

@@ -10,10 +10,10 @@ import random
 from functools import cached_property
 
 from .chain import ChainRing, gl_elements
-from .division import DivisionAlgebra, _split_prime_power
+from .division import DivisionAlgebra
 from .errors import CapExceeded, OracleMismatch, PreconditionError
 from .formal import gl_order
-from .fq import FqField
+from .fq import FqField, split_prime_power
 from .laurent import Laurent
 
 __all__ = ["FiniteGroup", "group_gl", "group_quaternion_quotient"]
@@ -143,15 +143,6 @@ class FiniteGroup:
             out = lcm(out, self.element_order(rep))
         return out
 
-    def power_class(self, class_index: int, t: int) -> int:
-        """Class index of rep^t for the chosen representative of a class."""
-        rep = self.classes[class_index][0]
-        e = self.identity_index
-        cur = e
-        for _ in range(t % self.element_order(rep)):
-            cur = self.imul(cur, rep)
-        return self.class_of[cur]
-
     @cached_property
     def center(self):
         out = []
@@ -181,7 +172,7 @@ def group_gl(n: int, q: int, m: int = 1, cap: int = GROUP_ORDER_CAP) -> FiniteGr
     key = (n, q, m)
     if key in _gl_group_cache:
         return _gl_group_cache[key]
-    p, s = _split_prime_power(q)
+    p, s = split_prime_power(q)
     ch = ChainRing(FqField(p, s), m)
     elements = gl_elements(ch, n, cap=max(ch.size ** (n * n), cap))
     if len(elements) != expected:

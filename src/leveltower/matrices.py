@@ -15,7 +15,7 @@ from math import inf
 from .chain import _permutations_signed
 from .errors import PrecisionError, PreconditionError
 from .fq import FqField
-from .laurent import DEFAULT_PREC, Laurent
+from .laurent import Laurent
 
 WORK_PREC = 32
 
@@ -23,39 +23,6 @@ WORK_PREC = 32
 def mat_identity(field: FqField, n: int):
     one, zero = Laurent.one(field), Laurent.zero(field)
     return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
-
-
-def mat_zero(field: FqField, n: int, m=None):
-    zero = Laurent.zero(field)
-    return tuple(tuple(zero for _ in range(m or n)) for _ in range(n))
-
-
-def mat_from_ints(field: FqField, rows):
-    """Entries given as ChainRing-style digit ints (base q, pi-adic)."""
-    out = []
-    for row in rows:
-        r = []
-        for a in row:
-            digs = []
-            x = a
-            while x:
-                digs.append(x % field.q)
-                x //= field.q
-            r.append(Laurent.from_digits(field, digs))
-        out.append(tuple(r))
-    return tuple(out)
-
-
-def mat_add(A, B):
-    return tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
-
-
-def mat_sub(A, B):
-    return tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
-
-
-def mat_scale(c: Laurent, A):
-    return tuple(tuple(c * a for a in row) for row in A)
 
 
 def mat_shift(A, k: int):
@@ -76,25 +43,6 @@ def mat_mul(A, B):
             row.append(acc)
         out.append(tuple(row))
     return tuple(out)
-
-
-def mat_vec(A, v):
-    out = []
-    for row in A:
-        acc = None
-        for a, x in zip(row, v):
-            term = a * x
-            acc = term if acc is None else acc + term
-        out.append(acc)
-    return tuple(out)
-
-
-def transpose(A):
-    return tuple(tuple(A[i][j] for i in range(len(A))) for j in range(len(A[0])))
-
-
-def mat_frobenius(A, fp_times: int):
-    return tuple(tuple(a.frobenius(fp_times) for a in row) for row in A)
 
 
 def det(A) -> Laurent:
@@ -125,47 +73,6 @@ def adjugate(A):
                 cof = -cof
             out[j][i] = cof
     return tuple(tuple(row) for row in out)
-
-
-def mat_inv(A, prec: int | None = None):
-    d = det(A)
-    dinv = d.inverse(prec)
-    return mat_scale(dinv, adjugate(A))
-
-
-def mat_inv_gauss(M, work_prec: int = WORK_PREC):
-    """Inverse by elimination with minimal-valuation pivoting.
-
-    Scales to sizes where the adjugate route blows up (the flattened n^2
-    matrices used for endomorphism lattices).  Result entries are series
-    truncated near work_prec.
-    """
-    n = len(M)
-    field = M[0][0].field
-    A = [list(row) for row in M]
-    B = [[Laurent.one(field) if i == j else Laurent.zero(field) for j in range(n)]
-         for i in range(n)]
-    for col in range(n):
-        piv_r, piv_v = None, inf
-        for r in range(col, n):
-            x = A[r][col]
-            if not x.is_zero():
-                v = x.valuation()
-                if v < piv_v:
-                    piv_r, piv_v = r, v
-        if piv_r is None:
-            raise PreconditionError("matrix is singular at working precision")
-        A[col], A[piv_r] = A[piv_r], A[col]
-        B[col], B[piv_r] = B[piv_r], B[col]
-        pinv = A[col][col].inverse(work_prec)
-        A[col] = [x * pinv for x in A[col]]
-        B[col] = [x * pinv for x in B[col]]
-        for r in range(n):
-            if r != col and not A[r][col].is_zero():
-                f = A[r][col]
-                A[r] = [x - f * y for x, y in zip(A[r], A[col])]
-                B[r] = [x - f * y for x, y in zip(B[r], B[col])]
-    return tuple(tuple(row) for row in B)
 
 
 def charpoly(A):
@@ -286,39 +193,6 @@ def hnf(columns, work_prec: int = WORK_PREC):
     return tuple(rows)
 
 
-def lattice_pi_normalize(H):
-    """Scale a basis by a power of pi so the minimal entry valuation is 0."""
-    v = inf
-    for row in H:
-        for x in row:
-            if not x.is_zero():
-                v = min(v, x.valuation())
-    if v is inf:
-        raise PreconditionError("zero lattice")
-    return mat_shift(H, -v) if v else H
-
-
-def lattice_dual(H, work_prec: int = WORK_PREC):
-    """Basis of the dual lattice {x : <x, L> in o} = (H^T)^{-1} columns."""
-    n = len(H)
-    invT = transpose(mat_inv_gauss(H, work_prec))
-    return hnf([tuple(invT[i][j] for i in range(n)) for j in range(n)], work_prec)
-
-
-def lattice_intersect(H1, H2, work_prec: int = WORK_PREC):
-    """Intersection via duality: L1 cap L2 = dual(dual(L1) + dual(L2))."""
-    D1, D2 = lattice_dual(H1, work_prec), lattice_dual(H2, work_prec)
-    n = len(H1)
-    cols = [tuple(D[i][j] for i in range(n)) for D in (D1, D2) for j in range(n)]
-    return lattice_dual(hnf(cols, work_prec), work_prec)
-
-
-def lattice_sum(H1, H2, work_prec: int = WORK_PREC):
-    n = len(H1)
-    cols = [tuple(H[i][j] for i in range(n)) for H in (H1, H2) for j in range(n)]
-    return hnf(cols, work_prec)
-
-
 def smith_exponents(A) -> list:
     """Elementary divisor exponents of an integral full-rank matrix, ascending."""
     n = len(A)
@@ -363,24 +237,6 @@ def smith_exponents(A) -> list:
     return sorted(out)
 
 
-def val_det(A):
-    """Valuation of the determinant, computed exactly."""
-    d = det(A)
-    return d.valuation()
-
-
 def mat_reduce_mod(A, m: int):
     """Entrywise image in (o/pi^m), ChainRing int codes."""
     return tuple(tuple(x.reduce_mod(m) for x in row) for row in A)
-
-
-def mat_is_integral(A) -> bool:
-    for row in A:
-        for x in row:
-            if x.is_zero():
-                if not x.exact and x.prec < 0:
-                    raise PrecisionError("integrality undecidable at this precision")
-                continue
-            if x.valuation() < 0:
-                return False
-    return True

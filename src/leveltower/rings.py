@@ -112,11 +112,6 @@ class CoeffRing:
     def stage_degrees(self) -> list[int]:
         return [d for (_, _, d) in self.stages]
 
-    def element_from_coords(self, coords) -> "RingElem":
-        if len(coords) != self.rank:
-            raise PreconditionError("coordinate vector has wrong length")
-        return RingElem(self, {i: c for i, c in enumerate(coords) if c})
-
     def random_element(self, rng, density: float = 0.4) -> "RingElem":
         d = {}
         for i in range(self.rank):
@@ -353,10 +348,6 @@ class RingElem:
     def is_zero(self) -> bool:
         return not self.d
 
-    def constant_part(self) -> int:
-        """Residue-field component (coefficient of the monomial 1)."""
-        return self.d.get(0, 0)
-
     def is_unit(self) -> bool:
         # the ring is local with every non-1 basis monomial nilpotent
         return self.d.get(0, 0) != 0
@@ -535,13 +526,6 @@ def poly_compose(f, g):
         acc = poly_mul(acc, g)
         acc = poly_add(acc, [c])
     return acc
-
-
-def poly_derivative(f):
-    if len(f) <= 1:
-        return []
-    ring = f[0].ring
-    return poly_trim([ring.from_int(i) * f[i] for i in range(1, len(f))])
 
 
 def poly_divide_exact(f, g) -> list[RingElem]:

@@ -12,19 +12,12 @@ form or proves the span is not a free direct summand.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product
 
 from .chain import ChainRing
 from .errors import NotAFlag, PreconditionError
-from .fq import FqField
-
-
-def leadpos(v) -> int:
-    """Index of the first nonzero coordinate; len(v) for the zero vector."""
-    for i, x in enumerate(v):
-        if x:
-            return i
-    return len(v)
+from .fq import FqField, split_prime_power
 
 
 def _canonicalize(ch: ChainRing, n: int, gens):
@@ -70,13 +63,13 @@ class DirectSummand:
     def rank(self) -> int:
         return len(self.pivots)
 
-    @property
+    @cached_property
     def chain(self) -> ChainRing:
-        return ChainRing(_field_cache(self.q), self.m)
+        return _chain(self.q, self.m)
 
     @staticmethod
     def from_generators(n: int, q: int, m: int, gens) -> "DirectSummand":
-        ch = ChainRing(_field_cache(q), m)
+        ch = _chain(q, m)
         got = _canonicalize(ch, n, gens)
         if got is None:
             raise PreconditionError("generators do not span a free direct summand")
@@ -134,21 +127,8 @@ class DirectSummand:
         return f"rank {self.rank} label <" + ", ".join(gens) + ">"
 
 
-_fields: dict[int, FqField] = {}
-
-
-def _field_cache(q: int) -> FqField:
-    if q not in _fields:
-        p = 2
-        while q % p:
-            p += 1
-        f = 0
-        t = 1
-        while t < q:
-            t *= p
-            f += 1
-        _fields[q] = FqField(p, f)
-    return _fields[q]
+def _chain(q: int, m: int) -> ChainRing:
+    return ChainRing(FqField(*split_prime_power(q)), m)
 
 
 _enum_cache: dict[tuple, list] = {}
@@ -166,7 +146,7 @@ def enumerate_summands(n: int, q: int, m: int, h: int):
     key = (n, q, m, h)
     if key in _enum_cache:
         return _enum_cache[key]
-    ch = ChainRing(_field_cache(q), m)
+    ch = _chain(q, m)
     nonunits = [a for a in range(ch.size) if not ch.is_unit(a)]
     full = list(range(ch.size))
     out = []
@@ -207,51 +187,9 @@ def dual_summand(A: DirectSummand) -> DirectSummand:
     return DirectSummand.from_generators(A.n, A.q, A.m, gens)
 
 
-def act_label(gbar, A: DirectSummand) -> DirectSummand:
-    """Image of a label under an invertible matrix over o/pi^m."""
-    ch = A.chain
-    if not ch.is_unit(ch.det(gbar)):
-        raise PreconditionError("matrix is not invertible mod pi^m")
-    gens = [ch.matvec(gbar, col) for col in A.cols]
-    return DirectSummand.from_generators(A.n, A.q, A.m, gens)
-
-
-def transport_label(g, A: DirectSummand, m_out: int | None = None) -> DirectSummand:
-    """Transport a level-m label along a general invertible matrix over F.
-
-    Uses the normalized map x -> pi^(m - m' - r) g x with r the largest
-    elementary divisor exponent; defined when the exponent spread is at most
-    m - m'.  The image must again be a free direct summand of the same rank,
-    which is checked at runtime.
-    """
-    from .matrices import mat_reduce_mod, mat_shift, smith_exponents
-
-    m = A.m
-    m_out = m if m_out is None else m_out
-    if not 1 <= m_out <= m:
-        raise PreconditionError("output level must be in [1, m]")
-    exps = smith_exponents(g)
-    spread = exps[-1] - exps[0]
-    if spread > m - m_out:
-        raise PreconditionError(
-            f"elementary divisor spread {spread} exceeds level drop {m - m_out}")
-    T = mat_shift(g, (m - m_out) - exps[-1])
-    Tbar = mat_reduce_mod(T, m_out)
-    ch_out = ChainRing(_field_cache(A.q), m_out)
-    gens = []
-    for col in A.cols:
-        lift = col  # digits of level-m codes embed as integral series codes
-        gens.append(ch_out.matvec(Tbar, tuple(c % ch_out.size for c in lift)))
-    # reduction of codes mod pi^{m'} is truncation of base-q digits
-    out = DirectSummand.from_generators(A.n, A.q, m_out, gens)
-    if out.rank != A.rank:
-        raise PreconditionError("label transport degenerates, rank drops")
-    return out
-
-
 def strata_fixed_count(gbar, n: int, q: int, m: int, h: int) -> int:
     """Number of rank-h labels fixed by an invertible matrix over o/pi^m."""
-    ch = ChainRing(_field_cache(q), m)
+    ch = _chain(q, m)
     if not ch.is_unit(ch.det(gbar)):
         raise PreconditionError("matrix is not invertible mod pi^m")
     count = 0
@@ -317,7 +255,7 @@ def flag_of_point(values: dict, n: int, q: int, m: int) -> Flag:
     with 0, must be a free direct summand or NotAFlag is raised; the flag
     collects the cuts in ascending rank, the full module included.
     """
-    ch = ChainRing(_field_cache(q), m)
+    ch = _chain(q, m)
     zero = tuple([0] * n)
     table = {}
     for key, tiers in values.items():
@@ -347,38 +285,3 @@ def flag_of_point(values: dict, n: int, q: int, m: int) -> Flag:
                 f"the cut below tier {levels[cut - 1]} is not closed under the module operations")
         parts.append(A)
     return Flag(tuple(parts))
-
-
-def flag_of_label(A: DirectSummand) -> Flag:
-    """The leading-position filtration of a label, validated as a flag.
-
-    Repeatedly discards the elements whose first nonzero coordinate is the
-    smallest one present; each surviving subset must again be a free direct
-    summand, otherwise the filtration is not a flag and NotAFlag is raised.
-    """
-    ch = A.chain
-    n = A.n
-    zero = tuple([0] * n)
-    stages = []
-    cur = A.elements()
-    while cur != {zero}:
-        stages.append(cur)
-        lead = min(leadpos(v) for v in cur if v != zero)
-        cur = {v for v in cur if leadpos(v) > lead}
-        # subgroup check for the survivor set
-        for v in cur:
-            for w in cur:
-                if ch.vadd(v, w) not in cur:
-                    raise NotAFlag("filtration stage is not closed under addition")
-    parts = []
-    for st in reversed(stages):
-        got = _canonicalize(ch, n, sorted(st))
-        if got is None:
-            raise NotAFlag("filtration stage is not a free direct summand")
-        pivots, cols = got
-        parts.append(DirectSummand(n=n, q=A.q, m=A.m, pivots=pivots, cols=cols))
-    dedup = []
-    for P in parts:
-        if not dedup or dedup[-1].key() != P.key():
-            dedup.append(P)
-    return Flag(tuple(dedup))

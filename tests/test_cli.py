@@ -1,6 +1,10 @@
 """End-to-end command driver checks through main()."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -124,6 +128,47 @@ def test_flag_of_point_command(capsys, tmp_path):
     bad.write_text("2 2 1\n0,1 : 1\n1,0 : 1\n1,1 : 2\n")
     code, out, err = run(capsys, "flag-of-point", "--table", str(bad))
     assert code == 2
+
+
+def _bad_q_argv(command, q, tmp_path):
+    if command == "flag-of-point":
+        # complete for n = m = 1 over F_8, the field q = 6 used to be read as
+        table = tmp_path / "vt.txt"
+        table.write_text(f"1 {q} 1\n" + "".join(f"{c} : 1\n" for c in range(1, 8)))
+        return [command, "--table", str(table)]
+    argv = [command, "--q", str(q), "--n", "2", "--m", "1"]
+    if command == "strata-action":
+        argv += ["--g", "companion:T^2+T+1"]
+    return argv
+
+
+@pytest.mark.parametrize("q", [1, 6, 12])
+@pytest.mark.parametrize("command", ["strata", "flags", "strata-action", "flag-of-point"])
+def test_q_not_prime_power_exits_2(command, q, tmp_path):
+    # a fresh process with a timeout, so a q that loops forever fails instead of hanging
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-m", "leveltower.cli",
+                           *_bad_q_argv(command, q, tmp_path)],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: q = {q} " + (
+        "must be a prime power >= 2\n" if q < 2 else "is not a prime power\n")
+
+
+def test_removed_knobs_are_rejected(capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["strata", "--group-cap", "5"])
+    assert exc.value.code == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("table_cap = 5\n")
+    code, out, err = run(capsys, "strata", "--config", str(cfg))
+    assert code == 2
+    assert "unknown config key" in err
+    code, out, _ = run(capsys, "strata")
+    assert sorted(json.loads(out)["config"]) == [
+        "cache_dir", "format", "jl_q_cap", "m", "n", "pair_cap", "prec", "q",
+        "rank_cap", "scan_m", "seed", "u_spec"]
 
 
 def test_count_command(capsys):

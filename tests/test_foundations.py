@@ -7,7 +7,7 @@ import pytest
 
 from leveltower.cyclotomic import Cyclotomic
 from leveltower.errors import NonExactDivision, PreconditionError
-from leveltower.fq import FqField
+from leveltower.fq import FqField, split_prime_power
 from leveltower.laurent import Laurent
 from leveltower.matrices import (
     adjugate,
@@ -32,6 +32,23 @@ def test_field_arithmetic_f4():
         assert f4.add(a, f4.neg(a)) == 0
         if a:
             assert f4.mul(a, f4.inv(a)) == 1
+
+
+@pytest.mark.parametrize("q,expected", [(2, (2, 1)), (8, (2, 3)), (9, (3, 2)),
+                                        (65536, (2, 16))])
+def test_split_prime_power(q, expected):
+    assert split_prime_power(q) == expected
+
+
+@pytest.mark.parametrize("q", [-4, 0, 1, 6, 12, 100])
+def test_split_prime_power_rejects(q):
+    with pytest.raises(PreconditionError):
+        split_prime_power(q)
+
+
+def test_default_modulus_field_is_interned():
+    assert FqField(3, 4) is FqField(3, 4)
+    assert FqField(2, 2) is FqField(2, 2, FqField(2, 2).modulus)
 
 
 def test_field_frobenius_fixes_prime_subfield():

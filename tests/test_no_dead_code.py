@@ -1,0 +1,65 @@
+"""Guard against unreferenced definitions in the package.
+
+Every top-level function or class and every non-dunder method defined in
+src/leveltower/*.py must be named, as a whole word, somewhere in src/ or
+tests/ outside its own definition, its import lines and `__all__`.  The
+console-script entry point `main` is exempt.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "leveltower"
+EXEMPT = {"main"}
+
+
+def _excluded_lines(tree):
+    """1-based line numbers of import statements and `__all__` assignments."""
+    lines = set()
+    for node in ast.walk(tree):
+        is_all = (isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "__all__" for t in node.targets))
+        if isinstance(node, (ast.Import, ast.ImportFrom)) or is_all:
+            lines.update(range(node.lineno, node.end_lineno + 1))
+    return lines
+
+
+def _definitions(path, tree):
+    """(name, path, first line, last line) for each guarded definition."""
+    defs = ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef
+    out = []
+    for node in tree.body:
+        if not isinstance(node, defs):
+            continue
+        out.append((node.name, path, node.lineno, node.end_lineno))
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (item.name.startswith("__") and item.name.endswith("__"))):
+                    out.append((item.name, path, item.lineno, item.end_lineno))
+    return out
+
+
+def test_every_definition_is_referenced():
+    sources = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    where, definitions = {}, []   # word -> [(path, line number)]
+    for path in sources:
+        text = path.read_text(encoding="utf-8")
+        tree = ast.parse(text, filename=str(path))
+        excluded = _excluded_lines(tree)
+        for number, line in enumerate(text.splitlines(), start=1):
+            if number not in excluded:
+                for word in set(re.findall(r"\w+", line)):
+                    where.setdefault(word, []).append((path, number))
+        if path.parent == PACKAGE:
+            definitions.extend(_definitions(path, tree))
+
+    unreferenced = [
+        f"{home.name}:{first} {name}"
+        for name, home, first, last in definitions
+        if name not in EXEMPT
+        and all(path == home and first <= number <= last
+                for path, number in where.get(name, ()))]
+    assert not unreferenced, "unreferenced definitions:\n" + "\n".join(unreferenced)
