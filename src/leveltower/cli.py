@@ -40,6 +40,7 @@ from .rings import DEFAULT_RANK_CAP, CoeffRing
 from .serialize import (
     Cache,
     REPORT_SCHEMA,
+    TOWER_SCHEMA,
     canonical_dumps,
     content_key,
     jsonable,
@@ -85,7 +86,6 @@ class RunConfig:
     u_spec: str | None = None
     rank_cap: int = DEFAULT_RANK_CAP
     jl_q_cap: int = JL_Q_CAP
-    pair_cap: int = 20000
     scan_m: int = 3
     cache_dir: str | None = None
     format: str = "json"
@@ -95,9 +95,10 @@ class RunConfig:
         out = {f.name: getattr(self, f.name) for f in dc_fields(self)}
         if out["format"] not in ("json", "csv", "text"):
             raise PreconditionError(f"unknown output format {out['format']!r}")
-        for key in ("rank_cap", "jl_q_cap", "pair_cap"):
+        for key in ("rank_cap", "jl_q_cap"):
             if out[key] <= 0:
                 raise PreconditionError(f"cap {key} must be positive")
+        split_prime_power(out["q"])
         return out
 
     def parsed_u_spec(self):
@@ -107,13 +108,24 @@ class RunConfig:
         for tok in self.u_spec.split(";"):
             tok = tok.strip()
             if tok.startswith("nil"):
-                out.append(int(tok[3:]))
+                out.append(_int(tok[3:], "u-spec order"))
             else:
-                out.append([int(c) for c in tok.split(",")])
+                out.append([_int(c, "u-spec digit") for c in tok.split(",")])
         return out
 
 
-_INT_KEYS = {"q", "n", "m", "prec", "rank_cap", "jl_q_cap", "pair_cap", "scan_m", "seed"}
+_INT_KEYS = {"q", "n", "m", "prec", "rank_cap", "jl_q_cap", "scan_m", "seed"}
+
+
+def _int(tok: str, what: str, bound: int | None = None) -> int:
+    """An integer token; PreconditionError unless it is one and, given a bound, in 0..bound-1."""
+    try:
+        v = int(tok)
+    except ValueError:
+        raise PreconditionError(f"{what} {tok!r} is not an integer") from None
+    if bound is not None and not 0 <= v < bound:
+        raise PreconditionError(f"{what} code {v} is outside 0..{bound - 1}")
+    return v
 
 
 def load_config_file(path: str) -> dict:
@@ -129,7 +141,7 @@ def load_config_file(path: str) -> dict:
             key = key.strip().replace("-", "_")
             value = value.strip()
             if key in _INT_KEYS:
-                out[key] = None if value.lower() == "none" else int(value)
+                out[key] = None if value.lower() == "none" else _int(value, key)
             else:
                 out[key] = value
     return out
@@ -189,7 +201,7 @@ def parse_poly(expr: str, field: FqField, allow_T: bool = True):
             if not factor:
                 raise PreconditionError(f"empty factor in term {term!r}")
             base, _, exp = factor.partition("^")
-            e = int(exp) if exp else 1
+            e = _int(exp, "exponent") if exp else 1
             if base == "P":
                 pi_exp += e
             elif base == "T":
@@ -197,10 +209,7 @@ def parse_poly(expr: str, field: FqField, allow_T: bool = True):
                     raise PreconditionError("T is not allowed in a scalar entry")
                 t_deg += e
             else:
-                c = int(base)
-                if not 0 <= c < field.q:
-                    raise PreconditionError(
-                        f"coefficient code {c} is outside 0..{field.q - 1}")
+                c = _int(base, "coefficient", field.q)
                 for _ in range(e):
                     code = field.mul(code, c)
         if sign < 0:
@@ -240,7 +249,7 @@ def parse_algebra_element(spec: str, alg: DivisionAlgebra):
     if spec == "w":
         return alg.uniformizer()
     if spec.startswith("x:"):
-        return alg.teichmuller(int(spec[2:]))
+        return alg.teichmuller(_int(spec[2:], "coefficient", alg.big.q))
     slots = spec.split(";")
     if len(slots) != alg.n:
         raise PreconditionError(f"expected {alg.n} coordinate slots")
@@ -256,20 +265,25 @@ def cmd_tower(cfg: RunConfig) -> dict:
     if cfg.cache_dir is not None:
         cache = Cache(cfg.cache_dir)
         key = content_key({
-            "kind": "tower", "q": cfg.q, "n": cfg.n, "m": cfg.m,
+            "kind": "tower", "schema": TOWER_SCHEMA, "q": cfg.q, "n": cfg.n, "m": cfg.m,
             "prec": cfg.prec, "u_spec": cfg.u_spec, "rank_cap": cfg.rank_cap,
         })
         cache_info["key"] = key
-        hit = cache.get(key)
-        if hit is not None:
-            tower = tower_from_doc(json.loads(hit), rank_cap=cfg.rank_cap)
-            cache_info["hit"] = True
+        try:  # an undecodable, misshapen or non-round-tripping entry is a miss
+            hit = cache.get(key)
+            if hit is not None:
+                tower = tower_from_doc(json.loads(hit), rank_cap=cfg.rank_cap)
+                cache_info["hit"] = True
+        except (ValueError, LookupError, TypeError, AttributeError,
+                PreconditionError, OracleMismatch) as exc:
+            sys.stderr.write(f"warning: rebuilding unusable cache entry {key} "
+                             f"({type(exc).__name__}: {exc})\n")
     if tower is None:
         tower = build_tower(cfg.n, cfg.q, cfg.m, prec=cfg.prec,
                             u_spec=cfg.parsed_u_spec(), rank_cap=cfg.rank_cap)
         if cfg.cache_dir is not None:
             cache.put(cache_info["key"], canonical_dumps(tower_to_doc(tower)))
-    level = check_level(tower.structure, pair_cap=cfg.pair_cap)
+    level = check_level(tower.structure)
     if not level["ok"]:
         raise OracleMismatch(f"level check failed: {level['witness']}")
     expected = gl_order(cfg.n, cfg.q, cfg.m)
@@ -540,7 +554,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--u-spec", dest="u_spec")
     common.add_argument("--rank-cap", dest="rank_cap", type=int)
     common.add_argument("--jl-q-cap", dest="jl_q_cap", type=int)
-    common.add_argument("--pair-cap", dest="pair_cap", type=int)
     common.add_argument("--scan-m", dest="scan_m", type=int)
     common.add_argument("--cache-dir", dest="cache_dir")
     common.add_argument("--format", choices=["json", "csv", "text"])

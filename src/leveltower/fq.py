@@ -40,9 +40,12 @@ def _factor(n: int) -> dict[int, int]:
 
 
 def split_prime_power(q: int) -> tuple[int, int]:
-    """(p, f) with q = p^f; PreconditionError unless q is a prime power >= 2."""
+    """(p, f) with q = p^f; PreconditionError unless q is a prime power >= 2,
+    CapExceeded, before any trial division, for q above the 2^16 field cap."""
     if q < 2:
         raise PreconditionError(f"q = {q} must be a prime power >= 2")
+    if q > _Q_CAP:
+        raise CapExceeded(f"q = {q} exceeds the 2^16 field cap")
     fac = _factor(q)
     if len(fac) != 1:
         raise PreconditionError(f"q = {q} is not a prime power")

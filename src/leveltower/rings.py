@@ -239,7 +239,7 @@ class CoeffRing:
             "prec": self.prec,
             "u_orders": list(self.u_orders),
             "stages": [{"name": n, "degree": d,
-                        "coeffs": [_dict_to_coords(c, self.rank) for c in cs]}
+                        "coeffs": [sorted(c.items()) for c in cs]}
                        for (n, cs, d) in self.stages],
             "rank": self.rank,
         }
@@ -265,13 +265,6 @@ class _PackedExponents(dict):
             key |= e << sh
         self[idx] = key
         return key
-
-
-def _dict_to_coords(d: dict, rank: int) -> list[int]:
-    out = [0] * rank
-    for i, c in d.items():
-        out[i] = c
-    return out
 
 
 class RingElem:
@@ -399,7 +392,10 @@ class RingElem:
         return RingElem(self.ring, {i: c for i, c in self.d.items() if c})
 
     def coords(self) -> list[int]:
-        return _dict_to_coords(self.d, self.ring.rank)
+        out = [0] * self.ring.rank
+        for i, c in self.d.items():
+            out[i] = c
+        return out
 
     def __repr__(self):
         if not self.d:

@@ -5,7 +5,11 @@ order and spacing so equal documents produce identical bytes, and
 `content_key` hashes those bytes for content addressing.  Ring and tower
 documents reconstruct working objects; a reloaded tower must behave
 identically to a fresh build (its describe-document must match bit for
-bit, which `tower_from_doc` verifies).
+bit, which `tower_from_doc` verifies).  Ring and tower documents store each
+ring element in its in-memory sparse form, as [index, coeff] pairs sorted by
+index, so a document grows with the nonzero terms rather than the ring rank.
+The tower cache key includes TOWER_SCHEMA, so an entry written under an
+older schema is a plain miss, never misread.
 
 Cache writes go to a temporary file in the same directory followed by
 os.replace, so a reader never observes a half-written entry.
@@ -26,8 +30,8 @@ from .formal import FormalOModule, Tower
 from .fq import FqField
 from .rings import DEFAULT_RANK_CAP, CoeffRing, RingElem
 
-RING_SCHEMA = "leveltower/ring/1"
-TOWER_SCHEMA = "leveltower/tower/1"
+RING_SCHEMA = "leveltower/ring/2"
+TOWER_SCHEMA = "leveltower/tower/2"
 TABLE_SCHEMA = "leveltower/chartab/1"
 REPORT_SCHEMA = "leveltower/report/1"
 
@@ -68,10 +72,6 @@ def ring_to_doc(ring: CoeffRing) -> dict:
     return doc
 
 
-def _coords_to_dict(coords) -> dict:
-    return {i: c for i, c in enumerate(coords) if c}
-
-
 def ring_from_doc(doc, rank_cap: int = DEFAULT_RANK_CAP) -> CoeffRing:
     if doc.get("schema") != RING_SCHEMA:
         raise PreconditionError(f"not a ring document: {doc.get('schema')!r}")
@@ -80,7 +80,7 @@ def ring_from_doc(doc, rank_cap: int = DEFAULT_RANK_CAP) -> CoeffRing:
     if list(field.modulus) != list(fd["modulus"]):
         raise OracleMismatch("reconstructed field modulus differs from the document")
     stages = tuple(
-        (st["name"], [_coords_to_dict(c) for c in st["coeffs"]], st["degree"])
+        (st["name"], [dict(c) for c in st["coeffs"]], st["degree"])
         for st in doc["stages"])
     ring = CoeffRing(field, doc["prec"], tuple(doc["u_orders"]), _stages=stages,
                      rank_cap=rank_cap)
@@ -101,13 +101,12 @@ def tower_to_doc(tower: Tower) -> dict:
         "m": tower.m,
         "u_spec_label": tower.u_spec_label,
         "ring": ring_to_doc(tower.ring),
-        "module_u": [u.coords() for u in tower.module.u_values],
+        "module_u": [sorted(u.d.items()) for u in tower.module.u_values],
         "stage_degrees": list(tower.stage_degrees),
         "level_values": [
-            sorted([list(vec), val.coords()] for vec, val in d.items())
+            sorted([list(vec), sorted(val.d.items())] for vec, val in d.items())
             for d in tower.level_values
         ],
-        "basis_images": [[b.coords() for b in lvl] for lvl in tower.basis_images],
     }
 
 
@@ -117,21 +116,19 @@ def tower_from_doc(doc, rank_cap: int = DEFAULT_RANK_CAP) -> Tower:
     ring = ring_from_doc(doc["ring"], rank_cap=rank_cap)
     base_ring = CoeffRing(ring.field, ring.prec, ring.u_orders, rank_cap=rank_cap)
 
-    def elem(coords) -> RingElem:
-        return RingElem(ring, _coords_to_dict(coords))
+    def elem(pairs) -> RingElem:
+        return RingElem(ring, dict(pairs))
 
     module = FormalOModule(ring, doc["n"], doc["q"],
-                           [elem(c) for c in doc["module_u"]])
+                           [elem(p) for p in doc["module_u"]])
     level_values = [
-        {tuple(vec): elem(coords) for vec, coords in pairs}
-        for pairs in doc["level_values"]
+        {tuple(vec): elem(pairs) for vec, pairs in table}
+        for table in doc["level_values"]
     ]
-    basis_images = [[elem(c) for c in lvl] for lvl in doc["basis_images"]]
     tower = Tower(n=doc["n"], q=doc["q"], m=doc["m"], base_ring=base_ring,
                   ring=ring, module=module,
                   stage_degrees=list(doc["stage_degrees"]),
-                  level_values=level_values, basis_images=basis_images,
-                  u_spec_label=doc["u_spec_label"])
+                  level_values=level_values, u_spec_label=doc["u_spec_label"])
     back = canonical_dumps(tower_to_doc(tower))
     if back != canonical_dumps(doc):
         raise OracleMismatch("tower document did not survive a round trip")

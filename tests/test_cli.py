@@ -74,6 +74,18 @@ def test_tower_cache_hit_keeps_rank_cap(capsys, tmp_path):
     assert json.loads(out2)["results"]["cache"]["hit"] is True
 
 
+def test_tower_cache_key_names_the_schema(capsys, tmp_path, monkeypatch):
+    # an entry written under another document schema is never looked up
+    argv = ["tower", "--q", "2", "--n", "2", "--m", "1", "--cache-dir", str(tmp_path)]
+    _, out1, _ = run(capsys, *argv)
+    monkeypatch.setattr(cli, "TOWER_SCHEMA", "leveltower/tower/1")
+    code, out2, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    c1, c2 = json.loads(out1)["results"]["cache"], json.loads(out2)["results"]["cache"]
+    assert c1["key"] != c2["key"]
+    assert c2["hit"] is False
+
+
 def test_tower_height_zero_exit(capsys):
     code, out, err = run(capsys, "tower", "--q", "2", "--n", "0", "--m", "1")
     assert code == 2
@@ -136,6 +148,9 @@ def _bad_q_argv(command, q, tmp_path):
         table = tmp_path / "vt.txt"
         table.write_text(f"1 {q} 1\n" + "".join(f"{c} : 1\n" for c in range(1, 8)))
         return [command, "--table", str(table)]
+    if command == "strata-n1":
+        # n = 1 has no ranks to enumerate, so no field is ever built
+        return ["strata", "--q", str(q), "--n", "1"]
     argv = [command, "--q", str(q), "--n", "2", "--m", "1"]
     if command == "strata-action":
         argv += ["--g", "companion:T^2+T+1"]
@@ -143,7 +158,8 @@ def _bad_q_argv(command, q, tmp_path):
 
 
 @pytest.mark.parametrize("q", [1, 6, 12])
-@pytest.mark.parametrize("command", ["strata", "flags", "strata-action", "flag-of-point"])
+@pytest.mark.parametrize("command", ["strata", "flags", "strata-action", "flag-of-point",
+                                     "strata-n1", "selftest", "jl"])
 def test_q_not_prime_power_exits_2(command, q, tmp_path):
     # a fresh process with a timeout, so a q that loops forever fails instead of hanging
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
@@ -157,18 +173,76 @@ def test_q_not_prime_power_exits_2(command, q, tmp_path):
 
 
 def test_removed_knobs_are_rejected(capsys, tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["strata", "--group-cap", "5"])
-    assert exc.value.code == 2
+    for flag in ("--group-cap", "--pair-cap"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["strata", flag, "5"])
+        assert exc.value.code == 2
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("table_cap = 5\n")
-    code, out, err = run(capsys, "strata", "--config", str(cfg))
-    assert code == 2
-    assert "unknown config key" in err
+    for key in ("table_cap", "pair_cap"):
+        cfg.write_text(f"{key} = 5\n")
+        code, out, err = run(capsys, "strata", "--config", str(cfg))
+        assert code == 2
+        assert "unknown config key" in err
     code, out, _ = run(capsys, "strata")
     assert sorted(json.loads(out)["config"]) == [
-        "cache_dir", "format", "jl_q_cap", "m", "n", "pair_cap", "prec", "q",
+        "cache_dir", "format", "jl_q_cap", "m", "n", "prec", "q",
         "rank_cap", "scan_m", "seed", "u_spec"]
+
+
+def test_huge_q_is_refused_before_factoring():
+    # 2^61 - 1 is prime; trial division up to its square root would not finish
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-m", "leveltower.cli", "tower",
+                           "--q", "2305843009213693951"],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == "error: q = 2305843009213693951 exceeds the 2^16 field cap\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["count", "--q", "2", "--n", "2", "--m", "1", "--b", "x:99",
+      "--g", "companion:T^2+T+1"], "error: coefficient code 99 is outside 0..3\n"),
+    (["count", "--q", "2", "--n", "2", "--m", "1", "--b", "x:2",
+      "--g", "companion:T^2+T+Q"], "error: coefficient 'Q' is not an integer\n"),
+    (["tower", "--u-spec", "abc"], "error: u-spec digit 'abc' is not an integer\n"),
+])
+def test_bad_element_tokens_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == message
+
+
+def _unsorted_pairs(good):
+    # the same value with its [index, coeff] pairs out of order fails the round trip
+    doc = json.loads(good)
+    vec_pairs = next(vp for vp in doc["level_values"][0] if len(vp[1]) > 1)
+    vec_pairs[1].reverse()
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("text", [
+    lambda good: good[: len(good) // 2],
+    lambda good: '{"schema":"leveltower/tower/1"}',
+    lambda good: '{"schema":"leveltower/tower/2"}',
+    _unsorted_pairs,
+], ids=["truncated", "old-schema", "no-ring", "round-trip"])
+def test_corrupt_cache_entry_is_a_miss(capsys, tmp_path, text):
+    argv = ["tower", "--q", "2", "--n", "2", "--m", "1", "--cache-dir", str(tmp_path)]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    key = json.loads(out)["results"]["cache"]["key"]
+    entry = tmp_path / f"{key}.json"
+    entry.write_text(text(entry.read_text()))
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["results"]["cache"]["hit"] is False
+    assert err.startswith(f"warning: rebuilding unusable cache entry {key} (")
+    assert err.count("\n") == 1
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert json.loads(out)["results"]["cache"]["hit"] is True
 
 
 def test_count_command(capsys):

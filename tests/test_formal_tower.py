@@ -137,3 +137,53 @@ def test_check_level_above_the_default_rank_cap():
     assert tower.ring.rank == 23_328
     report = check_level(tower.structure)
     assert report["ok"], report["witness"]
+
+
+def _perturbed(phi, v, delta):
+    values = dict(phi.values)
+    values[v] = values[v] + delta
+    return LevelStructure(phi.module, phi.m, values)
+
+
+def test_check_level_perturbed_non_basis_value_gives_linearity():
+    tower = build_tower(2, 2, 1)
+    report = check_level(_perturbed(tower.structure, (1, 1), tower.ring.one()))
+    assert not report["ok"]
+    assert report["witness"] == {"kind": "linearity", "v": (1, 1)}
+
+
+@pytest.mark.parametrize("q,m", [(2, 1), (2, 2), (3, 1)])
+def test_check_level_perturbed_basis_value_gives_torsion(q, m):
+    tower = build_tower(1, q, m)
+    report = check_level(_perturbed(tower.structure, (1,), tower.ring.one()))
+    assert not report["ok"]
+    assert report["witness"] == {"kind": "torsion", "j": 0}
+
+
+def test_check_level_rejects_a_scalar_and_pi_linear_table_that_is_not_additive():
+    # add a pi-torsion value delta on the F_q^x orbit of one unit vector v0,
+    # c*delta at c*v0; pi*w never lands on that orbit, so [pi] still intertwines
+    tower = build_tower(2, 3, 2, rank_cap=10 ** 7)
+    phi, mod, ch = tower.structure, tower.module, tower.structure.chain
+    delta = phi.values[phi.torsion_vectors()[1]]
+    assert not delta.is_zero() and mod.pi_eval(delta).is_zero()
+    v0 = (1, ch.pi)
+    values = dict(phi.values)
+    for c in range(1, ch.q):
+        values[ch.vscale(c, v0)] = values[ch.vscale(c, v0)] + mod.scalar(c) * delta
+    for w, val in values.items():
+        for c in range(ch.q):
+            assert values[ch.vscale(c, w)] == mod.scalar(c) * val
+        assert values[ch.vscale(ch.pi, w)] == mod.pi_eval(val)
+    assert any(values[ch.vadd(v, w)] != values[v] + values[w]
+               for v in values for w in values)
+    report = check_level(LevelStructure(mod, phi.m, values))
+    assert not report["ok"]
+    assert report["witness"]["kind"] == "linearity"
+
+
+def test_check_level_covers_every_pair():
+    tower = build_tower(2, 4, 2, rank_cap=10 ** 7)
+    report = check_level(tower.structure)
+    assert report["ok"], report["witness"]
+    assert report["pairs_checked"] == len(tower.structure.values) ** 2 == 65_536
