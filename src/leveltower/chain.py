@@ -102,12 +102,6 @@ class ChainRing:
             raise PreconditionError("element is not a unit")
         return r
 
-    def from_field(self, c: int) -> int:
-        return c
-
-    def elements(self):
-        return range(self.size)
-
     # -- vectors (tuples) and matrices (row-major tuples of tuples) ------------
 
     def vadd(self, v, w):

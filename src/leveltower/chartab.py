@@ -286,42 +286,25 @@ def character_table(group: FiniteGroup, cap: int = TABLE_ORDER_CAP) -> Character
 def cuspidal_characters(table: CharacterTable):
     """Indices of the characters with no Borel-induced constituent.
 
-    Only meaningful for GL_2 over the residue field: a character is kept
-    when its restriction to the upper-triangular subgroup pairs to zero
-    with every linear character of the diagonal torus.  The count must be
-    q(q-1)/2.
+    Only meaningful for GL_2 over the residue field: a character chi is kept
+    when it has no vector fixed by the unipotent radical U of the
+    upper-triangular subgroup, that is when sum_{u in U} chi(u) = 0, since
+    dim V^U = (1/q) sum_u chi(u) and V^U is exactly the sum of the Borel
+    constituents of V that are trivial on U.  U is the q upper unitriangular
+    matrices.  The count must be q(q-1)/2.
     """
     group = table.group
     meta = group.meta
     if meta.get("kind") != "gl" or meta.get("n") != 2 or meta.get("m") != 1:
         raise PreconditionError("cuspidality testing expects GL_2 over the residue field")
     q = meta["q"]
-    field = meta["chain"].field
-    borel = [i for i, g in enumerate(group.elements) if g[1][0] == 0]
-    if len(borel) != q * (q - 1) ** 2:
-        raise OracleMismatch("Borel subgroup has the wrong order")
-    cls_of = group.class_of
-    out = []
-    for row in range(table.n_classes):
-        cusp = True
-        for ja in range(q - 1):
-            for jd in range(q - 1):
-                acc = Cyclotomic.zero()
-                for bi in borel:
-                    g = group.elements[bi]
-                    tw = (ja * field.log(g[0][0]) + jd * field.log(g[1][1])) % (q - 1) \
-                        if q > 2 else 0
-                    mu = Cyclotomic.root_of_unity(q - 1, tw) if q > 2 \
-                        else Cyclotomic.from_rational(1)
-                    acc = acc + table.values[row][cls_of[bi]] * mu.conjugate()
-                if not acc.is_zero():
-                    cusp = False
-                    break
-            if not cusp:
-                break
-        if cusp:
-            out.append(row)
+    u_classes = [group.class_of[i] for i, g in enumerate(group.elements)
+                 if g[0][0] == g[1][1] == 1 and g[1][0] == 0]
+    if len(u_classes) != q:
+        raise OracleMismatch("unipotent radical has the wrong order")
+    out = tuple(row for row, chi in enumerate(table.values)
+                if sum((chi[c] for c in u_classes), Cyclotomic.zero()).is_zero())
     if len(out) != q * (q - 1) // 2:
         raise OracleMismatch(
             f"found {len(out)} cuspidal characters, expected {q * (q - 1) // 2}")
-    return tuple(out)
+    return out

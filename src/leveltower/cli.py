@@ -140,8 +140,10 @@ def load_config_file(path: str) -> dict:
             key, _, value = line.partition("=")
             key = key.strip().replace("-", "_")
             value = value.strip()
-            if key in _INT_KEYS:
-                out[key] = None if value.lower() == "none" else _int(value, key)
+            if key == "prec" and value.lower() == "none":
+                out[key] = None
+            elif key in _INT_KEYS:
+                out[key] = _int(value, key)
             else:
                 out[key] = value
     return out
@@ -200,8 +202,10 @@ def parse_poly(expr: str, field: FqField, allow_T: bool = True):
         for factor in term.split("*"):
             if not factor:
                 raise PreconditionError(f"empty factor in term {term!r}")
-            base, _, exp = factor.partition("^")
-            e = _int(exp, "exponent") if exp else 1
+            base, caret, exp = factor.partition("^")
+            if caret and not exp:
+                raise PreconditionError(f"missing exponent after '^' in {factor!r}")
+            e = _int(exp, "exponent") if caret else 1
             if base == "P":
                 pi_exp += e
             elif base == "T":

@@ -200,14 +200,6 @@ class DivisionAlgebra:
         """Monic degree-n polynomial over F_q((pi)), low coefficients first."""
         return [self.descend_scalar(c) for c in charpoly(self.embed_matrix(b))]
 
-    def describe(self) -> dict:
-        return {
-            "q": self.q,
-            "n": self.n,
-            "scalar_field": f"F_{self.big.q}((pi))",
-            "relations": [f"w^{self.n} = pi", "w*x = sigma(x)*w, sigma = x^q"],
-        }
-
 
 class QuadElem:
     """Element c0 + c1*T of F((pi))[T]/(T^2 + a1*T + a0), F the big field."""

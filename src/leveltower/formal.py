@@ -125,15 +125,6 @@ class FormalOModule:
                 acc = acc + self.scalar(c) * cur
         return acc
 
-    def describe(self) -> str:
-        q, n = self.q, self.n
-        terms = ["pi*T"]
-        for i, u in enumerate(self.u_values, start=1):
-            if not u.is_zero():
-                terms.append(f"({u!r})*T^{q ** i}")
-        terms.append(f"T^{q ** n}")
-        return " + ".join(terms)
-
     def __repr__(self):
         return f"FormalOModule(n={self.n}, q={self.q}, over {self.ring.describe()})"
 

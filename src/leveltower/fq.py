@@ -282,12 +282,6 @@ class FqField:
         from math import gcd
         return n // gcd(n, lg)
 
-    def log(self, a: int) -> int:
-        """Discrete log base the canonical generator."""
-        if a == 0:
-            raise ZeroDivisionError("log of 0")
-        return self._log[a]
-
     def elements(self):
         return range(self.q)
 

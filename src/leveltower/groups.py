@@ -143,23 +143,6 @@ class FiniteGroup:
             out = lcm(out, self.element_order(rep))
         return out
 
-    @cached_property
-    def center(self):
-        out = []
-        for i in range(self.order):
-            if all(self.imul(i, j) == self.imul(j, i) for j in range(self.order)):
-                out.append(i)
-        return tuple(out)
-
-    def describe(self) -> dict:
-        return {
-            "name": self.name,
-            "order": self.order,
-            "classes": len(self.classes),
-            "exponent": self.exponent,
-            "center": len(self.center),
-        }
-
 
 _gl_group_cache: dict = {}
 

@@ -109,9 +109,6 @@ class CoeffRing:
             raise PreconditionError(f"no stage generator #{j}")
         return self._gen(self.n_u + j)
 
-    def stage_degrees(self) -> list[int]:
-        return [d for (_, _, d) in self.stages]
-
     def random_element(self, rng, density: float = 0.4) -> "RingElem":
         d = {}
         for i in range(self.rank):

@@ -116,7 +116,13 @@ def tower_from_doc(doc, rank_cap: int = DEFAULT_RANK_CAP) -> Tower:
     ring = ring_from_doc(doc["ring"], rank_cap=rank_cap)
     base_ring = CoeffRing(ring.field, ring.prec, ring.u_orders, rank_cap=rank_cap)
 
+    rank, q = ring.rank, ring.field.q
+
     def elem(pairs) -> RingElem:
+        for index, coeff in pairs:
+            if not (0 <= index < rank and 1 <= coeff < q):
+                raise PreconditionError(
+                    f"term [{index}, {coeff}] is outside ring rank {rank} or F_{q}")
         return RingElem(ring, dict(pairs))
 
     module = FormalOModule(ring, doc["n"], doc["q"],

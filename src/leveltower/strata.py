@@ -7,6 +7,10 @@ with unit pivots scaled to 1, pivot rows increasing, other columns zero at
 pivot rows, and every entry lying strictly above a column's pivot row a
 non-unit.  Greedy unit-pivot reduction from any generating set reaches this
 form or proves the span is not a free direct summand.
+
+Full flags are built, not searched for: a flag's top part B is a hyperplane
+label, B is isomorphic to (o/pi^m)^(n-1) through its generators, and the
+parts below B are the image of a full flag of (o/pi^m)^(n-1).
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from functools import cached_property
 from itertools import combinations, product
 
 from .chain import ChainRing
-from .errors import NotAFlag, PreconditionError
+from .errors import NotAFlag, OracleMismatch, PreconditionError
 from .fq import FqField, split_prime_power
 
 
@@ -76,36 +80,30 @@ class DirectSummand:
         pivots, cols = got
         return DirectSummand(n=n, q=q, m=m, pivots=pivots, cols=cols)
 
-    def member(self, v) -> bool:
+    def coords(self, v):
+        """Coordinates of v on the generators, or None when v is not in the label.
+
+        Each generator is 1 at its own pivot row and 0 at the others', so the
+        coordinate on generator k is what is left of v at its pivot row.
+        """
         ch = self.chain
         w = list(v)
+        cs = []
         for r, col in zip(self.pivots, self.cols):
             c = w[r]
+            cs.append(c)
             if c:
                 for i in range(self.n):
                     w[i] = ch.sub(w[i], ch.mul(c, col[i]))
-        return not any(w)
+        return None if any(w) else tuple(cs)
 
-    def contains(self, other: "DirectSummand") -> bool:
-        return all(self.member(c) for c in other.cols)
+    def member(self, v) -> bool:
+        return self.coords(v) is not None
 
     def is_summand_of(self, other: "DirectSummand") -> bool:
         """Whether self is a free direct summand of `other` (not just contained)."""
-        if not other.contains(self):
-            return False
-        ch = self.chain
-        coords = []
-        for col in self.cols:
-            w = list(col)
-            cs = [0] * other.rank
-            for k, (r, oc) in enumerate(zip(other.pivots, other.cols)):
-                c = w[r]
-                if c:
-                    cs[k] = c
-                    for i in range(self.n):
-                        w[i] = ch.sub(w[i], ch.mul(c, oc[i]))
-            coords.append(tuple(cs))
-        return _canonicalize(ch, other.rank, coords) is not None
+        coords = [other.coords(col) for col in self.cols]
+        return None not in coords and _canonicalize(self.chain, other.rank, coords) is not None
 
     def elements(self):
         ch = self.chain
@@ -224,24 +222,41 @@ class Flag:
     def signature(self):
         return tuple(A.rank for A in self.parts)
 
-    def describe(self) -> str:
-        return " < ".join(A.describe() for A in self.parts)
 
+def enumerate_flags(n: int, q: int, m: int):
+    """All full flags (ranks 1, ..., n-1) of labels in (o/pi^m)^n.
 
-def enumerate_flags(n: int, q: int, m: int, ranks=None):
-    """All flags with the given rank signature (default: full, 1..n-1)."""
-    if ranks is None:
-        ranks = tuple(range(1, n))
-    ranks = tuple(ranks)
-    if not ranks:
+    Each flag is built once, from its top part B, a hyperplane label, and a
+    full flag of (o/pi^m)^(n-1) carried into B by v -> sum_k v_k B.cols[k];
+    the carried parts are the label objects `enumerate_summands` holds.
+    Every flag is still checked by `Flag`.  There are
+    |GL_n(o/pi^m)| / ((q-1)^n q^((m-1)n + m n(n-1)/2)) of them.
+    """
+    if n < 2:
         raise PreconditionError("empty rank signature")
-    if list(ranks) != sorted(set(ranks)) or ranks[0] < 1 or ranks[-1] > n:
-        raise PreconditionError("ranks must be strictly increasing in [1, n]")
-    chains = [(A,) for A in enumerate_summands(n, q, m, ranks[0])]
-    for h in ranks[1:]:
-        bigger = enumerate_summands(n, q, m, h)
-        chains = [c + (B,) for c in chains for B in bigger if c[-1].is_summand_of(B)]
-    return [Flag(c) for c in chains]
+    return [Flag(parts) for parts in _full_flag_parts(n, q, m)]
+
+
+def _full_flag_parts(n: int, q: int, m: int) -> list:
+    top = enumerate_summands(n, q, m, n - 1)
+    if n == 2:
+        return [(B,) for B in top]
+    below = _full_flag_parts(n - 1, q, m)
+    ch = _chain(q, m)
+    labels = {A.key(): A for h in range(1, n - 1) for A in enumerate_summands(n, q, m, h)}
+    smaller = [A for h in range(1, n - 1) for A in enumerate_summands(n - 1, q, m, h)]
+    out = []
+    for B in top:
+        basis = tuple(zip(*B.cols))   # basis[i][k] = B.cols[k][i]
+        image = {}
+        for A in smaller:
+            got = _canonicalize(ch, n, [ch.matvec(basis, col) for col in A.cols])
+            if got not in labels:
+                raise OracleMismatch(f"a rank-{A.rank} label carried into a hyperplane "
+                                     f"is not a label of rank {A.rank}")
+            image[A] = labels[got]
+        out.extend(tuple(image[A] for A in parts) + (B,) for parts in below)
+    return out
 
 
 def flag_of_point(values: dict, n: int, q: int, m: int) -> Flag:

@@ -206,6 +206,12 @@ def test_huge_q_is_refused_before_factoring():
     (["count", "--q", "2", "--n", "2", "--m", "1", "--b", "x:2",
       "--g", "companion:T^2+T+Q"], "error: coefficient 'Q' is not an integer\n"),
     (["tower", "--u-spec", "abc"], "error: u-spec digit 'abc' is not an integer\n"),
+    # P^-1 splits into the terms P^ and -1; it used to run as 1 + pi
+    (["count", "--q", "2", "--n", "2", "--m", "1", "--b", "w", "--g", "diag:P^-1,1"],
+     "error: missing exponent after '^' in 'P^'\n"),
+    (["count", "--q", "2", "--n", "2", "--m", "1", "--b", "w", "--g", "diag:P^,1"],
+     "error: missing exponent after '^' in 'P^'\n"),
+    (["flags", "--n", "1"], "error: empty rank signature\n"),
 ])
 def test_bad_element_tokens_exit_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -222,12 +228,20 @@ def _unsorted_pairs(good):
     return json.dumps(doc)
 
 
+def _index_beyond_rank(good):
+    # well formed and round-tripping, but the term index is past the ring rank
+    doc = json.loads(good)
+    doc["level_values"][0][1][1] = [[1000000, 1]]
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize("text", [
     lambda good: good[: len(good) // 2],
     lambda good: '{"schema":"leveltower/tower/1"}',
     lambda good: '{"schema":"leveltower/tower/2"}',
     _unsorted_pairs,
-], ids=["truncated", "old-schema", "no-ring", "round-trip"])
+    _index_beyond_rank,
+], ids=["truncated", "old-schema", "no-ring", "round-trip", "index-beyond-rank"])
 def test_corrupt_cache_entry_is_a_miss(capsys, tmp_path, text):
     argv = ["tower", "--q", "2", "--n", "2", "--m", "1", "--cache-dir", str(tmp_path)]
     code, out, _ = run(capsys, *argv)
@@ -277,6 +291,20 @@ def test_config_file_with_flag_override(capsys, tmp_path):
     assert doc["results"]["counts"] == {"1": 4}
     code, out, _ = run(capsys, "strata", "--config", str(cfg), "--q", "2")
     assert json.loads(out)["config"]["q"] == 2
+
+
+@pytest.mark.parametrize("key", ["q", "n", "rank_cap"])
+def test_config_none_only_for_prec(capsys, tmp_path, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = none\n")
+    code, out, err = run(capsys, "strata", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {key} 'none' is not an integer\n"
+    cfg.write_text("prec = none\n")
+    code, out, err = run(capsys, "strata", "--config", str(cfg))
+    assert code == 0 and err == ""
+    assert json.loads(out)["config"]["prec"] is None
 
 
 def test_csv_format_versioned_header(capsys):

@@ -6,6 +6,7 @@ import pytest
 
 from leveltower.certify import regular_elliptic_certify
 from leveltower.errors import NotAFlag, PreconditionError
+from leveltower.formal import gl_order
 from leveltower.fq import FqField
 from leveltower.laurent import Laurent
 from leveltower.matrices import charpoly, companion, mat_reduce_mod
@@ -132,6 +133,38 @@ def test_flag_counts():
     # full flags in F_q^n: prod of Gaussian binomial ladders
     assert len(enumerate_flags(2, 3, 1)) == 4
     assert len(enumerate_flags(3, 3, 1)) == 13 * 4
+
+
+@pytest.mark.parametrize("n,q,m", [(2, 3, 2), (3, 2, 2), (2, 2, 3), (4, 2, 1)])
+def test_flag_count_is_gl_over_borel(n, q, m):
+    # GL_n(o/pi^m) acts transitively on full flags; the stabilizer of the
+    # standard flag is the upper-triangular group mod pi^m
+    borel = (q - 1) ** n * q ** ((m - 1) * n + m * n * (n - 1) // 2)
+    assert len(enumerate_flags(n, q, m)) == gl_order(n, q, m) // borel
+
+
+def pairwise_flag_keys(n, q, m):
+    """Full flags found by search: extend every chain by each label of the
+    next rank that its top part is a free direct summand of."""
+    chains = [(A,) for A in enumerate_summands(n, q, m, 1)]
+    for h in range(2, n):
+        chains = [c + (B,) for c in chains for B in enumerate_summands(n, q, m, h)
+                  if c[-1].is_summand_of(B)]
+    return {tuple(A.key() for A in c) for c in chains}
+
+
+@pytest.mark.parametrize("n,q,m", [(3, 2, 2), (3, 3, 1)])
+def test_built_flags_equal_pairwise_search(n, q, m):
+    flags = enumerate_flags(n, q, m)
+    keys = [tuple(A.key() for A in f.parts) for f in flags]
+    assert len(set(keys)) == len(keys)
+    assert set(keys) == pairwise_flag_keys(n, q, m)
+
+
+def test_flags_need_two_ranks():
+    for n in (0, 1):
+        with pytest.raises(PreconditionError, match="empty rank signature"):
+            enumerate_flags(n, 2, 1)
 
 
 def test_flag_of_point_recovers_a_flag():
