@@ -8,8 +8,6 @@ Fourier inversion over each element order.  Both orthogonality relations
 are then re-verified exactly; any failure raises, it is never papered over.
 """
 
-from fractions import Fraction
-
 from .cyclotomic import Cyclotomic
 from .errors import CapExceeded, OracleMismatch, PreconditionError
 from .fq import _factor, _is_prime
@@ -18,7 +16,6 @@ from .groups import FiniteGroup
 __all__ = ["CharacterTable", "character_table", "cuspidal_characters"]
 
 TABLE_ORDER_CAP = 5000
-_FLAT_TABLE_CAP = 1500
 
 
 def _choose_prime(exponent: int, order: int) -> int:
@@ -75,7 +72,11 @@ def _kernel_mod_p(rows, p: int):
 
 
 class CharacterTable:
-    """Conjugacy data plus the full array of exact cyclotomic character values."""
+    """Conjugacy data plus the full array of exact character values.
+
+    Every value is a Cyclotomic at the table's conductor e, the group
+    exponent, with integer coordinates.
+    """
 
     __slots__ = ("group", "class_reps", "class_sizes", "degrees", "values",
                  "conductor", "prime")
@@ -94,50 +95,44 @@ class CharacterTable:
     def n_classes(self) -> int:
         return len(self.class_reps)
 
-    def row_inner(self, i: int, j: int) -> Cyclotomic:
-        acc = Cyclotomic.zero()
-        for l, size in enumerate(self.class_sizes):
-            acc = acc + self.values[i][l] * self.values[j][l].conjugate() * size
-        return acc / self.group.order
-
     def verify(self):
-        g = self.group
+        """Check the degrees and both orthogonality relations as identities in Z[zeta_e].
+
+        Each sum of products x * conj(y) is accumulated in Z[x]/(x^e - 1),
+        where conjugation negates exponents mod e, then reduced once mod
+        Phi_e and compared with an integer: |G| delta_ij for rows i, j and
+        |G|/|C_a| delta_ab for columns a, b.
+        """
+        order = self.group.order
+        e = self.conductor
         k = self.n_classes
-        if sum(d * d for d in self.degrees) != g.order:
+        if sum(d * d for d in self.degrees) != order:
             raise OracleMismatch("degree squares do not sum to the group order")
         if any(d < 1 for d in self.degrees):
             raise OracleMismatch("a character degree is not a positive integer")
-        one = Cyclotomic.from_rational(1)
-        zero = Cyclotomic.zero()
+        terms = [[[(j, c) for j, c in enumerate(v.lift(e).coords) if c] for v in row]
+                 for row in self.values]
+
+        def pairing(xs, ys, weights):
+            acc = [0] * e
+            for x, y, w in zip(xs, ys, weights):
+                for a, c in x:
+                    for b, d in y:
+                        acc[(a - b) % e] += w * c * d
+            return Cyclotomic(e, acc)
+
         for i in range(k):
             for j in range(i, k):
-                got = self.row_inner(i, j)
-                want = one if i == j else zero
-                if got != want:
+                got = pairing(terms[i], terms[j], self.class_sizes)
+                if got != (order if i == j else 0):
                     raise OracleMismatch(f"row orthogonality failed at ({i},{j}): {got}")
+        cols = list(zip(*terms))
         for a in range(k):
             for b in range(a, k):
-                acc = Cyclotomic.zero()
-                for i in range(k):
-                    acc = acc + self.values[i][a] * self.values[i][b].conjugate()
-                want = (Cyclotomic.from_rational(Fraction(g.order, self.class_sizes[a]))
-                        if a == b else zero)
-                if acc != want:
-                    raise OracleMismatch(f"column orthogonality failed at ({a},{b})")
+                got = pairing(cols[a], cols[b], [1] * k)
+                if got != (order // self.class_sizes[a] if a == b else 0):
+                    raise OracleMismatch(f"column orthogonality failed at ({a},{b}): {got}")
         return True
-
-    def to_doc(self) -> dict:
-        return {
-            "group": self.group.name,
-            "order": self.group.order,
-            "conductor": self.conductor,
-            "prime": self.prime,
-            "class_reps": [repr(r) for r in self.class_reps],
-            "class_sizes": list(self.class_sizes),
-            "degrees": list(self.degrees),
-            "values": [[[ [c.numerator, c.denominator] for c in v.lift(self.conductor).coords]
-                        for v in row] for row in self.values],
-        }
 
 
 def character_table(group: FiniteGroup, cap: int = TABLE_ORDER_CAP) -> CharacterTable:
@@ -149,30 +144,15 @@ def character_table(group: FiniteGroup, cap: int = TABLE_ORDER_CAP) -> Character
     p = _choose_prime(e, group.order)
     omega = pow(_primitive_root(p), (p - 1) // e, p)
 
-    if group.order <= _FLAT_TABLE_CAP:
-        flat = [[group.imul(i, j) for j in range(group.order)] for i in range(group.order)]
-        imul = lambda i, j: flat[i][j]
-    else:
-        imul = group.imul
-
     cls_of = group.class_of
     sizes = group.class_sizes
-    # class-sum matrices: A[i][j][l] = #{(x,y) in C_i x C_j : x y = z_l}
+    inverse = group.inverse
+    # class-sum coefficients, counted at the class representatives z_l (Dixon 1967):
+    # A[i][j][l] = #{x in C_i : x^-1 z_l in C_j}, the coefficient of C_l in C_i C_j
     mats = [[[0] * k for _ in range(k)] for _ in range(k)]
-    for i, cls in enumerate(group.classes):
-        acc = mats[i]
-        for x in cls:
-            row = flat[x] if group.order <= _FLAT_TABLE_CAP else None
-            for y in range(group.order):
-                z = row[y] if row is not None else imul(x, y)
-                acc[cls_of[y]][cls_of[z]] += 1
-    for i in range(k):
-        for j in range(k):
-            for l in range(k):
-                cnt = mats[i][j][l]
-                if cnt % sizes[l]:
-                    raise OracleMismatch("class-sum count not divisible by the class size")
-                mats[i][j][l] = cnt // sizes[l]
+    for l, z in enumerate(group.class_reps):
+        for x in range(group.order):
+            mats[cls_of[x]][cls_of[group.imul(inverse[x], z)]][l] += 1
 
     # simultaneous diagonalization over F_p
     spaces = [([[1 if a == b else 0 for b in range(k)] for a in range(k)],
@@ -218,7 +198,7 @@ def character_table(group: FiniteGroup, cap: int = TABLE_ORDER_CAP) -> Character
         raise OracleMismatch(f"splitting stopped at {len(spaces)} blocks, expected {k}")
 
     ident_cls = cls_of[group.identity_index]
-    inv_cls = [cls_of[group.inverse[cls[0]]] for cls in group.classes]
+    inv_cls = [cls_of[inverse[cls[0]]] for cls in group.classes]
     inv_size = [pow(s, p - 2, p) for s in sizes]
 
     rows = []
@@ -243,7 +223,7 @@ def character_table(group: FiniteGroup, cap: int = TABLE_ORDER_CAP) -> Character
         pm = []
         for _ in range(orders[ci]):
             pm.append(cls_of[cur])
-            cur = imul(cur, rep)
+            cur = group.imul(cur, rep)
         powmaps.append(pm)
 
     chars = []
@@ -253,26 +233,19 @@ def character_table(group: FiniteGroup, cap: int = TABLE_ORDER_CAP) -> Character
             dl = orders[ci]
             wdl = pow(omega, e // dl, p)
             inv_dl = pow(dl, p - 2, p)
-            total = 0
-            acc = Cyclotomic.zero(e)
+            mult = [0] * e
             for a in range(dl):
                 m = sum(theta[powmaps[ci][t]] * pow(wdl, -a * t % (p - 1), p)
                         for t in range(dl)) * inv_dl % p
                 if m > deg:
                     raise OracleMismatch("eigenvalue multiplicity exceeds the degree")
-                total += m
-                if m:
-                    acc = acc + Cyclotomic.root_of_unity(e, (e // dl) * a) * m
-            if total != deg:
+                mult[(e // dl) * a] = m
+            if sum(mult) != deg:
                 raise OracleMismatch("eigenvalue multiplicities do not sum to the degree")
-            vals.append(acc)
+            vals.append(Cyclotomic(e, mult))
         chars.append((deg, vals))
 
-    def sort_key(item):
-        deg, vals = item
-        return (deg, tuple(tuple(v.lift(e).coords) for v in vals))
-
-    chars.sort(key=sort_key)
+    chars.sort(key=lambda c: (c[0], tuple(v.coords for v in c[1])))
     table = CharacterTable(group,
                            [group.elements[cls[0]] for cls in group.classes],
                            sizes,

@@ -98,6 +98,8 @@ class RunConfig:
         for key in ("rank_cap", "jl_q_cap"):
             if out[key] <= 0:
                 raise PreconditionError(f"cap {key} must be positive")
+        if out["scan_m"] < 1:
+            raise PreconditionError(f"scan_m {out['scan_m']} must be at least 1")
         split_prime_power(out["q"])
         return out
 
@@ -128,24 +130,35 @@ def _int(tok: str, what: str, bound: int | None = None) -> int:
     return v
 
 
+def _read_lines(path: str):
+    """(line number, text) of each line of a file that is not blank once `#` comments are cut."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise PreconditionError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise PreconditionError(f"{path} is not UTF-8 text") from None
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
 def load_config_file(path: str) -> dict:
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise PreconditionError(f"{path}:{lineno}: expected key=value")
-            key, _, value = line.partition("=")
-            key = key.strip().replace("-", "_")
-            value = value.strip()
-            if key == "prec" and value.lower() == "none":
-                out[key] = None
-            elif key in _INT_KEYS:
-                out[key] = _int(value, key)
-            else:
-                out[key] = value
+    for lineno, line in _read_lines(path):
+        if "=" not in line:
+            raise PreconditionError(f"{path}:{lineno}: expected key=value")
+        key, _, value = line.partition("=")
+        key = key.strip().replace("-", "_")
+        value = value.strip()
+        if key == "prec" and value.lower() == "none":
+            out[key] = None
+        elif key in _INT_KEYS:
+            out[key] = _int(value, key)
+        else:
+            out[key] = value
     return out
 
 
@@ -373,23 +386,20 @@ def load_value_table(path: str):
     """Value-table file: a header line `n q m`, then `codes : tiers` rows."""
     header = None
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if header is None:
-                parts = line.split()
-                if len(parts) != 3:
-                    raise PreconditionError(f"{path}:{lineno}: header must be `n q m`")
-                header = tuple(int(x) for x in parts)
-                continue
-            if ":" not in line:
-                raise PreconditionError(f"{path}:{lineno}: expected `codes : tiers`")
-            left, _, right = line.partition(":")
-            vec = tuple(int(x) for x in left.strip().split(","))
-            tiers = tuple(int(x) for x in right.strip().split(",")) if right.strip() else ()
-            values[vec] = tiers
+    for lineno, line in _read_lines(path):
+        where = f"{path}:{lineno}:"
+        if header is None:
+            parts = line.split()
+            if len(parts) != 3:
+                raise PreconditionError(f"{where} header must be `n q m`")
+            header = tuple(_int(x, f"{where} header entry") for x in parts)
+            continue
+        if ":" not in line:
+            raise PreconditionError(f"{where} expected `codes : tiers`")
+        left, _, right = line.partition(":")
+        right = right.strip()
+        vec = tuple(_int(x, f"{where} code") for x in left.strip().split(","))
+        values[vec] = tuple(_int(x, f"{where} tier") for x in right.split(",")) if right else ()
     if header is None:
         raise PreconditionError(f"{path}: missing `n q m` header")
     return header, values

@@ -1,8 +1,10 @@
-"""Exact cyclotomic numbers: Q(zeta_N) with rational coordinates mod Phi_N.
+"""Exact cyclotomic numbers: Q(zeta_N) with coordinates mod Phi_N.
 
-Values are stored as tuples of Fractions of length phi(N) (coordinates on
-1, zeta, ..., zeta^(phi(N)-1) after reduction mod the N-th cyclotomic
-polynomial), so equality is decidable by tuple comparison.
+Values are stored as tuples of length phi(N): coordinates on 1, zeta, ...,
+zeta^(phi(N)-1) after reduction mod the N-th cyclotomic polynomial, so
+equality is decidable by tuple comparison.  Phi_N has integer coefficients
+and is monic, so coordinates given as ints stay ints; Fractions are kept as
+given.
 """
 
 from __future__ import annotations
@@ -16,41 +18,45 @@ from .errors import CapExceeded, PreconditionError
 CONDUCTOR_CAP = 10_000
 
 
-def _divisors(n: int):
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+def _divmod_monic(a: list, b: tuple) -> tuple[list, list]:
+    """Quotient and remainder of a by the monic b, coefficients low degree first."""
+    rem = list(a)
+    d = len(b) - 1
+    quo = [0] * (len(rem) - d)
+    for k in range(len(quo) - 1, -1, -1):
+        c = quo[k] = rem[k + d]
+        if c:
+            for i, bi in enumerate(b):
+                rem[k + i] -= c * bi
+    return quo, rem[:d]
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_poly(n: int) -> tuple[Fraction, ...]:
-    """Coefficients of Phi_n, low degree first (exact, via x^n-1 = prod Phi_d)."""
+def cyclotomic_poly(n: int) -> tuple[int, ...]:
+    """Integer coefficients of Phi_n, low degree first (x^n-1 = prod Phi_d)."""
     if n > CONDUCTOR_CAP:
         raise CapExceeded(f"conductor {n} exceeds cap {CONDUCTOR_CAP}")
-    num = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
-    for d in _divisors(n):
-        if d == n:
-            continue
-        num = _poly_divide_exact(num, list(cyclotomic_poly(d)))
+    num = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            num, rem = _divmod_monic(num, cyclotomic_poly(d))
+            assert not any(rem), "non-exact cyclotomic division"
     return tuple(num)
-
-
-def _poly_divide_exact(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a = list(a)
-    out = [Fraction(0)] * (len(a) - len(b) + 1)
-    inv = 1 / b[-1]
-    for k in range(len(out) - 1, -1, -1):
-        c = a[len(b) - 1 + k] * inv
-        out[k] = c
-        if c:
-            for i, bi in enumerate(b):
-                a[i + k] -= c * bi
-    assert not any(a[: len(b) - 1]), "non-exact cyclotomic division"
-    return out
 
 
 @lru_cache(maxsize=None)
 def _phi(n: int) -> int:
     return len(cyclotomic_poly(n)) - 1
+
+
+@lru_cache(maxsize=None)
+def _mu_over_phi(d: int) -> Fraction:
+    """mu(d)/phi(d): Tr(zeta^j)/phi(N) for zeta^j of order d.
+
+    mu(d) is the sum of the primitive d-th roots of unity, which is minus
+    the subleading coefficient of Phi_d.
+    """
+    return Fraction(-cyclotomic_poly(d)[-2], _phi(d))
 
 
 class Cyclotomic:
@@ -60,10 +66,10 @@ class Cyclotomic:
 
     def __init__(self, N: int, coords):
         d = _phi(N)
-        cs = [Fraction(c) for c in coords]
+        cs = list(coords)
         if len(cs) > d:
             cs = _reduce_mod_phi(N, cs)
-        cs += [Fraction(0)] * (d - len(cs))
+        cs += [0] * (d - len(cs))
         self.N = N
         self.coords = tuple(cs)
 
@@ -75,13 +81,13 @@ class Cyclotomic:
 
     @staticmethod
     def from_rational(x, N: int = 1) -> "Cyclotomic":
-        return Cyclotomic(N, [Fraction(x)])
+        return Cyclotomic(N, [x])
 
     @staticmethod
     def root_of_unity(N: int, power: int = 1) -> "Cyclotomic":
         power %= N
-        v = [Fraction(0)] * (power + 1)
-        v[power] = Fraction(1)
+        v = [0] * (power + 1)
+        v[power] = 1
         return Cyclotomic(N, v)
 
     # -- structure -------------------------------------------------------------
@@ -93,7 +99,7 @@ class Cyclotomic:
         if M % self.N:
             raise PreconditionError(f"{self.N} does not divide {M}")
         k = M // self.N
-        out = [Fraction(0)] * ((_phi(self.N) - 1) * k + 1 or 1)
+        out = [0] * ((_phi(self.N) - 1) * k + 1)
         for j, c in enumerate(self.coords):
             if c:
                 out[j * k] += c
@@ -128,7 +134,7 @@ class Cyclotomic:
         other = _coerce(other, self.N)
         a, b = Cyclotomic._common(self, other)
         n = len(a.coords) + len(b.coords) - 1
-        out = [Fraction(0)] * max(n, 1)
+        out = [0] * n
         for i, x in enumerate(a.coords):
             if x:
                 for j, y in enumerate(b.coords):
@@ -140,7 +146,7 @@ class Cyclotomic:
 
     def conjugate(self) -> "Cyclotomic":
         """Complex conjugation zeta -> zeta^(N-1)."""
-        out = [Fraction(0)] * self.N
+        out = [0] * self.N
         for j, c in enumerate(self.coords):
             if c:
                 out[(-j) % self.N] += c
@@ -174,9 +180,9 @@ class Cyclotomic:
         return a.coords == b.coords
 
     def __hash__(self):
-        if self.is_rational():
-            return hash(self.coords[0] if self.coords else Fraction(0))
-        return hash((self.N, self.coords))
+        # the normalized trace Tr(x)/phi(N) is unchanged by lift and is x for rational x
+        return hash(sum(c * _mu_over_phi(self.N // gcd(j, self.N))
+                        for j, c in enumerate(self.coords) if c))
 
     def __repr__(self):
         if self.is_rational():
@@ -184,24 +190,15 @@ class Cyclotomic:
         return f"Cyc(N={self.N}, {list(self.coords)})"
 
 
-def _reduce_mod_phi(N: int, coords: list[Fraction]) -> list[Fraction]:
-    phi = list(cyclotomic_poly(N))
-    d = len(phi) - 1
+def _reduce_mod_phi(N: int, coords: list) -> list:
     cs = list(coords)
     # first fold exponents mod N (zeta^N = 1), then divide by Phi_N
     if len(cs) > N:
-        folded = [Fraction(0)] * N
+        folded = [0] * N
         for j, c in enumerate(cs):
             folded[j % N] += c
         cs = folded
-    while len(cs) > d:
-        c = cs[-1]
-        if c:
-            off = len(cs) - 1 - d
-            for i in range(d + 1):
-                cs[off + i] -= c * phi[i]
-        cs.pop()
-    return cs
+    return _divmod_monic(cs, cyclotomic_poly(N))[1]
 
 
 def _coerce(x, N: int) -> Cyclotomic:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .certify import EllipticCertificate, regular_elliptic_certify
 from .chartab import CharacterTable, character_table, cuspidal_characters
@@ -119,7 +120,7 @@ def hc_character(spec: InducedCharSpec, g, route: str = "structured",
                 raise Inconclusive("the lattice box scan did not stabilize")
         if res.count == 0:
             return Cyclotomic.zero()
-        return _root_power(spec.central, int(res.z_prime)) * Fraction(res.count)
+        return _root_power(spec.central, int(res.z_prime)) * res.count
 
     grp = spec.table.group
     if grp.meta.get("q") != field.q:
@@ -182,6 +183,8 @@ class JLMatchResult:
     table_b: CharacterTable
 
     def summary(self) -> dict:
+        # both values of a check as integer coordinates at one shared conductor
+        N = lcm(self.table_g.conductor, self.table_b.conductor)
         return {
             "q": self.q,
             "convention": self.convention,
@@ -193,7 +196,8 @@ class JLMatchResult:
             ],
             "checks": [
                 {"pair": [r, s],
-                 "values": [[repr(self.rho_values[s][k]), repr(self.pi_values[r][k])]
+                 "values": [[list(self.rho_values[s][k].lift(N).coords),
+                             list(self.pi_values[r][k].lift(N).coords)]
                             for k in range(len(self.elliptic))]}
                 for r, s in self.pairs
             ],

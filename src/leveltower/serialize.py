@@ -23,7 +23,6 @@ import os
 import tempfile
 from fractions import Fraction
 
-from .chartab import CharacterTable
 from .cyclotomic import Cyclotomic
 from .errors import OracleMismatch, PreconditionError
 from .formal import FormalOModule, Tower
@@ -32,7 +31,6 @@ from .rings import DEFAULT_RANK_CAP, CoeffRing, RingElem
 
 RING_SCHEMA = "leveltower/ring/2"
 TOWER_SCHEMA = "leveltower/tower/2"
-TABLE_SCHEMA = "leveltower/chartab/1"
 REPORT_SCHEMA = "leveltower/report/1"
 
 
@@ -139,25 +137,6 @@ def tower_from_doc(doc, rank_cap: int = DEFAULT_RANK_CAP) -> Tower:
     if back != canonical_dumps(doc):
         raise OracleMismatch("tower document did not survive a round trip")
     return tower
-
-
-# -- character tables ------------------------------------------------------------
-
-
-def table_to_doc(table: CharacterTable) -> dict:
-    doc = table.to_doc()
-    doc["schema"] = TABLE_SCHEMA
-    return doc
-
-
-def table_values_from_doc(doc):
-    """The value matrix of a table document, as exact Cyclotomic numbers."""
-    if doc.get("schema") not in (TABLE_SCHEMA, None):
-        raise PreconditionError(f"not a table document: {doc.get('schema')!r}")
-    N = doc["conductor"]
-    return tuple(
-        tuple(Cyclotomic(N, [Fraction(a, b) for a, b in v]) for v in row)
-        for row in doc["values"])
 
 
 # -- cache -----------------------------------------------------------------------

@@ -1,12 +1,9 @@
 """Exact character tables of the finite matrix and quaternionic quotients."""
 
-from fractions import Fraction
-
 import pytest
 
-from leveltower.chartab import character_table, cuspidal_characters
-from leveltower.cyclotomic import Cyclotomic
-from leveltower.errors import CapExceeded
+from leveltower.chartab import CharacterTable, character_table, cuspidal_characters
+from leveltower.errors import CapExceeded, OracleMismatch
 from leveltower.groups import group_gl, group_quaternion_quotient
 
 
@@ -66,14 +63,35 @@ def test_quaternion_quotient_q3_is_semidihedral():
     assert tab.verify()
 
 
-def test_row_inner_products_are_exact():
+@pytest.mark.parametrize("group", [
+    lambda: group_gl(2, 2, 1), lambda: group_gl(2, 3, 1), lambda: group_gl(2, 4, 1),
+    lambda: group_quaternion_quotient(2, 1), lambda: group_quaternion_quotient(3, 1),
+    lambda: group_quaternion_quotient(4, 1), lambda: group_quaternion_quotient(2, 2),
+], ids=["gl-2", "gl-3", "gl-4", "quat-2", "quat-3", "quat-4", "quat-2-level-2"])
+def test_tables_verify_with_integer_values(group):
+    tab = character_table(group())
+    assert tab.verify()
+    for row in tab.values:
+        for v in row:
+            assert v.N == tab.conductor
+            assert all(type(c) is int for c in v.coords)
+
+
+def _perturbed(tab, change):
+    values = [list(row) for row in tab.values]
+    i, l = next((i, l) for i, row in enumerate(values) for l, v in enumerate(row)
+                if v != v.conjugate())
+    values[i][l] = change(values[i][l])
+    return CharacterTable(tab.group, tab.class_reps, tab.class_sizes, tab.degrees,
+                          values, tab.conductor, tab.prime)
+
+
+@pytest.mark.parametrize("change", [lambda v: v + 1, lambda v: v.conjugate()],
+                         ids=["plus-one", "conjugate"])
+def test_verify_rejects_a_perturbed_value(change):
     tab = character_table(group_gl(2, 3, 1))
-    one = Cyclotomic.from_rational(1)
-    zero = Cyclotomic.zero()
-    for i in range(tab.n_classes):
-        for j in range(tab.n_classes):
-            want = one if i == j else zero
-            assert tab.row_inner(i, j) == want
+    with pytest.raises(OracleMismatch):
+        _perturbed(tab, change).verify()
 
 
 def test_class_count_matches_rows():

@@ -212,12 +212,42 @@ def test_huge_q_is_refused_before_factoring():
     (["count", "--q", "2", "--n", "2", "--m", "1", "--b", "w", "--g", "diag:P^,1"],
      "error: missing exponent after '^' in 'P^'\n"),
     (["flags", "--n", "1"], "error: empty rank signature\n"),
+    (["strata-action", "--q", "2", "--n", "3", "--g", "companion:T^3+T+1", "--scan-m", "0"],
+     "error: scan_m 0 must be at least 1\n"),
 ])
 def test_bad_element_tokens_exit_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err == message
+
+
+@pytest.mark.parametrize("text,message", [
+    ("2 2 x\n", "1: header entry 'x' is not an integer"),
+    ("2 2 1\n0,a : 1\n", "2: code 'a' is not an integer"),
+])
+def test_bad_table_tokens_exit_2(capsys, tmp_path, text, message):
+    table = tmp_path / "vt.txt"
+    table.write_text(text)
+    code, out, err = run(capsys, "flag-of-point", "--table", str(table))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {table}:{message}\n"
+
+
+@pytest.mark.parametrize("command,flag", [("strata", "--config"), ("flag-of-point", "--table")])
+def test_unreadable_file_exits_2(capsys, tmp_path, command, flag):
+    missing = tmp_path / "missing.txt"
+    code, out, err = run(capsys, command, flag, str(missing))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot read {missing}: No such file or directory\n"
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"\xff\xfe\n")
+    code, out, err = run(capsys, command, flag, str(binary))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {binary} is not UTF-8 text\n"
 
 
 def _unsorted_pairs(good):
@@ -275,10 +305,17 @@ def test_jl_cap_exit(capsys):
 
 
 def test_jl_command_values(capsys):
-    code, out, _ = run(capsys, "jl", "--q", "2")
-    doc = json.loads(out)
-    assert doc["results"]["pairs"] == [[0, 2]]
-    assert doc["results"]["cuspidal_count"] == 1
+    # width is phi of the shared conductor, lcm of the two group exponents: 6 and 24
+    for q, pairs, width in [(2, [[0, 2]], 2), (3, [[2, 5], [3, 6], [4, 4]], 8)]:
+        code, out, _ = run(capsys, "jl", "--q", str(q))
+        doc = json.loads(out)
+        assert doc["results"]["pairs"] == pairs
+        assert doc["results"]["cuspidal_count"] == len(pairs)
+        for check in doc["results"]["checks"]:
+            for rho, pi in check["values"]:
+                assert len(rho) == len(pi) == width
+                assert all(type(c) is int for c in rho + pi)
+                assert rho == [-c for c in pi]
 
 
 def test_config_file_with_flag_override(capsys, tmp_path):

@@ -84,6 +84,27 @@ def test_cyclotomic_rational_division_only():
         z / z
 
 
+def test_cyclotomic_hash_agrees_across_lifts():
+    z = Cyclotomic.root_of_unity(4)
+    assert z == z.lift(8) and hash(z) == hash(z.lift(8))
+    assert len({z, z.lift(8)}) == 1
+    # zeta_6 = 1 + zeta_3 although neither is a lift of the other
+    assert len({Cyclotomic.root_of_unity(6), 1 + Cyclotomic.root_of_unity(3)}) == 1
+    rng = random.Random(3)
+    for _ in range(200):
+        N = rng.choice([1, 2, 3, 4, 5, 6, 8, 9, 12])
+        x = Cyclotomic(N, [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(N)])
+        assert hash(x.lift(N * rng.choice([2, 3, 4, 5]))) == hash(x)
+    r = Fraction(-3, 4)
+    assert hash(Cyclotomic.from_rational(r).lift(12)) == hash(r)
+
+
+def test_cyclotomic_integer_coordinates_stay_integers():
+    z = Cyclotomic.root_of_unity(12)
+    w = (z * z.conjugate() + z - 3).lift(24)
+    assert all(type(c) is int for c in w.coords)
+
+
 def test_laurent_arithmetic_and_valuation():
     f = FqField(3, 1)
     x = Laurent.pi(f, 2).scale(2) + Laurent.const(f, 1)

@@ -6,12 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from leveltower.chartab import character_table
 from leveltower.cyclotomic import Cyclotomic
 from leveltower.errors import PreconditionError
 from leveltower.formal import build_tower, check_level
 from leveltower.fq import FqField
-from leveltower.groups import group_gl
 from leveltower.rings import CoeffRing
 from leveltower.serialize import (
     Cache,
@@ -20,8 +18,6 @@ from leveltower.serialize import (
     jsonable,
     ring_from_doc,
     ring_to_doc,
-    table_to_doc,
-    table_values_from_doc,
     tower_from_doc,
     tower_to_doc,
 )
@@ -66,16 +62,6 @@ def test_tower_roundtrip_bit_exact(spec):
     assert report["ok"]
     assert reloaded.stage_degrees == tower.stage_degrees
     assert reloaded.rank_over_base == tower.rank_over_base
-
-
-def test_table_values_roundtrip():
-    tab = character_table(group_gl(2, 2, 1))
-    doc = table_to_doc(tab)
-    values = table_values_from_doc(doc)
-    for i in range(tab.n_classes):
-        for j in range(tab.n_classes):
-            assert values[i][j] == tab.values[i][j]
-    assert canonical_dumps(doc) == canonical_dumps(table_to_doc(tab))
 
 
 def test_cache_roundtrip_and_validation(tmp_path):
