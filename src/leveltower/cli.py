@@ -1,10 +1,11 @@
 """Command-line driver with reproducible, schema-versioned reports.
 
-Configuration comes from an optional flat key=value file overridden by
-command-line flags; every report embeds the fully resolved configuration,
-so a report identifies its own inputs.  With the same configuration and
-seed the emitted bytes are identical run to run (timings are only included
-on request, since they cannot be).
+Each command declares in COMMANDS the knobs it reads.  Only those can be
+set, from an optional flat key=value file overridden by command-line flags,
+and every report embeds exactly those knobs, resolved, so a report
+identifies its own inputs.  With the same configuration and seed the
+emitted bytes are identical run to run (timings are only included on
+request, since they cannot be).
 
 Exit codes: 0 success, 2 precondition or certification failure, 3 a
 desk-scale cap was exceeded, 4 two internal computation routes disagreed
@@ -16,8 +17,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import dataclass
 from time import perf_counter
+from typing import Callable, NamedTuple
 
 from .certify import regular_elliptic_certify
 from .counting import count_brute, count_structured
@@ -31,19 +33,18 @@ from .errors import (
     PrecisionError,
     PreconditionError,
 )
-from .formal import build_tower, check_level, gl_order
+from .formal import DEFAULT_RANK_CAP, build_tower, check_level, gl_order
 from .fq import FqField, split_prime_power
 from .induced import JL_Q_CAP, jl_match
 from .laurent import Laurent
 from .matrices import charpoly, det, mat_reduce_mod
-from .rings import DEFAULT_RANK_CAP, CoeffRing
+from .rings import CoeffRing
 from .serialize import (
     Cache,
     REPORT_SCHEMA,
     TOWER_SCHEMA,
     canonical_dumps,
     content_key,
-    jsonable,
     tower_from_doc,
     tower_to_doc,
 )
@@ -91,16 +92,19 @@ class RunConfig:
     format: str = "json"
     seed: int = 0
 
-    def resolved(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in dc_fields(self)}
-        if out["format"] not in ("json", "csv", "text"):
-            raise PreconditionError(f"unknown output format {out['format']!r}")
+    def resolved(self, knobs) -> dict:
+        """The report's `config`: the given knobs and `format`, checked."""
+        out = {key: getattr(self, key) for key in knobs}
+        out["format"] = self.format
+        if self.format not in ("json", "csv", "text"):
+            raise PreconditionError(f"unknown output format {self.format!r}")
         for key in ("rank_cap", "jl_q_cap"):
-            if out[key] <= 0:
+            if out.get(key, 1) <= 0:
                 raise PreconditionError(f"cap {key} must be positive")
-        if out["scan_m"] < 1:
+        if out.get("scan_m", 1) < 1:
             raise PreconditionError(f"scan_m {out['scan_m']} must be at least 1")
-        split_prime_power(out["q"])
+        if "q" in out:
+            split_prime_power(out["q"])
         return out
 
     def parsed_u_spec(self):
@@ -162,16 +166,17 @@ def load_config_file(path: str) -> dict:
     return out
 
 
-def resolve_config(args) -> RunConfig:
+def resolve_config(args, knobs) -> RunConfig:
+    """The command's knobs from `--config`, then from its flags; any other key exits 2."""
     cfg = RunConfig()
-    names = {f.name for f in dc_fields(RunConfig)}
+    settable = (*knobs, "format")
     if args.config:
         for key, value in load_config_file(args.config).items():
-            if key not in names:
-                raise PreconditionError(f"unknown config key {key!r}")
+            if key not in settable:
+                raise PreconditionError(f"unknown config key {key!r} for {args.command}")
             setattr(cfg, key, value)
-    for name in names:
-        value = getattr(args, name, None)
+    for name in settable:
+        value = getattr(args, name)
         if value is not None:
             setattr(cfg, name, value)
     return cfg
@@ -289,7 +294,7 @@ def cmd_tower(cfg: RunConfig) -> dict:
         try:  # an undecodable, misshapen or non-round-tripping entry is a miss
             hit = cache.get(key)
             if hit is not None:
-                tower = tower_from_doc(json.loads(hit), rank_cap=cfg.rank_cap)
+                tower = tower_from_doc(json.loads(hit))
                 cache_info["hit"] = True
         except (ValueError, LookupError, TypeError, AttributeError,
                 PreconditionError, OracleMismatch) as exc:
@@ -470,7 +475,7 @@ def cmd_selftest(cfg: RunConfig) -> dict:
     if tab is not None:
         record(f"cuspidal count q={cfg.q}",
                len(cuspidal_characters(tab)) == cfg.q * (cfg.q - 1) // 2)
-    jl = jl_match(2, cap_q=cfg.jl_q_cap)
+    jl = jl_match(2)
     record("jl q=2 matching size 1", len(jl.pairs) == 1)
     return {"checks": checks, "passed": len(checks)}
 
@@ -543,13 +548,13 @@ def render_csv(command: str, results: dict) -> str:
 def render_text(command: str, report: dict) -> str:
     lines = [f"command: {command}"]
     for key, value in report["results"].items():
-        lines.append(f"  {key}: {json.dumps(jsonable(value), sort_keys=True)}")
+        lines.append(f"  {key}: {json.dumps(value, sort_keys=True)}")
     return "\n".join(lines) + "\n"
 
 
 def emit(report: dict, cfg: RunConfig) -> str:
     if cfg.format == "json":
-        return canonical_dumps(jsonable(report)) + "\n"
+        return canonical_dumps(report) + "\n"
     if cfg.format == "csv":
         return render_csv(report["command"], report)
     return render_text(report["command"], report)
@@ -558,63 +563,57 @@ def emit(report: dict, cfg: RunConfig) -> str:
 # -- entry point ------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="flat key=value configuration file")
-    common.add_argument("--q", type=int)
-    common.add_argument("--n", type=int)
-    common.add_argument("--m", type=int)
-    common.add_argument("--prec", type=int)
-    common.add_argument("--u-spec", dest="u_spec")
-    common.add_argument("--rank-cap", dest="rank_cap", type=int)
-    common.add_argument("--jl-q-cap", dest="jl_q_cap", type=int)
-    common.add_argument("--scan-m", dest="scan_m", type=int)
-    common.add_argument("--cache-dir", dest="cache_dir")
-    common.add_argument("--format", choices=["json", "csv", "text"])
-    common.add_argument("--seed", type=int)
-    common.add_argument("--timings", action="store_true")
+class Command(NamedTuple):
+    run: Callable       # run(cfg, *required argument values) -> results
+    help: str
+    knobs: tuple        # the RunConfig fields it reads; the only ones it accepts
+    required: tuple = ()  # (name, help) of each required --name argument, in run order
 
+
+COMMANDS = {
+    "tower": Command(cmd_tower, "build a level tower and verify it",
+                     ("q", "n", "m", "prec", "u_spec", "rank_cap", "cache_dir")),
+    "count": Command(cmd_count, "fixed-coset counts, both routes", ("q", "n", "m"),
+                     (("b", "algebra element: w, x:<code>, or c0;c1"),
+                      ("g", "matrix: companion:<poly>, diag:..., mat:..."))),
+    "strata": Command(cmd_strata, "count boundary labels per rank", ("q", "n", "m")),
+    "strata-action": Command(cmd_strata_action, "fixed labels of a certified unit-class matrix",
+                             ("q", "n", "scan_m"), (("g", None),)),
+    "flags": Command(cmd_flags, "count full flags of labels", ("q", "n", "m")),
+    "flag-of-point": Command(cmd_flag_of_point, "flag of a value table read from a file", (),
+                             (("table", "value-table file"),)),
+    "jl": Command(cmd_jl, "depth-zero character matching", ("q", "jl_q_cap")),
+    "selftest": Command(cmd_selftest, "run the built-in battery", ("q", "seed")),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="leveltower",
         description="Exact arithmetic for level towers, strata, and depth-zero matching.")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("tower", parents=[common], help="build a level tower and verify it")
-    pc = sub.add_parser("count", parents=[common], help="fixed-coset counts, both routes")
-    pc.add_argument("--b", required=True, help="algebra element: w, x:<code>, or c0;c1")
-    pc.add_argument("--g", required=True, help="matrix: companion:<poly>, diag:..., mat:...")
-    sub.add_parser("strata", parents=[common], help="count boundary labels per rank")
-    pa = sub.add_parser("strata-action", parents=[common],
-                        help="fixed labels of a certified unit-class matrix")
-    pa.add_argument("--g", required=True)
-    sub.add_parser("flags", parents=[common], help="count full flags of labels")
-    pf = sub.add_parser("flag-of-point", parents=[common],
-                        help="flag of a value table read from a file")
-    pf.add_argument("--table", required=True, help="value-table file")
-    sub.add_parser("jl", parents=[common], help="depth-zero character matching")
-    sub.add_parser("selftest", parents=[common], help="run the built-in battery")
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        p.add_argument("--config", help="flat key=value configuration file")
+        for knob in command.knobs:
+            p.add_argument("--" + knob.replace("_", "-"), dest=knob,
+                           type=int if knob in _INT_KEYS else None)
+        p.add_argument("--format", choices=["json", "csv", "text"])
+        p.add_argument("--timings", action="store_true")
+        for arg, text in command.required:
+            p.add_argument("--" + arg, required=True, help=text)
     return parser
-
-
-_HANDLERS = {
-    "tower": lambda cfg, args: cmd_tower(cfg),
-    "count": lambda cfg, args: cmd_count(cfg, args.b, args.g),
-    "strata": lambda cfg, args: cmd_strata(cfg),
-    "strata-action": lambda cfg, args: cmd_strata_action(cfg, args.g),
-    "flags": lambda cfg, args: cmd_flags(cfg),
-    "flag-of-point": lambda cfg, args: cmd_flag_of_point(cfg, args.table),
-    "jl": lambda cfg, args: cmd_jl(cfg),
-    "selftest": lambda cfg, args: cmd_selftest(cfg),
-}
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    command = COMMANDS[args.command]
     try:
-        cfg = resolve_config(args)
-        resolved = cfg.resolved()
+        cfg = resolve_config(args, command.knobs)
+        resolved = cfg.resolved(command.knobs)
         t0 = perf_counter()
-        results = _HANDLERS[args.command](cfg, args)
+        results = command.run(cfg, *(getattr(args, arg) for arg, _ in command.required))
         elapsed = perf_counter() - t0
         report = {
             "schema": REPORT_SCHEMA,

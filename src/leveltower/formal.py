@@ -19,11 +19,10 @@ from dataclasses import dataclass, field as dc_field
 from itertools import product
 
 from .chain import ChainRing
-from .errors import PreconditionError
+from .errors import PreconditionError, RankCapExceeded
 from .fq import FqField, split_prime_power
 from .rings import (
     CoeffRing,
-    DEFAULT_RANK_CAP,
     RingElem,
     convert,
     poly_add,
@@ -129,8 +128,7 @@ class FormalOModule:
         return f"FormalOModule(n={self.n}, q={self.q}, over {self.ring.describe()})"
 
 
-def make_module(n: int, q: int, u_spec=None, prec: int = 3,
-                rank_cap: int = DEFAULT_RANK_CAP) -> FormalOModule:
+def make_module(n: int, q: int, u_spec=None, prec: int = 3) -> FormalOModule:
     """Build a formal o-module over a fresh coefficient ring.
 
     u_spec is a list of n-1 entries, one per middle coefficient:
@@ -151,7 +149,7 @@ def make_module(n: int, q: int, u_spec=None, prec: int = 3,
         raise PreconditionError("precision must be >= 2 so pi is visible")
     fld = FqField(*split_prime_power(q))
     u_orders = tuple(s for s in u_spec if isinstance(s, int) and s >= 2)
-    ring = CoeffRing(fld, prec, u_orders=u_orders, rank_cap=rank_cap)
+    ring = CoeffRing(fld, prec, u_orders=u_orders)
     u_values = []
     slot = 0
     for s in u_spec:
@@ -257,7 +255,6 @@ class Tower:
     n: int
     q: int
     m: int
-    base_ring: CoeffRing
     ring: CoeffRing
     module: FormalOModule
     stage_degrees: list
@@ -288,6 +285,9 @@ def _u_spec_label(n, u_spec) -> str:
     return ";".join(parts) if parts else "-"
 
 
+DEFAULT_RANK_CAP = 5000
+
+
 def gl_order(n: int, q: int, m: int = 1) -> int:
     """|GL_n(o/pi^m)| by the standard product formula."""
     r = q ** ((m - 1) * n * n)
@@ -313,9 +313,12 @@ def build_tower(n: int, q: int, m: int, prec: int | None = None, u_spec=None,
         prec = m + 1
     if prec < m + 1:
         raise PreconditionError(f"precision {prec} < level + 1 = {m + 1}")
-    module = make_module(n, q, u_spec=u_spec, prec=prec, rank_cap=rank_cap)
-    base_ring = module.ring
-    ring = base_ring
+    module = make_module(n, q, u_spec=u_spec, prec=prec)
+    ring = module.ring
+    expected = gl_order(n, q, m)
+    top_rank = ring.rank * expected
+    if top_rank > rank_cap:
+        raise RankCapExceeded(f"ring rank {top_rank} exceeds cap {rank_cap}")
     fld = module.scalar_field
 
     stage_degrees = []
@@ -329,7 +332,7 @@ def build_tower(n: int, q: int, m: int, prec: int | None = None, u_spec=None,
         f_i = poly_divide_exact(module.pi_poly(), psi)
         f_i = poly_trim(f_i)
         stage_degrees.append(len(f_i) - 1)
-        ring, theta = ring_extend(ring, f_i, name=f"y{i + 1}_1", rank_cap=rank_cap)
+        ring, theta = ring_extend(ring, f_i, name=f"y{i + 1}_1")
         module = FormalOModule(ring, n, q, [convert(u, ring) for u in module.u_values])
         span = {v: convert(val, ring) for v, val in span.items()}
         level1_basis.append(theta)
@@ -352,7 +355,7 @@ def build_tower(n: int, q: int, m: int, prec: int | None = None, u_spec=None,
             g = list(module.pi_poly())
             g[0] = g[0] - convert(target, ring)
             stage_degrees.append(len(poly_trim(g)) - 1)
-            ring, y = ring_extend(ring, g, name=f"y{j + 1}_{level}", rank_cap=rank_cap)
+            ring, y = ring_extend(ring, g, name=f"y{j + 1}_{level}")
             module = FormalOModule(ring, n, q, [convert(u, ring) for u in module.u_values])
             new_basis.append(y)
         basis_images.append(new_basis)
@@ -375,13 +378,12 @@ def build_tower(n: int, q: int, m: int, prec: int | None = None, u_spec=None,
     level_value_dicts = [{v: convert(val, ring) for v, val in d.items()}
                          for d in level_value_dicts]
 
-    expected = gl_order(n, q, m)
     got = 1
     for d in stage_degrees:
         got *= d
     assert got == expected, f"tower rank {got} != unit-group order {expected}"
-    assert ring.rank == base_ring.rank * expected
+    assert ring.rank == top_rank
 
-    return Tower(n=n, q=q, m=m, base_ring=base_ring, ring=ring, module=module,
+    return Tower(n=n, q=q, m=m, ring=ring, module=module,
                  stage_degrees=stage_degrees, level_values=level_value_dicts,
                  u_spec_label=_u_spec_label(n, u_spec))

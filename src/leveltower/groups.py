@@ -74,20 +74,23 @@ class FiniteGroup:
 
     @cached_property
     def inverse(self):
-        """inverse[i] = index of the inverse of element i."""
+        """inverse[i] = index of the inverse of element i.
+
+        One walk x, x^2, ..., x^k = e fills in all of <x>: x^j and x^(k-j)
+        are inverse, and two-sided since powers of x commute.
+        """
         e = self.identity_index
         inv = [None] * self.order
         for i in range(self.order):
             if inv[i] is not None:
                 continue
-            for j in range(self.order):
-                if self.imul(i, j) == e:
-                    if self.imul(j, i) != e:
-                        raise OracleMismatch(f"{self.name}: one-sided inverse at {i}")
-                    inv[i], inv[j] = j, i
-                    break
-            else:
-                raise OracleMismatch(f"{self.name}: element {i} has no inverse")
+            powers = [e, i]
+            while powers[-1] != e:
+                if len(powers) > self.order:
+                    raise OracleMismatch(f"{self.name}: powers of element {i} miss the identity")
+                powers.append(self.imul(powers[-1], i))
+            for j, x in enumerate(powers):
+                inv[x] = powers[-1 - j]
         return tuple(inv)
 
     @cached_property

@@ -20,17 +20,14 @@ monomials whose exponents stay in bound has index i + j.
 
 from __future__ import annotations
 
-from .errors import (NonExactDivision, PreconditionError, RankCapExceeded)
+from .errors import NonExactDivision, PreconditionError
 from .fq import FqField
-
-DEFAULT_RANK_CAP = 5000
 
 
 class CoeffRing:
     """Local Artinian quotient ring with exact normal-form arithmetic."""
 
-    def __init__(self, field: FqField, prec: int, u_orders=(), _stages=None,
-                 rank_cap: int = DEFAULT_RANK_CAP):
+    def __init__(self, field: FqField, prec: int, u_orders=(), _stages=None):
         if prec < 1:
             raise PreconditionError("precision M must be >= 1")
         if any(n < 1 for n in u_orders):
@@ -38,15 +35,12 @@ class CoeffRing:
         self.field = field
         self.prec = prec
         self.u_orders = tuple(u_orders)
-        self.rank_cap = rank_cap
         # stage: (name, coeff dicts in THIS ring's index space, degree)
         self.stages = tuple(_stages or ())
         self._bounds = (prec,) + self.u_orders + tuple(d for (_, _, d) in self.stages)
         rank = 1
         for b in self._bounds:
             rank *= b
-        if rank > rank_cap:
-            raise RankCapExceeded(f"ring rank {rank} exceeds cap {rank_cap}")
         self.rank = rank
         # mixed radix, first position (pi) fastest: index = sum e_i * stride_i
         strides = []
@@ -412,8 +406,7 @@ class RingElem:
         return " + ".join(parts)
 
 
-def ring_extend(ring: CoeffRing, poly, name: str | None = None,
-                rank_cap: int | None = None) -> tuple[CoeffRing, RingElem]:
+def ring_extend(ring: CoeffRing, poly, name: str | None = None) -> tuple[CoeffRing, RingElem]:
     """Adjoin a root of a monic polynomial, returning (new ring, adjoined root).
 
     poly: coefficient list of RingElems of `ring`, low degree first.  The leading
@@ -441,11 +434,10 @@ def ring_extend(ring: CoeffRing, poly, name: str | None = None,
         # X + c already has its root in the ring, nothing to adjoin
         return ring, ring.zero() - coeffs[0]
     name = name or f"t{len(ring.stages) + 1}"
-    cap = rank_cap if rank_cap is not None else ring.rank_cap
     # indices of `ring` are indices of the extension, so coefficients carry over as is
     stage = (name, tuple(c.d for c in coeffs[:-1]), deg)
     ext = CoeffRing(ring.field, ring.prec, ring.u_orders,
-                    _stages=ring.stages + (stage,), rank_cap=cap)
+                    _stages=ring.stages + (stage,))
     root = ext.stage_gen(len(ext.stages))
     return ext, root
 

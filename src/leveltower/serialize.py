@@ -21,36 +21,15 @@ import hashlib
 import json
 import os
 import tempfile
-from fractions import Fraction
 
-from .cyclotomic import Cyclotomic
 from .errors import OracleMismatch, PreconditionError
 from .formal import FormalOModule, Tower
 from .fq import FqField
-from .rings import DEFAULT_RANK_CAP, CoeffRing, RingElem
+from .rings import CoeffRing, RingElem
 
 RING_SCHEMA = "leveltower/ring/2"
 TOWER_SCHEMA = "leveltower/tower/2"
 REPORT_SCHEMA = "leveltower/report/1"
-
-
-def jsonable(x):
-    """Recursively convert a result payload into JSON-safe structures."""
-    if isinstance(x, bool) or x is None or isinstance(x, (int, str, float)):
-        return x
-    if isinstance(x, Fraction):
-        return {"__frac__": [x.numerator, x.denominator]}
-    if isinstance(x, Cyclotomic):
-        return {"__cyc__": [x.N, [[c.numerator, c.denominator] for c in x.coords]]}
-    if isinstance(x, dict):
-        return {str(k): jsonable(v) for k, v in sorted(x.items(), key=lambda kv: str(kv[0]))}
-    if isinstance(x, (list, tuple)):
-        return [jsonable(v) for v in x]
-    if hasattr(x, "summary"):
-        return jsonable(x.summary())
-    if hasattr(x, "describe"):
-        return jsonable(x.describe())
-    return repr(x)
 
 
 def canonical_dumps(doc) -> str:
@@ -70,7 +49,7 @@ def ring_to_doc(ring: CoeffRing) -> dict:
     return doc
 
 
-def ring_from_doc(doc, rank_cap: int = DEFAULT_RANK_CAP) -> CoeffRing:
+def ring_from_doc(doc) -> CoeffRing:
     if doc.get("schema") != RING_SCHEMA:
         raise PreconditionError(f"not a ring document: {doc.get('schema')!r}")
     fd = doc["field"]
@@ -80,8 +59,7 @@ def ring_from_doc(doc, rank_cap: int = DEFAULT_RANK_CAP) -> CoeffRing:
     stages = tuple(
         (st["name"], [dict(c) for c in st["coeffs"]], st["degree"])
         for st in doc["stages"])
-    ring = CoeffRing(field, doc["prec"], tuple(doc["u_orders"]), _stages=stages,
-                     rank_cap=rank_cap)
+    ring = CoeffRing(field, doc["prec"], tuple(doc["u_orders"]), _stages=stages)
     if ring.rank != doc["rank"]:
         raise OracleMismatch(
             f"reconstructed ring rank {ring.rank} != documented {doc['rank']}")
@@ -108,11 +86,10 @@ def tower_to_doc(tower: Tower) -> dict:
     }
 
 
-def tower_from_doc(doc, rank_cap: int = DEFAULT_RANK_CAP) -> Tower:
+def tower_from_doc(doc) -> Tower:
     if doc.get("schema") != TOWER_SCHEMA:
         raise PreconditionError(f"not a tower document: {doc.get('schema')!r}")
-    ring = ring_from_doc(doc["ring"], rank_cap=rank_cap)
-    base_ring = CoeffRing(ring.field, ring.prec, ring.u_orders, rank_cap=rank_cap)
+    ring = ring_from_doc(doc["ring"])
 
     rank, q = ring.rank, ring.field.q
 
@@ -129,8 +106,7 @@ def tower_from_doc(doc, rank_cap: int = DEFAULT_RANK_CAP) -> Tower:
         {tuple(vec): elem(pairs) for vec, pairs in table}
         for table in doc["level_values"]
     ]
-    tower = Tower(n=doc["n"], q=doc["q"], m=doc["m"], base_ring=base_ring,
-                  ring=ring, module=module,
+    tower = Tower(n=doc["n"], q=doc["q"], m=doc["m"], ring=ring, module=module,
                   stage_degrees=list(doc["stage_degrees"]),
                   level_values=level_values, u_spec_label=doc["u_spec_label"])
     back = canonical_dumps(tower_to_doc(tower))

@@ -94,6 +94,18 @@ def test_verify_rejects_a_perturbed_value(change):
         _perturbed(tab, change).verify()
 
 
+@pytest.mark.parametrize("group", [lambda: group_gl(2, 3, 1),
+                                   lambda: group_quaternion_quotient(2, 2)],
+                         ids=["GL2(F3)", "quaternion-q2-level2"])
+def test_inverse_table_is_an_involution_of_inverses(group):
+    g = group()
+    e, inv = g.identity_index, g.inverse
+    for i in range(g.order):
+        assert g.imul(i, inv[i]) == e
+        assert g.imul(inv[i], i) == e
+        assert inv[inv[i]] == i
+
+
 def test_class_count_matches_rows():
     g = group_gl(2, 2, 1)
     tab = character_table(g)

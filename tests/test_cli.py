@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -108,7 +109,7 @@ def test_strata_command(capsys):
 
 
 def test_strata_action_zero_table(capsys):
-    code, out, _ = run(capsys, "strata-action", "--q", "2", "--n", "3", "--m", "1",
+    code, out, _ = run(capsys, "strata-action", "--q", "2", "--n", "3",
                        "--g", "companion:T^3+T+1", "--scan-m", "2")
     assert code == 0
     doc = json.loads(out)
@@ -151,9 +152,11 @@ def _bad_q_argv(command, q, tmp_path):
     if command == "strata-n1":
         # n = 1 has no ranks to enumerate, so no field is ever built
         return ["strata", "--q", str(q), "--n", "1"]
-    argv = [command, "--q", str(q), "--n", "2", "--m", "1"]
+    argv = [command, "--q", str(q)]
+    if command in ("strata", "flags"):
+        argv += ["--n", "2", "--m", "1"]
     if command == "strata-action":
-        argv += ["--g", "companion:T^2+T+1"]
+        argv += ["--n", "2", "--g", "companion:T^2+T+1"]
     return argv
 
 
@@ -184,9 +187,58 @@ def test_removed_knobs_are_rejected(capsys, tmp_path):
         assert code == 2
         assert "unknown config key" in err
     code, out, _ = run(capsys, "strata")
-    assert sorted(json.loads(out)["config"]) == [
-        "cache_dir", "format", "jl_q_cap", "m", "n", "prec", "q",
-        "rank_cap", "scan_m", "seed", "u_spec"]
+    assert sorted(json.loads(out)["config"]) == ["format", "m", "n", "q"]
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+ALL_KNOBS = ("q", "n", "m", "prec", "u_spec", "rank_cap", "jl_q_cap", "scan_m",
+             "cache_dir", "seed")
+
+
+@pytest.mark.parametrize("command,knobs,extra", [
+    ("tower", "q n m prec u_spec rank_cap cache_dir", []),
+    ("count", "q n m", ["--b", "x:2", "--g", "companion:T^2+T+1"]),
+    ("strata", "q n m", []),
+    ("strata-action", "q n scan_m", ["--g", "companion:T^2+T+1"]),
+    ("flags", "q n m", []),
+    ("flag-of-point", "", ["--table", "{table}"]),
+    ("jl", "q jl_q_cap", []),
+    ("selftest", "q seed", []),
+])
+def test_command_takes_and_reports_only_its_knobs(capsys, tmp_path, command, knobs, extra):
+    table = tmp_path / "vt.txt"
+    table.write_text("2 2 1\n0,1 : 1\n1,0 : 2\n1,1 : 2\n")
+    argv = [command] + [a.format(table=table) for a in extra]
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    config = json.loads(out)["config"]
+    assert sorted(config) == sorted(knobs.split() + ["format"])
+    if command == "flag-of-point":
+        assert config == {"format": "json"}
+    outside = next(k for k in ALL_KNOBS if k not in knobs.split())
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--" + outside.replace("_", "-"), "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{outside} = 1\n")
+    code, out, err = run(capsys, *argv, "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: unknown config key '{outside}' for {command}\n"
+
+
+def test_readme_knob_table_matches_the_commands():
+    lines = README.read_text(encoding="utf-8").splitlines()
+    start = lines.index("| command | knobs |") + 2
+    documented = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        name, flags = (cell.strip() for cell in line.strip("|").split("|"))
+        documented[name.strip("`")] = tuple(
+            flag.replace("-", "_") for flag in re.findall(r"`--([a-z-]+)`", flags))
+    assert documented == {name: c.knobs for name, c in cli.COMMANDS.items()}
 
 
 def test_huge_q_is_refused_before_factoring():
@@ -339,7 +391,7 @@ def test_config_none_only_for_prec(capsys, tmp_path, key):
     assert out == ""
     assert err == f"error: {key} 'none' is not an integer\n"
     cfg.write_text("prec = none\n")
-    code, out, err = run(capsys, "strata", "--config", str(cfg))
+    code, out, err = run(capsys, "tower", "--config", str(cfg))
     assert code == 0 and err == ""
     assert json.loads(out)["config"]["prec"] is None
 

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from leveltower import formal
 from leveltower.errors import CapExceeded, PreconditionError, RankCapExceeded
 from leveltower.formal import (
     LevelStructure,
@@ -55,6 +56,15 @@ def test_tower_stage_degrees_q2():
 
 def test_tower_rank_cap_triggers():
     with pytest.raises((CapExceeded, RankCapExceeded)):
+        build_tower(3, 3, 1)
+
+
+def test_tower_rank_cap_is_checked_before_any_stage(monkeypatch):
+    def no_stage(*args, **kwargs):
+        raise AssertionError("ring_extend called before the rank cap check")
+
+    monkeypatch.setattr(formal, "ring_extend", no_stage)
+    with pytest.raises(RankCapExceeded, match="ring rank 89856 exceeds cap 5000"):
         build_tower(3, 3, 1)
 
 

@@ -2,11 +2,9 @@
 
 import json
 import os
-from fractions import Fraction
 
 import pytest
 
-from leveltower.cyclotomic import Cyclotomic
 from leveltower.errors import PreconditionError
 from leveltower.formal import build_tower, check_level
 from leveltower.fq import FqField
@@ -15,7 +13,6 @@ from leveltower.serialize import (
     Cache,
     canonical_dumps,
     content_key,
-    jsonable,
     ring_from_doc,
     ring_to_doc,
     tower_from_doc,
@@ -26,12 +23,6 @@ from leveltower.serialize import (
 def test_canonical_dumps_is_key_sorted_and_ascii():
     s = canonical_dumps({"b": 1, "a": [2, {"z": 0, "y": 1}]})
     assert s == '{"a":[2,{"y":1,"z":0}],"b":1}'
-
-
-def test_jsonable_fraction_and_cyclotomic():
-    doc = jsonable({"x": Fraction(3, 4), "z": Cyclotomic.root_of_unity(3)})
-    assert doc["x"] == {"__frac__": [3, 4]}
-    assert doc["z"]["__cyc__"][0] == 3
 
 
 def test_content_key_stable_and_distinct():
