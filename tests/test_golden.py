@@ -18,6 +18,8 @@ CASES = {
     "tower_3_2_2": ["tower", "--q", "3", "--n", "2", "--m", "2", "--rank-cap", "100000"],
     "count_readme": ["count", "--q", "2", "--n", "2", "--m", "1", "--b", "x:2",
                      "--g", "companion:T^2+T+1"],
+    "count_2_3_1": ["count", "--q", "2", "--n", "3", "--m", "1", "--b", "x:3",
+                    "--g", "companion:T^3+T+1"],
     "strata_2_5_2": ["strata", "--q", "2", "--n", "5", "--m", "2"],
     "flags_2_4_2": ["flags", "--q", "2", "--n", "4", "--m", "2"],
     "strata_action_readme": ["strata-action", "--q", "2", "--n", "3",
