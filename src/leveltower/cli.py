@@ -7,9 +7,10 @@ identifies its own inputs.  With the same configuration and seed the
 emitted bytes are identical run to run (timings are only included on
 request, since they cannot be).
 
-Exit codes: 0 success, 2 precondition or certification failure, 3 a
-desk-scale cap was exceeded, 4 two internal computation routes disagreed
-(always a defect, never user error).
+Exit codes: 0 success, 2 precondition or certification failure (a usage
+error included), 3 a desk-scale cap was exceeded, 4 an internal defect: two
+computation routes disagreed or an unexpected exception was raised (never
+user error).  Every nonzero exit writes one `error:` line to stderr.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from pathlib import Path
 from time import perf_counter
 from typing import Callable, NamedTuple
 
@@ -26,7 +28,6 @@ from .counting import count_brute, count_structured
 from .division import DivisionAlgebra, total_fixed_points
 from .errors import (
     CapExceeded,
-    LevelTowerError,
     NonExactDivision,
     NotAFlag,
     OracleMismatch,
@@ -296,8 +297,7 @@ def cmd_tower(cfg: RunConfig) -> dict:
             if hit is not None:
                 tower = tower_from_doc(json.loads(hit))
                 cache_info["hit"] = True
-        except (ValueError, LookupError, TypeError, AttributeError,
-                PreconditionError, OracleMismatch) as exc:
+        except (ValueError, PreconditionError, OracleMismatch) as exc:
             sys.stderr.write(f"warning: rebuilding unusable cache entry {key} "
                              f"({type(exc).__name__}: {exc})\n")
     if tower is None:
@@ -587,13 +587,21 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error exits 2 with one `error:` line, like every other refusal."""
+
+    def error(self, message):
+        self.exit(EXIT_PRECONDITION, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="leveltower",
         description="Exact arithmetic for level towers, strata, and depth-zero matching.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
+        # flags are matched by their full spelling only: `--se` is not `--seed`
+        p = sub.add_parser(name, help=command.help, allow_abbrev=False)
         p.add_argument("--config", help="flat key=value configuration file")
         for knob in command.knobs:
             p.add_argument("--" + knob.replace("_", "-"), dest=knob,
@@ -625,10 +633,14 @@ def main(argv=None) -> int:
             report["timings"] = {"total_seconds": round(elapsed, 6)}
         sys.stdout.write(emit(report, cfg))
         return EXIT_OK
-    except LevelTowerError as exc:
+    except Exception as exc:
         code = exit_code_for(exc)
         if code is None:
-            raise
+            import traceback  # only on this path: it would slow every start-up
+            where = traceback.extract_tb(exc.__traceback__)[-1]
+            sys.stderr.write(f"error: internal defect: {type(exc).__name__}: {exc} "
+                             f"(at {Path(where.filename).name}:{where.lineno})\n")
+            return EXIT_MISMATCH
         sys.stderr.write(f"error: {exc}\n")
         return code
 

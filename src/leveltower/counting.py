@@ -10,11 +10,14 @@ pi^Z K_0 of K_m, is h^{-1} b h g in pi^Z K_m, which splits into
   * V := pi^{-z'} H^{-1} b H must lie in GL_n(o)   (the lattice condition),
   * ybar^{-1} Vbar ybar = ubar^{-1} in GL_n(o/pi^m) (the frame condition).
 
-`count_brute` scans a box of triangular lattice bases and reports whether
-the count was already stable one shell earlier.  `count_structured` uses a
+Since det V = pi^{-nz'} det b is a unit, the lattice condition is that V is
+integral.  `count_brute` scans a box of triangular lattice bases, tests each
+by back-substitution (`_lattice_eigen_backsolve`), and reports whether the
+count was already stable one shell earlier.  `count_structured` uses a
 certificate for b: the order o[pi^{-z'} b] is then maximal, so at most one
-lattice class survives and the frame count is a centralizer order.  The two
-routes share nothing past the membership split above and are compared
+lattice class survives, tested once by the adjugate formula
+(`_lattice_eigen_matrix`), and the frame count is a centralizer order.  The
+two routes share nothing past the membership split above and are compared
 against each other in the test suite.
 """
 
@@ -141,10 +144,14 @@ def _lattice_bases(field: FqField, n: int, bound: int, cap: int):
 
 
 def _lattice_eigen_matrix(H, b, z_prime: int):
-    """V = pi^{-z'} H^{-1} b H if integral with unit determinant, else None.
+    """V = pi^{-z'} H^{-1} b H if integral, else None; the structured route's test.
 
     H is triangular with monomial diagonal, so det H = pi^s exactly and
-    H^{-1} = pi^{-s} adj(H); everything stays exact.
+    H^{-1} = pi^{-s} adj(H); everything stays exact.  With z' = v(det b)/n,
+    det V = pi^{-nz'} det b is a unit, so integrality alone puts V in
+    GL_n(o).  `stable_lattice_reduction` (one lattice per run) and
+    `induced` use this; `count_brute` tests each scanned lattice with
+    `_lattice_eigen_backsolve` instead.
     """
     s = sum(H[i][i].valuation() for i in range(len(H)))
     A = mat_mul(mat_mul(adjugate(H), b), H)
@@ -154,6 +161,40 @@ def _lattice_eigen_matrix(H, b, z_prime: int):
             if not x.is_zero() and x.valuation() + shift < 0:
                 return None
     return mat_shift(A, shift)
+
+
+def _lattice_eigen_backsolve(H, b, z_prime: int):
+    """The same V as `_lattice_eigen_matrix`, by back-substitution; the brute test.
+
+    H is upper triangular with diagonal exactly pi^(d_i), so H V = pi^{-z'} b H
+    is solved from the bottom row up:
+
+        V[i][k] = (pi^{-z'} (b H)[i][k] - sum_{j>i} H[i][j] V[j][k]) pi^{-d_i},
+
+    where dividing by pi^(d_i) is an exact shift.  Row i of b H is formed only
+    when row i is reached, and the solve stops at the first entry with
+    negative valuation.  Integrality is the whole test: det V is a unit as
+    z' = v(det b)/n.
+    """
+    n = len(H)
+    V = [None] * n
+    for i in range(n - 1, -1, -1):
+        d = H[i][i].valuation()
+        above = [(j, H[i][j]) for j in range(i + 1, n) if not H[i][j].is_zero()]
+        row = []
+        for k in range(n):
+            acc = b[i][0] * H[0][k]
+            for t in range(1, k + 1):
+                acc = acc + b[i][t] * H[t][k]
+            acc = acc.shift(-z_prime)
+            for j, h in above:
+                acc = acc - h * V[j][k]
+            x = acc.shift(-d)
+            if not x.is_zero() and x.valuation() < 0:
+                return None
+            row.append(x)
+        V[i] = tuple(row)
+    return tuple(V)
 
 
 def _frame_count(ch: ChainRing, n: int, Vbar, target) -> int:
@@ -187,7 +228,7 @@ def count_brute(b, g, m: int, bound: int | None = None,
     details = []
     touched_shell = False
     for diag, H in _lattice_bases(field, n, bound, cap):
-        V = _lattice_eigen_matrix(H, b, zp_int)
+        V = _lattice_eigen_backsolve(H, b, zp_int)
         if V is None:
             continue
         Vbar = mat_reduce_mod(V, m)

@@ -9,7 +9,10 @@ bit, which `tower_from_doc` verifies).  Ring and tower documents store each
 ring element in its in-memory sparse form, as [index, coeff] pairs sorted by
 index, so a document grows with the nonzero terms rather than the ring rank.
 The tower cache key includes TOWER_SCHEMA, so an entry written under an
-older schema is a plain miss, never misread.
+older schema is a plain miss, never misread.  `tower_from_doc` checks the
+whole document's JSON shape before reading it, so a misshapen document
+raises PreconditionError and any other exception from the reload is a
+defect, not a corrupt entry.
 
 Cache writes go to a temporary file in the same directory followed by
 os.replace, so a reader never observes a half-written entry.
@@ -40,6 +43,58 @@ def content_key(doc) -> str:
     return hashlib.sha256(canonical_dumps(doc).encode("ascii")).hexdigest()
 
 
+# -- document shapes -------------------------------------------------------------
+
+# A shape is a type (int or str, matched exactly, so a JSON bool is not an
+# int), a dict of required keys, a one-item list (a list of that shape) or a
+# tuple (a list of exactly those shapes).
+_PAIRS = [(int, int)]
+_RING_SHAPE = {
+    "field": {"p": int, "f": int, "modulus": [int]},
+    "prec": int,
+    "u_orders": [int],
+    "stages": [{"name": str, "degree": int, "coeffs": [_PAIRS]}],
+    "rank": int,
+}
+_TOWER_SHAPE = {
+    "n": int,
+    "q": int,
+    "m": int,
+    "u_spec_label": str,
+    "ring": {},  # checked by ring_from_doc
+    "module_u": [_PAIRS],
+    "stage_degrees": [int],
+    "level_values": [[([int], _PAIRS)]],
+}
+
+
+def _check_shape(value, shape, where: str) -> None:
+    if isinstance(shape, dict):
+        if not isinstance(value, dict):
+            raise PreconditionError(f"{where} is not an object")
+        for key, sub in shape.items():
+            if key not in value:
+                raise PreconditionError(f"{where} has no key {key!r}")
+            _check_shape(value[key], sub, f"{where}.{key}")
+    elif isinstance(shape, (list, tuple)):
+        if not isinstance(value, list) or (
+                isinstance(shape, tuple) and len(value) != len(shape)):
+            raise PreconditionError(f"{where} is not a list of the expected shape")
+        subs = shape if isinstance(shape, tuple) else shape * len(value)
+        for i, (item, sub) in enumerate(zip(value, subs)):
+            _check_shape(item, sub, f"{where}[{i}]")
+    elif type(value) is not shape:
+        raise PreconditionError(f"{where} is not of type {shape.__name__}")
+
+
+def _check_doc(doc, schema: str, shape: dict, what: str) -> None:
+    """PreconditionError unless doc is a `what` document of `schema` shaped as `shape`."""
+    _check_shape(doc, {"schema": str}, what)
+    if doc["schema"] != schema:
+        raise PreconditionError(f"not a {what} document: {doc['schema']!r}")
+    _check_shape(doc, shape, what)
+
+
 # -- rings ---------------------------------------------------------------------
 
 
@@ -50,8 +105,7 @@ def ring_to_doc(ring: CoeffRing) -> dict:
 
 
 def ring_from_doc(doc) -> CoeffRing:
-    if doc.get("schema") != RING_SCHEMA:
-        raise PreconditionError(f"not a ring document: {doc.get('schema')!r}")
+    _check_doc(doc, RING_SCHEMA, _RING_SHAPE, "ring")
     fd = doc["field"]
     field = FqField(fd["p"], fd["f"])
     if list(field.modulus) != list(fd["modulus"]):
@@ -87,8 +141,9 @@ def tower_to_doc(tower: Tower) -> dict:
 
 
 def tower_from_doc(doc) -> Tower:
-    if doc.get("schema") != TOWER_SCHEMA:
-        raise PreconditionError(f"not a tower document: {doc.get('schema')!r}")
+    _check_doc(doc, TOWER_SCHEMA, _TOWER_SHAPE, "tower")
+    if not 1 <= doc["m"] == len(doc["level_values"]):
+        raise PreconditionError("tower.level_values does not hold m >= 1 tables")
     ring = ring_from_doc(doc["ring"])
 
     rank, q = ring.rank, ring.field.q

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from leveltower import cli
+from leveltower import cli, serialize
 from leveltower.errors import (
     CapExceeded,
     NotAFlag,
@@ -317,13 +317,29 @@ def _index_beyond_rank(good):
     return json.dumps(doc)
 
 
+def _string_for_int(good):
+    doc = json.loads(good)
+    doc["ring"]["stages"][0]["degree"] = str(doc["ring"]["stages"][0]["degree"])
+    return json.dumps(doc)
+
+
+def _no_level_tables(good):
+    doc = json.loads(good)
+    doc["level_values"] = []
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize("text", [
     lambda good: good[: len(good) // 2],
     lambda good: '{"schema":"leveltower/tower/1"}',
     lambda good: '{"schema":"leveltower/tower/2"}',
     _unsorted_pairs,
     _index_beyond_rank,
-], ids=["truncated", "old-schema", "no-ring", "round-trip", "index-beyond-rank"])
+    lambda good: "[]",
+    _string_for_int,
+    _no_level_tables,
+], ids=["truncated", "old-schema", "no-ring", "round-trip", "index-beyond-rank",
+        "not-an-object", "string-for-int", "no-level-tables"])
 def test_corrupt_cache_entry_is_a_miss(capsys, tmp_path, text):
     argv = ["tower", "--q", "2", "--n", "2", "--m", "1", "--cache-dir", str(tmp_path)]
     code, out, _ = run(capsys, *argv)
@@ -339,6 +355,42 @@ def test_corrupt_cache_entry_is_a_miss(capsys, tmp_path, text):
     code, out, err = run(capsys, *argv)
     assert code == 0 and err == ""
     assert json.loads(out)["results"]["cache"]["hit"] is True
+
+
+def test_reload_defect_is_not_a_cache_miss(capsys, tmp_path, monkeypatch):
+    # a bug in the reload code exits 4 with one line instead of a silent rebuild
+    argv = ["tower", "--q", "2", "--n", "2", "--m", "1", "--cache-dir", str(tmp_path)]
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+
+    def broken(doc):
+        raise TypeError("reload defect")
+
+    monkeypatch.setattr(serialize, "ring_from_doc", broken)
+    code, out, err = run(capsys, *argv)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: internal defect: TypeError: reload defect (at ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,full,code,message", [
+    (["selftest", "--se", "3"], ["selftest", "--seed", "3"], 0, ""),
+    (["tower", "--q", "2", "--n", "2", "--m", "1", "--rank", "9"],
+     ["tower", "--q", "2", "--n", "2", "--m", "1", "--rank-cap", "9"], 3,
+     "error: ring rank 24 exceeds cap 9\n"),
+], ids=["selftest-seed", "tower-rank-cap"])
+def test_flags_need_their_full_spelling(capsys, argv, full, code, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: unrecognized arguments: {' '.join(argv[-2:])}\n"
+    got, out, err = run(capsys, *full)
+    assert (got, err) == (code, message)
+    if code == 0:
+        assert json.loads(out)["config"]["seed"] == 3
 
 
 def test_count_command(capsys):

@@ -6,8 +6,12 @@ import pytest
 
 from conftest import counting_suite, random_unit_matrix
 
+from leveltower import counting
 from leveltower.certify import regular_elliptic_certify
 from leveltower.counting import (
+    _lattice_bases,
+    _lattice_eigen_backsolve,
+    _lattice_eigen_matrix,
     count_brute,
     count_structured,
     stable_lattice_reduction,
@@ -136,3 +140,50 @@ def test_self_pairing_counts_scale_with_twist():
     base = count_structured(b, g, 1).count
     twisted = count_structured(b, mat_shift(g, 2), 1).count
     assert base == twisted == 3
+
+
+def _assert_lattice_tests_agree(field, n, b, bound):
+    """Back-substitution and adjugate agree on every basis, for b, pi*b, pi^2*b."""
+    z0 = det(b).valuation() // n
+    integral = 0
+    for _, H in _lattice_bases(field, n, bound, counting.BRUTE_LATTICE_CAP):
+        for k in range(3):
+            bk = mat_shift(b, k)
+            fast = _lattice_eigen_backsolve(H, bk, z0 + k)
+            slow = _lattice_eigen_matrix(H, bk, z0 + k)
+            assert fast == slow, (H, k)
+            integral += fast is not None
+    return integral
+
+
+def test_backsolve_matches_adjugate_rank_three_box():
+    # a unipotent b fixes hundreds of lattices in the box, so off-diagonal H
+    # entries meet z' > 0; an elliptic b fixes one class and would not
+    field = FqField(2, 1)
+    one, zero = Laurent.one(field), Laurent.zero(field)
+    b = ((one, one, zero), (zero, one, one), (zero, zero, one))
+    assert _assert_lattice_tests_agree(field, 3, b, 3) > 100
+
+
+def test_backsolve_matches_adjugate_on_counting_suite():
+    integral = 0
+    for inst in counting_suite():
+        integral += _assert_lattice_tests_agree(inst["field"], 2, inst["b"], 3)
+    assert integral > 0
+
+
+def test_count_brute_makes_no_adjugate_call(monkeypatch):
+    calls = []
+
+    def counted(A):
+        calls.append(A)
+        return adjugate(A)
+
+    monkeypatch.setattr(counting, "adjugate", counted)
+    field = FqField(2, 1)
+    b = companion(field, _codes(field, 1, 1, 0, 1))
+    g = _inv_unit(b)
+    assert count_brute(b, g, 1).count == 7
+    assert calls == []
+    assert count_structured(b, g, 1).count == 7
+    assert calls, "the structured route still takes the adjugate step"
