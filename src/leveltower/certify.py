@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import CertificationError, Inconclusive, PreconditionError, PrecisionError
-from .fqpoly import factor
+from .fq import factor
 from .laurent import Laurent
 from .matrices import det
 

@@ -4,16 +4,72 @@ matrix/vector helpers over it.
 An element is an int in [0, q^m) whose base-q digits are F_q-codes of the
 pi-adic coefficients, lowest first.  Addition is digitwise (no carries),
 multiplication is truncated convolution; both are table-backed at desk scale.
+
+`leibniz_det` and `leibniz_charpoly` are the package's one determinant and
+characteristic polynomial, over any commutative ring given by its
+operations; `ChainRing` and `matrices` (Laurent entries) both call them.
+Sizes are desk scale (at most 7, the discriminant's Sylvester matrix for
+n = 4), where Leibniz expansion is exact and cheap.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from functools import cache
+from itertools import combinations, permutations, product
 
 from .errors import CapExceeded, PreconditionError
 from .fq import FqField
 
 _TABLE_CAP = 729  # build full mul tables up to this ring size
+
+
+@cache
+def _signed_permutations(n: int):
+    """(even, odd): the permutations of range(n) split by parity."""
+    even, odd = [], []
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        (odd if inversions % 2 else even).append(perm)
+    return even, odd
+
+
+def leibniz_det(M, add, mul, neg, zero):
+    """Determinant of a square matrix with n >= 1 by signed-permutation expansion.
+
+    Sizes 1 and 2 are written out: the unit-group scans call them per matrix.
+    """
+    n = len(M)
+    if n == 1:
+        return M[0][0]
+    if n == 2:
+        return add(mul(M[0][0], M[1][1]), neg(mul(M[0][1], M[1][0])))
+    sums = []
+    for perms in _signed_permutations(n):
+        total = zero
+        for perm in perms:
+            term = M[0][perm[0]]
+            for i in range(1, n):
+                term = mul(term, M[i][perm[i]])
+            total = add(total, term)
+        sums.append(total)
+    return add(sums[0], neg(sums[1]))
+
+
+def leibniz_charpoly(M, add, mul, neg, zero, one):
+    """Coefficients of det(T*I - M), lowest first, length n+1, monic.
+
+    The T^(n-k) coefficient is (-1)^k times the sum of the principal k x k
+    minors of M.
+    """
+    n = len(M)
+    coeffs = [one]
+    for k in range(1, n + 1):
+        total = zero
+        for rows in combinations(range(n), k):
+            minor = tuple(tuple(M[i][j] for j in rows) for i in rows)
+            total = add(total, leibniz_det(minor, add, mul, neg, zero))
+        coeffs.append(neg(total) if k % 2 else total)
+    return coeffs[::-1]
 
 
 class ChainRing:
@@ -141,21 +197,7 @@ class ChainRing:
         return tuple(out)
 
     def det(self, M):
-        n = len(M)
-        if n == 1:
-            return M[0][0]
-        if n == 2:
-            return self.sub(self.mul(M[0][0], M[1][1]), self.mul(M[0][1], M[1][0]))
-        # Leibniz is fine at desk scale (n <= 4)
-        total = 0
-        for perm, sign in _permutations_signed(n):
-            term = 1
-            for i in range(n):
-                term = self.mul(term, M[i][perm[i]])
-                if not term:
-                    break
-            total = self.add(total, term if sign > 0 else self.neg(term))
-        return total
+        return leibniz_det(M, self.add, self.mul, self.neg, 0)
 
     def mat_inv(self, M):
         """Inverse via Gaussian elimination with unit pivots (local ring)."""
@@ -186,25 +228,7 @@ class ChainRing:
         return product(range(self.size), repeat=n)
 
     def charpoly(self, M):
-        """Coefficients of det(T*I - M), lowest first, length n+1."""
-        n = len(M)
-        total = [0] * (n + 1)
-        one = 1
-        for perm, sign in _permutations_signed(n):
-            prod = [one]
-            for i in range(n):
-                j = perm[i]
-                ent = [self._neg[M[i][j]], 1] if i == j else [self._neg[M[i][j]]]
-                new = [0] * (len(prod) + len(ent) - 1)
-                for a_i, a in enumerate(prod):
-                    if a:
-                        for b_i, b in enumerate(ent):
-                            if b:
-                                new[a_i + b_i] = self._add[new[a_i + b_i]][self._mul[a][b]]
-                prod = new
-            for k, c in enumerate(prod):
-                total[k] = self._add[total[k]][c if sign > 0 else self._neg[c]]
-        return total
+        return leibniz_charpoly(M, self.add, self.mul, self.neg, 0, 1)
 
     def __repr__(self):
         return f"ChainRing(q={self.q}, m={self.m})"
@@ -233,11 +257,3 @@ def gl_elements(ch: ChainRing, n: int, cap: int = _GL_CAP):
             out.append(M)
     _gl_cache[key] = out
     return out
-
-
-def _permutations_signed(n: int):
-    from itertools import permutations
-    base = list(range(n))
-    for perm in permutations(base):
-        inv = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
-        yield perm, (-1) ** inv

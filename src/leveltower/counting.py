@@ -12,13 +12,14 @@ pi^Z K_0 of K_m, is h^{-1} b h g in pi^Z K_m, which splits into
 
 Since det V = pi^{-nz'} det b is a unit, the lattice condition is that V is
 integral.  `count_brute` scans a box of triangular lattice bases, tests each
-by back-substitution (`_lattice_eigen_backsolve`), and reports whether the
-count was already stable one shell earlier.  `count_structured` uses a
-certificate for b: the order o[pi^{-z'} b] is then maximal, so at most one
-lattice class survives, tested once by the adjugate formula
-(`_lattice_eigen_matrix`), and the frame count is a centralizer order.  The
-two routes share nothing past the membership split above and are compared
-against each other in the test suite.
+by back-substitution (`_fixed_lattices`, also the brute route of
+`induced.hc_character`), and reports whether the count was already stable
+one shell earlier.  `count_structured` uses a certificate for b: the order
+o[pi^{-z'} b] is then maximal, so at most one lattice class survives,
+tested once by the adjugate formula (`_lattice_eigen_matrix`), and the
+frame count is a centralizer order.  The two routes share nothing past the
+membership split above and are compared against each other in the test
+suite.
 """
 
 from __future__ import annotations
@@ -105,42 +106,40 @@ def _lattice_bases(field: FqField, n: int, bound: int, cap: int):
     """Normalized triangular lattice bases with diagonal exponents <= bound.
 
     Yields (diag_exponents, H).  Normalization: minimal valuation over all
-    entries is 0, picking one representative per pi^Z class.
+    entries is 0, picking one representative per pi^Z class.  An entry with
+    code c has valuation 0 exactly when c is not divisible by q, so the test
+    runs on the codes before H is built; every candidate counts against the cap.
     """
     q = field.q
+    positions = [(i, j) for i in range(n) for j in range(i + 1, n)]
     seen = 0
     for diag in product(range(bound + 1), repeat=n):
-        off_ranges = []
-        positions = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                positions.append((i, j))
-                off_ranges.append(q ** diag[i])
-        for combo in product(*(range(r) for r in off_ranges)):
+        rows = [[Laurent.pi(field, diag[i]) if i == j else Laurent.zero(field)
+                 for j in range(n)] for i in range(n)]
+        for combo in product(*(range(q ** diag[i]) for i, _ in positions)):
             seen += 1
             if seen > cap:
                 raise CapExceeded(f"lattice scan exceeded cap {cap}")
-            min_val = min(diag)
-            rows = [[None] * n for _ in range(n)]
-            for i in range(n):
-                for j in range(n):
-                    if i == j:
-                        rows[i][j] = Laurent.pi(field, diag[i])
-                    elif j < i:
-                        rows[i][j] = Laurent.zero(field)
+            if min(diag) and all(code % q == 0 for code in combo):
+                continue
             for (i, j), code in zip(positions, combo):
                 digs = []
-                x = code
-                while x:
-                    digs.append(x % q)
-                    x //= q
-                ent = Laurent.from_digits(field, digs)
-                rows[i][j] = ent
-                if code:
-                    min_val = min(min_val, ent.valuation())
-            if min_val != 0:
-                continue
+                while code:
+                    digs.append(code % q)
+                    code //= q
+                rows[i][j] = Laurent.from_digits(field, digs)
             yield diag, tuple(tuple(r) for r in rows)
+
+
+def _fixed_lattices(b, z_prime: int, bound: int, cap: int = BRUTE_LATTICE_CAP):
+    """(diag, V) for every lattice of the box whose V passes the back-substitution test.
+
+    The brute routes of `count_brute` and `induced.hc_character` both scan this.
+    """
+    for diag, H in _lattice_bases(b[0][0].field, len(b), bound, cap):
+        V = _lattice_eigen_backsolve(H, b, z_prime)
+        if V is not None:
+            yield diag, V
 
 
 def _lattice_eigen_matrix(H, b, z_prime: int):
@@ -149,8 +148,8 @@ def _lattice_eigen_matrix(H, b, z_prime: int):
     H is triangular with monomial diagonal, so det H = pi^s exactly and
     H^{-1} = pi^{-s} adj(H); everything stays exact.  With z' = v(det b)/n,
     det V = pi^{-nz'} det b is a unit, so integrality alone puts V in
-    GL_n(o).  `stable_lattice_reduction` (one lattice per run) and
-    `induced` use this; `count_brute` tests each scanned lattice with
+    GL_n(o).  Only `stable_lattice_reduction` (one lattice per run) uses
+    this; the brute routes test each scanned lattice with
     `_lattice_eigen_backsolve` instead.
     """
     s = sum(H[i][i].valuation() for i in range(len(H)))
@@ -213,7 +212,6 @@ def count_brute(b, g, m: int, bound: int | None = None,
     [0, bound]; `stable` reports that no surviving lattice touched the outer
     shell, i.e. the same count would have been found with bound - 1.
     """
-    field = b[0][0].field
     n = len(b)
     ch, target = _frame_target(g, m)
     zp = _z_prime(b)
@@ -227,10 +225,7 @@ def count_brute(b, g, m: int, bound: int | None = None,
     total = 0
     details = []
     touched_shell = False
-    for diag, H in _lattice_bases(field, n, bound, cap):
-        V = _lattice_eigen_backsolve(H, b, zp_int)
-        if V is None:
-            continue
+    for diag, V in _fixed_lattices(b, zp_int, bound, cap):
         Vbar = mat_reduce_mod(V, m)
         fc = _frame_count(ch, n, Vbar, target)
         if fc:

@@ -4,11 +4,17 @@ An element is an int in [0, q) whose base-p digits are the coefficients of a
 polynomial in the canonical generator, low degree first.  Multiplication runs
 through exp/log tables built from a fixed primitive element, so all ops are
 table lookups.  Subfield embeddings are computed by root-finding and cached.
+
+Dense polynomials over an FqField (`fp_*`) are the package's one polynomial
+layer: arithmetic, Rabin's irreducibility test (which picks the default
+modulus) and factorization by trial division.  Tables of F_{p^f} are built
+with the same helpers over the prime field F_p, whose own tables need none.
 """
 
 from __future__ import annotations
 
 from functools import cache
+from itertools import product
 
 from .errors import CapExceeded, PreconditionError
 
@@ -16,14 +22,7 @@ _Q_CAP = 1 << 16
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return _factor(n) == {n: 1}
 
 
 def _factor(n: int) -> dict[int, int]:
@@ -53,73 +52,139 @@ def split_prime_power(q: int) -> tuple[int, int]:
     return p, f
 
 
-# -- dense polynomial helpers over F_p (coefficient lists, low degree first) --
+# -- dense polynomials over an FqField: code lists, lowest degree first, ------
+# -- no trailing zeros after fp_trim -----------------------------------------
 
-def _pp_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _pp_add(a, b, p):
-    n = max(len(a), len(b))
-    return _pp_trim([((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p
-                     for i in range(n)])
+def fp_trim(f):
+    while f and not f[-1]:
+        f = f[:-1]
+    return list(f)
 
 
-def _pp_mul(a, b, p):
-    if not a or not b:
+def fp_deg(f) -> int:
+    f = fp_trim(f)
+    return len(f) - 1 if f else -1
+
+
+def fp_sub(field, f, g):
+    n = max(len(f), len(g))
+    f, g = list(f) + [0] * (n - len(f)), list(g) + [0] * (n - len(g))
+    return fp_trim([field.sub(a, b) for a, b in zip(f, g)])
+
+
+def fp_mul(field, f, g):
+    f, g = fp_trim(f), fp_trim(g)
+    if not f or not g:
         return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _pp_trim(out)
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                out[i + j] = field.add(out[i + j], field.mul(a, b))
+    return fp_trim(out)
 
 
-def _pp_mod(a, m, p):
-    a = list(a)
-    inv_lead = pow(m[-1], p - 2, p)
-    while len(a) >= len(m):
-        c = (a[-1] * inv_lead) % p
-        if c:
-            off = len(a) - len(m)
-            for i, mi in enumerate(m):
-                a[off + i] = (a[off + i] - c * mi) % p
-        a.pop()
-    return _pp_trim(a)
+def fp_divmod(field, f, g):
+    f, g = fp_trim(f), fp_trim(g)
+    if not g:
+        raise PreconditionError("division by zero polynomial")
+    inv_lead = field.inv(g[-1])
+    rem = list(f)
+    quo = [0] * max(0, len(f) - len(g) + 1)
+    while len(rem) >= len(g) and rem:
+        c = field.mul(rem[-1], inv_lead)
+        k = len(rem) - len(g)
+        quo[k] = c
+        for i, b in enumerate(g):
+            rem[k + i] = field.sub(rem[k + i], field.mul(c, b))
+        rem = fp_trim(rem)
+    return fp_trim(quo), rem
 
 
-def _pp_powmod(a, e, m, p):
-    r = [1]
-    b = _pp_mod(a, m, p)
+def fp_powmod(field, f, e, g):
+    """f^e mod g by repeated squaring."""
+    out, base = [1], fp_divmod(field, f, g)[1]
     while e:
         if e & 1:
-            r = _pp_mod(_pp_mul(r, b, p), m, p)
-        b = _pp_mod(_pp_mul(b, b, p), m, p)
+            out = fp_divmod(field, fp_mul(field, out, base), g)[1]
+        base = fp_divmod(field, fp_mul(field, base, base), g)[1]
         e >>= 1
-    return r
+    return out
 
 
-def _pp_gcd(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _pp_mod(a, b, p)
-    return a
+def fp_gcd(field, f, g):
+    f, g = fp_trim(f), fp_trim(g)
+    while g:
+        f, g = g, fp_divmod(field, f, g)[1]
+    return f
 
 
-def _poly_irreducible(g, p) -> bool:
-    # g monic over F_p; Rabin test: x^(p^f) == x mod g and gcd(x^(p^(f/l)) - x, g) trivial.
+def fp_monic(field, f):
+    f = fp_trim(f)
+    if not f:
+        return f
+    inv_lead = field.inv(f[-1])
+    return [field.mul(inv_lead, a) for a in f]
+
+
+def monic_polys(field: "FqField", deg: int):
+    """All monic polynomials of exactly the given degree."""
+    for tail in product(range(field.q), repeat=deg):
+        yield list(tail) + [1]
+
+
+def factor(field: "FqField", f):
+    """Full factorization of a nonzero polynomial by trial division.
+
+    Trial division runs over all monic polynomials of at most half the
+    degree, which is exact and fast at the degrees used here (<= 6 over
+    fields with at most a few dozen elements).  Returns
+    (unit_code, [(monic irreducible, multiplicity), ...]) sorted by
+    (degree, coefficient tuple).
+    """
+    f = fp_trim(f)
+    if not f:
+        raise PreconditionError("cannot factor the zero polynomial")
+    unit = f[-1]
+    f = fp_monic(field, f)
+    out = {}
+    d = 1
+    while fp_deg(f) > 0:
+        if 2 * d > fp_deg(f):
+            out[tuple(f)] = out.get(tuple(f), 0) + 1
+            break
+        for cand in monic_polys(field, d):
+            if fp_deg(f) < d:
+                break
+            quo, rem = fp_divmod(field, f, cand)
+            if not rem:
+                # candidate divides; it is irreducible because all smaller
+                # degrees were exhausted first
+                mult = 0
+                while not rem:
+                    f = quo
+                    mult += 1
+                    if fp_deg(f) < d:
+                        break
+                    quo, rem = fp_divmod(field, f, cand)
+                out[tuple(cand)] = out.get(tuple(cand), 0) + mult
+        d += 1
+    return unit, sorted(((list(k), v) for k, v in out.items()),
+                        key=lambda kv: (len(kv[0]), kv[0]))
+
+
+def _poly_irreducible(field: "FqField", g) -> bool:
+    """Rabin's test for a monic g of degree f over F_q: x^(q^f) = x mod g, and
+    gcd(x^(q^(f/l)) - x, g) = 1 for every prime l dividing f."""
     f = len(g) - 1
     if f < 1:
         return False
     x = [0, 1]
-    if _pp_mod(_pp_add(_pp_powmod(x, p ** f, g, p), [0, p - 1], p), g, p):
+    if fp_divmod(field, fp_sub(field, fp_powmod(field, x, field.q ** f, g), x), g)[1]:
         return False
     for ell in _factor(f):
-        h = _pp_add(_pp_powmod(x, p ** (f // ell), g, p), [0, p - 1], p)
-        if len(_pp_gcd(h, g, p)) != 1:
+        h = fp_sub(field, fp_powmod(field, x, field.q ** (f // ell), g), x)
+        if fp_deg(fp_gcd(field, h, g)) != 0:
             return False
     return True
 
@@ -129,15 +194,10 @@ def _default_modulus(p: int, f: int) -> tuple[int, ...]:
     """First monic irreducible of degree f over F_p in lexicographic order."""
     if f == 1:
         return (0, 1)
-    for code in range(p ** f):
-        coeffs = []
-        c = code
-        for _ in range(f):
-            coeffs.append(c % p)
-            c //= p
-        g = coeffs + [1]
-        if _poly_irreducible(g, p):
-            return tuple(g)
+    for tail in product(range(p), repeat=f):   # constant term varies fastest
+        g = (*reversed(tail), 1)
+        if _poly_irreducible(FqField(p), g):
+            return g
     raise AssertionError("no irreducible polynomial found")
 
 
@@ -162,8 +222,10 @@ class FqField:
         self = super().__new__(cls)
         self.p, self.f, self.modulus = p, f, mod
         self.q = p ** f
-        if f > 1 and not _poly_irreducible(list(mod), p):
-            raise PreconditionError("modulus is reducible over F_p")
+        if f > 1:
+            self._prime = FqField(p)
+            if not _poly_irreducible(self._prime, mod):
+                raise PreconditionError("modulus is reducible over F_p")
         self._build_tables()
         cls._cache[key] = self
         return self
@@ -208,31 +270,24 @@ class FqField:
         self.generator = gen
         self._exp, self._log = exp, log
 
+    # before the exp/log tables exist: polynomials over F_p mod the modulus
+
     def _raw_mul(self, a: int, b: int) -> int:
-        prod = _pp_mod(_pp_mul(_pp_trim(self._digits(a)), _pp_trim(self._digits(b)), self.p),
-                       list(self.modulus), self.p)
-        return self._undigits(prod + [0] * (self.f - len(prod)))
+        if self.f == 1:
+            return a * b % self.p
+        prod = fp_mul(self._prime, self._digits(a), self._digits(b))
+        return self._undigits(fp_divmod(self._prime, prod, self.modulus)[1])
+
+    def _raw_pow(self, a: int, e: int) -> int:
+        if self.f == 1:
+            return pow(a, e, self.p)
+        return self._undigits(fp_powmod(self._prime, self._digits(a), e, self.modulus))
 
     def _find_generator(self) -> int:
-        target = self.q - 1
-        fac = _factor(target)
-        for cand in range(2, self.q) if self.q > 2 else [1]:
-            ok = True
-            for ell in fac:
-                # cand^((q-1)/ell) == 1 means not primitive
-                e = target // ell
-                acc, b = 1, cand
-                while e:
-                    if e & 1:
-                        acc = self._raw_mul(acc, b)
-                    b = self._raw_mul(b, b)
-                    e >>= 1
-                if acc == 1:
-                    ok = False
-                    break
-            if ok:
-                return cand
-        return 1  # q == 2
+        """The smallest c with c^((q-1)/l) != 1 for every prime l dividing q - 1."""
+        n = self.q - 1
+        return next(c for c in range(1, self.q)
+                    if all(self._raw_pow(c, n // ell) != 1 for ell in _factor(n)))
 
     # -- public arithmetic ----------------------------------------------------
 
@@ -243,8 +298,7 @@ class FqField:
         return self._undigits([(x + y) % p for x, y in zip(self._digits(a), self._digits(b))])
 
     def neg(self, a: int) -> int:
-        p = self.p
-        return self._undigits([(-x) % p for x in self._digits(a)])
+        return self.mul(self.p - 1, a)  # p - 1 is the code of -1
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -303,25 +357,9 @@ class FqField:
             table = list(range(self.q))
             cache[key] = table
             return table
-        root = None
-        for x in range(big.q):
-            acc, xp = 0, 1
-            for c in self.modulus:
-                if c:
-                    acc = big.add(acc, big.mul(big.from_int(c), xp))
-                xp = big.mul(xp, x)
-            if acc == 0:
-                root = x
-                break
+        root = next((x for x in range(big.q) if not _horner(big, self.modulus, x)), None)
         assert root is not None, "modulus has no root in the extension"
-        table = []
-        for a in range(self.q):
-            acc, xp = 0, 1
-            for c in self._digits(a):
-                if c:
-                    acc = big.add(acc, big.mul(big.from_int(c), xp))
-                xp = big.mul(xp, root)
-            table.append(acc)
+        table = [_horner(big, self._digits(a), root) for a in range(self.q)]
         cache[key] = table
         return table
 
@@ -330,3 +368,11 @@ class FqField:
 
     def describe(self) -> dict:
         return {"p": self.p, "f": self.f, "modulus": list(self.modulus)}
+
+
+def _horner(field: FqField, coeffs, x: int) -> int:
+    """The polynomial with prime-field integer coefficients, low first, at x."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = field.add(field.mul(acc, x), field.from_int(c))
+    return acc

@@ -24,9 +24,7 @@ from math import lcm
 from .certify import EllipticCertificate, regular_elliptic_certify
 from .chartab import CharacterTable, character_table, cuspidal_characters
 from .counting import (
-    BRUTE_LATTICE_CAP,
-    _lattice_bases,
-    _lattice_eigen_matrix,
+    _fixed_lattices,
     count_brute,
     count_structured,
     stable_lattice_reduction,
@@ -142,10 +140,7 @@ def hc_character(spec: InducedCharSpec, g, route: str = "structured",
     bound = (exps[-1] - exps[0]) + 3
     total = Cyclotomic.zero()
     touched = False
-    for diag, H in _lattice_bases(field, n, bound, BRUTE_LATTICE_CAP):
-        V = _lattice_eigen_matrix(H, g, zp_int)
-        if V is None:
-            continue
+    for diag, V in _fixed_lattices(g, zp_int, bound):
         Vbar = mat_reduce_mod(V, 1)
         idx = grp.index.get(Vbar)
         if idx is None:

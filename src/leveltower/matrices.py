@@ -4,15 +4,16 @@ Hermite reduction of lattice bases, and elementary divisor exponents.
 Matrices are tuples of row tuples of Laurent entries.  Lattices are spanned
 by matrix columns; the canonical basis is upper triangular with diagonal
 pi^(a_i) and above-diagonal entries reduced mod the diagonal of their row.
-All sizes here are desk scale (n <= 4), so determinants and characteristic
-polynomials use Leibniz expansion.
+Determinants and characteristic polynomials are the Leibniz expansions of
+`chain`, over Laurent arithmetic.
 """
 
 from __future__ import annotations
 
 from math import inf
+from operator import add, mul, neg
 
-from .chain import _permutations_signed
+from .chain import leibniz_charpoly, leibniz_det
 from .errors import PrecisionError, PreconditionError
 from .fq import FqField
 from .laurent import Laurent
@@ -46,15 +47,7 @@ def mat_mul(A, B):
 
 
 def det(A) -> Laurent:
-    n = len(A)
-    field = A[0][0].field
-    total = Laurent.zero(field)
-    for perm, sign in _permutations_signed(n):
-        term = Laurent.one(field)
-        for i in range(n):
-            term = term * A[i][perm[i]]
-        total = total + (term if sign > 0 else -term)
-    return total
+    return leibniz_det(A, add, mul, neg, Laurent.zero(A[0][0].field))
 
 
 def adjugate(A):
@@ -77,29 +70,8 @@ def adjugate(A):
 
 def charpoly(A):
     """Coefficients of det(T*I - A), lowest degree first, length n+1, monic."""
-    n = len(A)
     field = A[0][0].field
-    zero = Laurent.zero(field)
-
-    def entry(i, j):
-        # the polynomial (T*delta_ij - A[i][j]) as a coefficient list
-        if i == j:
-            return [-A[i][j], Laurent.one(field)]
-        return [-A[i][j]]
-
-    total = [zero] * (n + 1)
-    for perm, sign in _permutations_signed(n):
-        prod = [Laurent.one(field)]
-        for i in range(n):
-            e = entry(i, perm[i])
-            new = [zero] * (len(prod) + len(e) - 1)
-            for a_i, a in enumerate(prod):
-                for b_i, b in enumerate(e):
-                    new[a_i + b_i] = new[a_i + b_i] + a * b
-            prod = new
-        for k, c in enumerate(prod):
-            total[k] = total[k] + (c if sign > 0 else -c)
-    return total
+    return leibniz_charpoly(A, add, mul, neg, Laurent.zero(field), Laurent.one(field))
 
 
 def companion(field: FqField, coeffs) -> tuple:

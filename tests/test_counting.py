@@ -1,6 +1,8 @@
 """Fixed-coset counting: structured route against the box-scan oracle."""
 
 from fractions import Fraction
+from itertools import product
+from math import prod
 
 import pytest
 
@@ -17,7 +19,7 @@ from leveltower.counting import (
     stable_lattice_reduction,
     unit_group_order_unramified,
 )
-from leveltower.errors import PreconditionError
+from leveltower.errors import CapExceeded, PreconditionError
 from leveltower.fq import FqField
 from leveltower.laurent import Laurent
 from leveltower.matrices import (
@@ -140,6 +142,29 @@ def test_self_pairing_counts_scale_with_twist():
     base = count_structured(b, g, 1).count
     twisted = count_structured(b, mat_shift(g, 2), 1).count
     assert base == twisted == 3
+
+
+def _box_size(q, n, bound):
+    """Triangular candidates with diagonal exponents in [0, bound]; entry (i, j)
+    above the diagonal ranges over q^(d_i) codes."""
+    return sum(prod(q ** diag[i] for i in range(n) for _ in range(i + 1, n))
+               for diag in product(range(bound + 1), repeat=n))
+
+
+@pytest.mark.parametrize("q,n,bound", [(2, 3, 2), (3, 2, 2), (2, 2, 3)])
+def test_lattice_bases_yield_exactly_the_normalized_candidates(q, n, bound):
+    # the unnormalized candidates are pi times the candidates of the box bound - 1
+    field = FqField(q, 1)
+    total = _box_size(q, n, bound)
+    bases = list(_lattice_bases(field, n, bound, total))
+    assert len(bases) == total - _box_size(q, n, bound - 1)
+    assert len({H for _, H in bases}) == len(bases)
+    for diag, H in bases:
+        assert [H[i][i] for i in range(n)] == [Laurent.pi(field, d) for d in diag]
+        assert all(H[i][j].is_zero() for i in range(n) for j in range(i))
+        assert min(x.valuation() for row in H for x in row) == 0
+    with pytest.raises(CapExceeded):
+        list(_lattice_bases(field, n, bound, total - 1))
 
 
 def _assert_lattice_tests_agree(field, n, b, bound):

@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from leveltower.chain import ChainRing
 from leveltower.cyclotomic import Cyclotomic
 from leveltower.errors import NonExactDivision, PreconditionError
-from leveltower.fq import FqField, split_prime_power
+from leveltower.fq import FqField, _poly_irreducible, factor, monic_polys, split_prime_power
 from leveltower.laurent import Laurent
 from leveltower.matrices import (
     adjugate,
@@ -17,6 +18,7 @@ from leveltower.matrices import (
     hnf,
     mat_identity,
     mat_mul,
+    mat_reduce_mod,
     smith_exponents,
 )
 
@@ -49,6 +51,39 @@ def test_split_prime_power_rejects(q):
 def test_default_modulus_field_is_interned():
     assert FqField(3, 4) is FqField(3, 4)
     assert FqField(2, 2) is FqField(2, 2, FqField(2, 2).modulus)
+
+
+@pytest.mark.parametrize("p,f,modulus", [
+    (2, 2, (1, 1, 1)),
+    (2, 3, (1, 1, 0, 1)),
+    (2, 4, (1, 1, 0, 0, 1)),
+    (2, 5, (1, 0, 1, 0, 0, 1)),
+    (2, 6, (1, 1, 0, 0, 0, 0, 1)),
+    (2, 7, (1, 1, 0, 0, 0, 0, 0, 1)),
+    (2, 8, (1, 1, 0, 1, 1, 0, 0, 0, 1)),
+    (3, 2, (1, 0, 1)),
+    (3, 3, (1, 2, 0, 1)),
+    (3, 4, (2, 1, 0, 0, 1)),
+    (5, 2, (2, 0, 1)),
+])
+def test_default_modulus_is_pinned(p, f, modulus):
+    # the modulus fixes every element code, so a change would re-code all reports
+    assert FqField(p, f).modulus == modulus
+
+
+# monic irreducibles of degree 1, 2, ... over F_q, by Gauss's necklace formula
+@pytest.mark.parametrize("q,irreducible_counts", [
+    (2, (2, 1, 2, 3)), (3, (3, 3, 8, 18)), (5, (5, 10, 40))])
+def test_rabin_test_agrees_with_factor(q, irreducible_counts):
+    field = FqField(q)
+    for deg, expected in enumerate(irreducible_counts, start=1):
+        found = 0
+        for g in monic_polys(field, deg):
+            unit, parts = factor(field, g)
+            assert unit == 1
+            assert _poly_irreducible(field, g) == (parts == [(g, 1)]), g
+            found += parts == [(g, 1)]
+        assert found == expected, deg
 
 
 def test_field_frobenius_fixes_prime_subfield():
@@ -166,3 +201,61 @@ def test_adjugate_identity():
     for i in range(2):
         for j in range(2):
             assert prod[i][j] == ident[i][j] * d
+
+
+def _random_laurent(field, rng, low):
+    return Laurent(field, {e: rng.randrange(field.q) for e in range(low, 3)})
+
+
+def _check_charpoly(n, coeffs, powers, add, scale, is_zero, trace, d, neg):
+    """Cayley-Hamilton, c_{n-1} = -trace and c_0 = (-1)^n det for one matrix."""
+    assert len(coeffs) == n + 1
+    total = None
+    for c, P in zip(coeffs, powers):
+        term = [[scale(c, x) for x in row] for row in P]
+        total = term if total is None else [[add(x, y) for x, y in zip(r, s)]
+                                            for r, s in zip(total, term)]
+    assert all(is_zero(x) for row in total for x in row)
+    assert coeffs[n - 1] == neg(trace)
+    assert coeffs[0] == (neg(d) if n % 2 else d)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_charpoly_over_laurent_entries(q):
+    field = FqField(q)
+    rng = random.Random(q)
+    for n in range(1, 5):
+        for trial in range(6):
+            # poles in half the trials; integral ones also reduce mod pi^m
+            low = -1 if trial % 2 else 0
+            M = tuple(tuple(_random_laurent(field, rng, low) for _ in range(n))
+                      for _ in range(n))
+            coeffs = charpoly(M)
+            powers = [mat_identity(field, n)]
+            for _ in range(n):
+                powers.append(mat_mul(powers[-1], M))
+            trace = sum((M[i][i] for i in range(1, n)), M[0][0])
+            _check_charpoly(n, coeffs, powers, lambda x, y: x + y, lambda c, x: c * x,
+                            Laurent.is_zero, trace, det(M), lambda x: -x)
+            if low == 0:
+                for m in (1, 2):
+                    ch = ChainRing(field, m)
+                    assert ch.charpoly(mat_reduce_mod(M, m)) == \
+                        [c.reduce_mod(m) for c in coeffs]
+
+
+@pytest.mark.parametrize("q,m", [(2, 1), (2, 3), (3, 2)])
+def test_charpoly_over_chain_ring(q, m):
+    ch = ChainRing(FqField(q), m)
+    rng = random.Random(10 * q + m)
+    for n in range(1, 5):
+        for _ in range(6):
+            M = tuple(tuple(rng.randrange(ch.size) for _ in range(n)) for _ in range(n))
+            powers = [tuple(tuple(int(i == j) for j in range(n)) for i in range(n))]
+            for _ in range(n):
+                powers.append(ch.matmul(powers[-1], M))
+            trace = 0
+            for i in range(n):
+                trace = ch.add(trace, M[i][i])
+            _check_charpoly(n, ch.charpoly(M), powers, ch.add, ch.mul,
+                            lambda x: x == 0, trace, ch.det(M), ch.neg)

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import counting_suite, random_unit_matrix
 
+from leveltower import counting
 from leveltower.certify import regular_elliptic_certify
 from leveltower.chartab import character_table, cuspidal_characters
 from leveltower.counting import count_structured
@@ -114,6 +115,35 @@ def test_inflated_spec_vanishes_at_half_integral_valuation():
                           Laurent.const(field, 1)])
     assert hc_character(spec, b).is_zero()
     assert hc_character(spec, b, route="brute").is_zero()
+
+
+def test_hc_character_brute_makes_no_adjugate_call(monkeypatch):
+    calls = []
+
+    def counted(A):
+        calls.append(A)
+        return adjugate(A)
+
+    monkeypatch.setattr(counting, "adjugate", counted)
+    cases = []
+    for q, codes in [(2, (1, 1, 1)), (3, (1, 0, 1))]:
+        field = FqField(q, 1)
+        _, spec = _inflated_spec(q)
+        b = companion(field, [Laurent.const(field, c) for c in codes])
+        w = random_unit_matrix(field, 2, random.Random(11))
+        winv = [[e.scale(field.inv(det(w).coeff(0))) for e in row] for row in adjugate(w)]
+        cases += [(spec, b), (spec, mat_mul(mat_mul(w, b), winv))]
+    for spec, b in cases:
+        brute = hc_character(spec, b, route="brute")
+        assert calls == []
+        assert hc_character(spec, b) == brute
+        assert calls, "the structured route still takes the adjugate step"
+        calls.clear()
+    field = FqField(2, 1)
+    half = companion(field, [Laurent.pi(field, 1), Laurent.zero(field),
+                             Laurent.const(field, 1)])
+    assert hc_character(_inflated_spec(2)[1], half, route="brute").is_zero()
+    assert calls == []
 
 
 def test_elliptic_quotient_class_census():

@@ -1,9 +1,11 @@
-"""Guard against unreferenced definitions in the package.
+"""Structural guards on the package.
 
 Every top-level function or class and every non-dunder method defined in
 src/leveltower/*.py must be named, as a whole word, somewhere in src/ or
 tests/ outside its own definition, its import lines and `__all__`.  The
-console-script entry point `main` is exempt.
+console-script entry point `main` is exempt.  README's module map lists
+exactly the package's modules, and one module owns the permutation
+expansion.
 """
 
 import ast
@@ -63,3 +65,28 @@ def test_every_definition_is_referenced():
         and all(path == home and first <= number <= last
                 for path, number in where.get(name, ()))]
     assert not unreferenced, "unreferenced definitions:\n" + "\n".join(unreferenced)
+
+
+def _modules():
+    return {path.stem for path in PACKAGE.glob("*.py")} - {"__init__", "__main__"}
+
+
+def test_readme_module_map_lists_every_module():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Module map", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^\| `(\w+)` \|", section, flags=re.MULTILINE)
+    assert len(listed) == len(set(listed)), listed
+    assert set(listed) == _modules()
+
+
+def test_one_module_imports_permutations():
+    importers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            from_itertools = (isinstance(node, ast.ImportFrom) and node.module == "itertools"
+                              and any(a.name == "permutations" for a in node.names))
+            attribute = (isinstance(node, ast.Attribute) and node.attr == "permutations"
+                         and getattr(node.value, "id", None) == "itertools")
+            if from_itertools or attribute:
+                importers.append(path.name)
+    assert importers == ["chain.py"]
