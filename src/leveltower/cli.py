@@ -471,7 +471,7 @@ def cmd_selftest(cfg: RunConfig) -> dict:
     record("ring axioms")
     record("normal form idempotence")
 
-    tab = character_table(group_gl(2, cfg.q, 1)) if cfg.q <= 4 else None
+    tab = character_table(group_gl(2, cfg.q, 1)) if cfg.q <= JL_Q_CAP else None
     if tab is not None:
         record(f"cuspidal count q={cfg.q}",
                len(cuspidal_characters(tab)) == cfg.q * (cfg.q - 1) // 2)

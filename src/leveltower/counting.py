@@ -48,7 +48,7 @@ from .matrices import (
 BRUTE_LATTICE_CAP = 400_000
 
 
-def normalizer_split(g, m: int):
+def normalizer_split(g):
     """Write g = pi^w * u with u in GL_n(o), or reject.
 
     Elements of this shape are exactly the normalizer of K_m, which is what
@@ -67,7 +67,7 @@ def normalizer_split(g, m: int):
 def _frame_target(g, m: int):
     """ubar^{-1} over o/pi^m for g = pi^w u."""
     field = g[0][0].field
-    _, u = normalizer_split(g, m)
+    _, u = normalizer_split(g)
     ch = ChainRing(field, m)
     ubar = mat_reduce_mod(u, m)
     return ch, ch.mat_inv(ubar)

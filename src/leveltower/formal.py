@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from itertools import product
+from math import prod
 
 from .chain import ChainRing
 from .errors import PreconditionError, RankCapExceeded
@@ -197,13 +198,14 @@ class LevelStructure:
 def check_level(phi: LevelStructure):
     """Validate the level-structure contract exactly.
 
-    Checks, in order: the domain is complete; [pi^m] kills each basis image
-    x_j = phi(e_j), read from the table (witness kind torsion); every value
-    is the o-linear extension sum_j sum_i [d_ij][pi^i](x_j) over the pi-adic
-    digits d_ij of its vector, with [pi^i] by pi_eval (witness kind
-    linearity), which covers phi(0) = 0, additivity on all pairs, F_q- and
-    pi-linearity; and the product of (T - phi(v)) over the pi-torsion
-    vectors divides [pi](T) exactly.
+    Checks, in order: the keys are exactly (o/pi^m)^n (witness kind domain);
+    [pi^m] kills each basis image x_j = phi(e_j), read from the table
+    (witness kind torsion); every value is the o-linear extension
+    sum_j sum_i [d_ij][pi^i](x_j) over the pi-adic digits d_ij of its
+    vector, with [pi^i] by pi_eval (witness kind linearity), which covers
+    phi(0) = 0, additivity on all pairs, F_q- and pi-linearity; and the
+    product of (T - phi(v)) over the pi-torsion vectors divides [pi](T)
+    exactly.
 
     Returns a report dict with keys ok, witness, quotient_degree, pairs_checked.
     """
@@ -212,9 +214,10 @@ def check_level(phi: LevelStructure):
     n = module.n
     report = {"ok": False, "witness": None, "quotient_degree": None, "pairs_checked": 0}
 
-    expected = ch.size ** n
-    if len(values) != expected:
-        report["witness"] = {"kind": "domain", "detail": f"{len(values)} values, expected {expected}"}
+    domain = set(ch.all_vectors(n))
+    if values.keys() != domain:
+        report["witness"] = {"kind": "domain", "detail": (
+            f"{len(values)} values on {len(values.keys() & domain)} of {len(domain)} vectors")}
         return report
 
     terms = []  # terms[j][c] = phi(c e_j), summed over the digits of c
@@ -258,19 +261,16 @@ class Tower:
     ring: CoeffRing
     module: FormalOModule
     stage_degrees: list
-    level_values: list          # level_values[l-1]: dict for level l, in top ring
+    table: dict                 # phi on (o/pi^m)^n, in the top ring
     u_spec_label: str
     structure: LevelStructure = dc_field(init=False)
 
     def __post_init__(self):
-        self.structure = LevelStructure(self.module, self.m, self.level_values[-1])
+        self.structure = LevelStructure(self.module, self.m, self.table)
 
     @property
     def rank_over_base(self) -> int:
-        r = 1
-        for d in self.stage_degrees:
-            r *= d
-        return r
+        return prod(self.stage_degrees)
 
 
 def _u_spec_label(n, u_spec) -> str:
@@ -296,16 +296,37 @@ def gl_order(n: int, q: int, m: int = 1) -> int:
     return r
 
 
+def _extend(table: dict, module: FormalOModule, j: int, weight: int, point: RingElem) -> dict:
+    """Extend a table by one pi-adic digit of coordinate j, one addition per value.
+
+    That digit (place value `weight` in the int code) is 0 in every vector of
+    `table`; the result maps v + c*weight*e_j to table[v] + [c](point) for
+    every F_q-code c.
+    """
+    out = {}
+    for c in range(module.q):
+        cp = module.scalar(c) * point
+        for v, val in table.items():
+            w = list(v)
+            w[j] += c * weight
+            out[tuple(w)] = val + cp
+    return out
+
+
 def build_tower(n: int, q: int, m: int, prec: int | None = None, u_spec=None,
                 rank_cap: int = DEFAULT_RANK_CAP) -> Tower:
-    """Adjoin a complete level-m structure stage by stage.
+    """Adjoin a complete level-m structure stage by stage, then tabulate it.
 
     Level 1 goes one basis point at a time: with the span V_i of the first i
     points already adjoined, psi_i(T) = prod_{a in V_i} (T - phi(a)) divides
     [pi](T) exactly and the quotient f_i is the minimal polynomial of the next
     point.  Each later level adjoins, for each j, a root of
-    [pi](T) - phi_{l-1}(pi^{-(l-1)} e_j).  Requires prec >= m + 1 so that the
+    [pi](T) - phi(pi^{-(l-1)} e_j).  Requires prec >= m + 1 so that the
     tower sees one pi beyond the level being built.
+
+    The one table is phi on (o/pi^m)^n in the top ring.  `_extend` builds it
+    digit by digit from the basis points, as it builds each V_i; for m = 1
+    the finished span is that table.
     """
     if m < 1:
         raise PreconditionError("level must be >= 1")
@@ -319,71 +340,38 @@ def build_tower(n: int, q: int, m: int, prec: int | None = None, u_spec=None,
     top_rank = ring.rank * expected
     if top_rank > rank_cap:
         raise RankCapExceeded(f"ring rank {top_rank} exceeds cap {rank_cap}")
-    fld = module.scalar_field
 
     stage_degrees = []
-    # level 1, basis point by basis point
-    span = {tuple([0] * n): ring.zero()}
-    level1_basis = []
+    basis = [[]]  # basis[l-1][j] = phi(pi^{-l} e_j), in the ring it was adjoined to
+    span = {(0,) * n: ring.zero()}
     for i in range(n):
         psi = [ring.one()]
         for val in span.values():
             psi = poly_mul(psi, [ring.zero() - val, ring.one()])
-        f_i = poly_divide_exact(module.pi_poly(), psi)
-        f_i = poly_trim(f_i)
+        f_i = poly_trim(poly_divide_exact(module.pi_poly(), psi))
         stage_degrees.append(len(f_i) - 1)
         ring, theta = ring_extend(ring, f_i, name=f"y{i + 1}_1")
         module = FormalOModule(ring, n, q, [convert(u, ring) for u in module.u_values])
-        span = {v: convert(val, ring) for v, val in span.items()}
-        level1_basis.append(theta)
-        new_span = {}
-        for c in range(q):
-            ct = module.scalar(c) * theta if c else ring.zero()
-            for v, val in span.items():
-                w = list(v)
-                w[i] = fld.add(w[i], c)
-                new_span[tuple(w)] = val + ct
-        span = new_span
-    level_value_dicts = [span]
-    basis_images = [level1_basis]
-
-    # higher levels; an element keeps its indices in every extension, so values
-    # are converted only where they meet a newer ring
+        span = _extend({v: convert(val, ring) for v, val in span.items()}, module, i, 1, theta)
+        basis[0].append(theta)
     for level in range(2, m + 1):
-        new_basis = []
-        for j, target in enumerate(basis_images[-1]):
+        basis.append([])
+        for j, target in enumerate(basis[-2]):
             g = list(module.pi_poly())
             g[0] = g[0] - convert(target, ring)
             stage_degrees.append(len(poly_trim(g)) - 1)
             ring, y = ring_extend(ring, g, name=f"y{j + 1}_{level}")
             module = FormalOModule(ring, n, q, [convert(u, ring) for u in module.u_values])
-            new_basis.append(y)
-        basis_images.append(new_basis)
-        # assemble the full value table for this level
-        chl = ChainRing(fld, level)
-        # col[k][j] = phi_{k+1} basis value
-        col = [[convert(b, ring) for b in lvl] for lvl in basis_images]
-        vals = {}
-        for vec in product(range(chl.size), repeat=n):
-            acc = ring.zero()
-            for j, c in enumerate(vec):
-                digs = chl.digits(c)
-                for i, d in enumerate(digs):
-                    if d:
-                        # [d * pi^i] applied to the level-`level` basis point e_j
-                        acc = acc + module.scalar(d) * col[level - i - 1][j]
-            vals[vec] = acc
-        level_value_dicts.append(vals)
+            basis[-1].append(y)
 
-    level_value_dicts = [{v: convert(val, ring) for v, val in d.items()}
-                         for d in level_value_dicts]
+    table = span
+    if m > 1:  # digit i of coordinate j stands for pi^i e_j = pi^{-(m-i)} e_j
+        table = {(0,) * n: ring.zero()}
+        for j in range(n):
+            for i in range(m):
+                table = _extend(table, module, j, q ** i, convert(basis[m - 1 - i][j], ring))
 
-    got = 1
-    for d in stage_degrees:
-        got *= d
-    assert got == expected, f"tower rank {got} != unit-group order {expected}"
+    assert prod(stage_degrees) == expected, f"stage degrees {stage_degrees} != {expected}"
     assert ring.rank == top_rank
-
-    return Tower(n=n, q=q, m=m, ring=ring, module=module,
-                 stage_degrees=stage_degrees, level_values=level_value_dicts,
-                 u_spec_label=_u_spec_label(n, u_spec))
+    return Tower(n=n, q=q, m=m, ring=ring, module=module, stage_degrees=stage_degrees,
+                 table=table, u_spec_label=_u_spec_label(n, u_spec))

@@ -8,9 +8,12 @@ identically to a fresh build (its describe-document must match bit for
 bit, which `tower_from_doc` verifies).  Ring and tower documents store each
 ring element in its in-memory sparse form, as [index, coeff] pairs sorted by
 index, so a document grows with the nonzero terms rather than the ring rank.
-The tower cache key includes TOWER_SCHEMA, so an entry written under an
-older schema is a plain miss, never misread.  `tower_from_doc` checks the
-whole document's JSON shape before reading it, so a misshapen document
+A tower document holds the ring with its stages and one table, the level-m
+structure on (o/pi^m)^n in the top ring, which `build_tower` fills with one
+span routine.  The tower cache key includes TOWER_SCHEMA, so an entry
+written under an older schema is a plain miss, never misread.
+`tower_from_doc` checks the whole document's JSON shape, and that the table
+keys are exactly (o/pi^m)^n, before reading it, so a misshapen document
 raises PreconditionError and any other exception from the reload is a
 defect, not a corrupt entry.
 
@@ -24,6 +27,7 @@ import hashlib
 import json
 import os
 import tempfile
+from itertools import product, zip_longest
 
 from .errors import OracleMismatch, PreconditionError
 from .formal import FormalOModule, Tower
@@ -31,7 +35,7 @@ from .fq import FqField
 from .rings import CoeffRing, RingElem
 
 RING_SCHEMA = "leveltower/ring/2"
-TOWER_SCHEMA = "leveltower/tower/2"
+TOWER_SCHEMA = "leveltower/tower/3"
 REPORT_SCHEMA = "leveltower/report/1"
 
 
@@ -64,7 +68,7 @@ _TOWER_SHAPE = {
     "ring": {},  # checked by ring_from_doc
     "module_u": [_PAIRS],
     "stage_degrees": [int],
-    "level_values": [[([int], _PAIRS)]],
+    "table": [([int], _PAIRS)],
 }
 
 
@@ -133,18 +137,17 @@ def tower_to_doc(tower: Tower) -> dict:
         "ring": ring_to_doc(tower.ring),
         "module_u": [sorted(u.d.items()) for u in tower.module.u_values],
         "stage_degrees": list(tower.stage_degrees),
-        "level_values": [
-            sorted([list(vec), sorted(val.d.items())] for vec, val in d.items())
-            for d in tower.level_values
-        ],
+        "table": sorted([list(vec), sorted(val.d.items())]
+                        for vec, val in tower.table.items()),
     }
 
 
 def tower_from_doc(doc) -> Tower:
     _check_doc(doc, TOWER_SCHEMA, _TOWER_SHAPE, "tower")
-    if not 1 <= doc["m"] == len(doc["level_values"]):
-        raise PreconditionError("tower.level_values does not hold m >= 1 tables")
     ring = ring_from_doc(doc["ring"])
+    n, q, m = doc["n"], doc["q"], doc["m"]
+    if not 1 <= m < ring.prec:
+        raise PreconditionError(f"tower.m = {m} is not in 1..{ring.prec - 1}")
 
     rank, q = ring.rank, ring.field.q
 
@@ -155,15 +158,16 @@ def tower_from_doc(doc) -> Tower:
                     f"term [{index}, {coeff}] is outside ring rank {rank} or F_{q}")
         return RingElem(ring, dict(pairs))
 
-    module = FormalOModule(ring, doc["n"], doc["q"],
-                           [elem(p) for p in doc["module_u"]])
-    level_values = [
-        {tuple(vec): elem(pairs) for vec, pairs in table}
-        for table in doc["level_values"]
-    ]
-    tower = Tower(n=doc["n"], q=doc["q"], m=doc["m"], ring=ring, module=module,
+    module = FormalOModule(ring, n, q, [elem(p) for p in doc["module_u"]])
+    # the sorted keys must be (o/pi^m)^n itself, which product lists in that order
+    domain = product(range(q ** m), repeat=n)
+    if any(entry is None or tuple(entry[0]) != v
+           for entry, v in zip_longest(doc["table"], domain)):
+        raise PreconditionError(f"tower.table keys are not exactly (o/pi^{m})^{n}")
+    table = {tuple(vec): elem(pairs) for vec, pairs in doc["table"]}
+    tower = Tower(n=n, q=q, m=m, ring=ring, module=module,
                   stage_degrees=list(doc["stage_degrees"]),
-                  level_values=level_values, u_spec_label=doc["u_spec_label"])
+                  table=table, u_spec_label=doc["u_spec_label"])
     back = canonical_dumps(tower_to_doc(tower))
     if back != canonical_dumps(doc):
         raise OracleMismatch("tower document did not survive a round trip")

@@ -305,7 +305,7 @@ def test_unreadable_file_exits_2(capsys, tmp_path, command, flag):
 def _unsorted_pairs(good):
     # the same value with its [index, coeff] pairs out of order fails the round trip
     doc = json.loads(good)
-    vec_pairs = next(vp for vp in doc["level_values"][0] if len(vp[1]) > 1)
+    vec_pairs = next(vp for vp in doc["table"] if len(vp[1]) > 1)
     vec_pairs[1].reverse()
     return json.dumps(doc)
 
@@ -313,7 +313,7 @@ def _unsorted_pairs(good):
 def _index_beyond_rank(good):
     # well formed and round-tripping, but the term index is past the ring rank
     doc = json.loads(good)
-    doc["level_values"][0][1][1] = [[1000000, 1]]
+    doc["table"][1][1] = [[1000000, 1]]
     return json.dumps(doc)
 
 
@@ -325,21 +325,37 @@ def _string_for_int(good):
 
 def _no_level_tables(good):
     doc = json.loads(good)
-    doc["level_values"] = []
+    doc["table"] = []
+    return json.dumps(doc)
+
+
+def _negative_level(good):
+    doc = json.loads(good)
+    doc["m"] = -1
+    return json.dumps(doc)
+
+
+def _key_outside_domain(good):
+    # well formed and round-tripping, but the last key is not in (o/pi)^2
+    doc = json.loads(good)
+    doc["table"][-1][0] = [1, 7]
     return json.dumps(doc)
 
 
 @pytest.mark.parametrize("text", [
     lambda good: good[: len(good) // 2],
     lambda good: '{"schema":"leveltower/tower/1"}',
-    lambda good: '{"schema":"leveltower/tower/2"}',
+    lambda good: json.dumps({"schema": serialize.TOWER_SCHEMA}),
     _unsorted_pairs,
     _index_beyond_rank,
     lambda good: "[]",
     _string_for_int,
     _no_level_tables,
+    _key_outside_domain,
+    _negative_level,
 ], ids=["truncated", "old-schema", "no-ring", "round-trip", "index-beyond-rank",
-        "not-an-object", "string-for-int", "no-level-tables"])
+        "not-an-object", "string-for-int", "no-level-tables", "key-outside-domain",
+        "negative-level"])
 def test_corrupt_cache_entry_is_a_miss(capsys, tmp_path, text):
     argv = ["tower", "--q", "2", "--n", "2", "--m", "1", "--cache-dir", str(tmp_path)]
     code, out, _ = run(capsys, *argv)

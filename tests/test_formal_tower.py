@@ -197,3 +197,34 @@ def test_check_level_covers_every_pair():
     report = check_level(tower.structure)
     assert report["ok"], report["witness"]
     assert report["pairs_checked"] == len(tower.structure.values) ** 2 == 65_536
+
+
+def test_check_level_stray_key_gives_domain():
+    # the right number of values, but one key is outside (o/pi^m)^n
+    tower = build_tower(2, 2, 2)
+    values = dict(tower.structure.values)
+    values[(1, 7)] = values.pop((1, 3))
+    report = check_level(LevelStructure(tower.module, 2, values))
+    assert not report["ok"]
+    assert report["witness"] == {"kind": "domain", "detail": "16 values on 15 of 16 vectors"}
+
+
+@pytest.mark.parametrize("n,q,m", [(2, 2, 1), (2, 2, 2), (1, 3, 3)])
+def test_tower_builds_one_table_one_digit_at_a_time(monkeypatch, n, q, m):
+    # level 1 grows its span one basis point at a time; for m >= 2 the level-m
+    # table is built once from the zero vector, one digit of one coordinate a step
+    sizes = []
+    extend = formal._extend
+
+    def counted(table, *args):
+        out = extend(table, *args)
+        sizes.append(len(out))
+        return out
+
+    monkeypatch.setattr(formal, "_extend", counted)
+    tower = build_tower(n, q, m)
+    span = [q ** k for k in range(1, n + 1)]
+    assert sizes == span + ([q ** k for k in range(1, m * n + 1)] if m > 1 else [])
+    assert tower.structure.values is tower.table
+    assert set(tower.table) == set(tower.structure.chain.all_vectors(n))
+    assert check_level(tower.structure)["ok"]

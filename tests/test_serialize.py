@@ -42,10 +42,13 @@ def test_ring_roundtrip_bit_exact():
     assert canonical_dumps(again) == blob
 
 
-@pytest.mark.parametrize("spec", [(1, 2, 2), (2, 2, 1), (2, 3, 1)])
+@pytest.mark.parametrize("spec", [(1, 2, 2), (2, 2, 1), (2, 3, 1), (2, 2, 2)])
 def test_tower_roundtrip_bit_exact(spec):
     tower = build_tower(*spec)
     doc = tower_to_doc(tower)
+    n, q, m = spec
+    assert [key for key in doc if "table" in key or "level" in key] == ["table"]
+    assert len(doc["table"]) == q ** (m * n)
     blob = canonical_dumps(doc)
     reloaded = tower_from_doc(json.loads(blob))
     assert canonical_dumps(tower_to_doc(reloaded)) == blob
