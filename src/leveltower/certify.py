@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import CertificationError, Inconclusive, PreconditionError, PrecisionError
+from .errors import CertificationError, Inconclusive, PreconditionError
 from .fq import factor
 from .laurent import Laurent
 from .matrices import det
@@ -54,17 +54,13 @@ def newton_segments(coeffs):
     """Lower-hull segments of a monic polynomial over F_Q((pi)).
 
     Returns a list of (root_valuation: Fraction, multiplicity: int) pairs in
-    increasing valuation order.  Zero coefficients contribute no point;
-    an inexact coefficient that vanishes at its precision raises.
+    increasing valuation order.  Zero coefficients contribute no point.
     """
     n = len(coeffs) - 1
     pts = []
     for i, c in enumerate(coeffs):
-        if c.is_zero():
-            if not c.exact:
-                raise PrecisionError(f"coefficient {i} vanishes at precision, polygon unknown")
-            continue
-        pts.append((i, c.valuation()))
+        if not c.is_zero():
+            pts.append((i, c.valuation()))
     if not pts or pts[0][0] != 0:
         raise PreconditionError("constant coefficient is zero, the polygon starts late")
     if pts[-1][0] != n:
@@ -127,8 +123,6 @@ def regular_elliptic_certify(coeffs) -> EllipticCertificate:
         raise PreconditionError("characteristic polynomial must be monic")
     c0 = coeffs[0]
     if c0.is_zero():
-        if not c0.exact:
-            raise PrecisionError("constant coefficient vanishes at precision")
         if n == 1:
             raise CertificationError("determinant is zero, the element is singular")
         raise CertificationError("reducible: zero constant coefficient splits off T")
@@ -184,7 +178,5 @@ def _separability(coeffs, n: int):
         return True, None
     disc = _sylvester_resultant(coeffs)
     if disc.is_zero():
-        if not disc.exact:
-            raise PrecisionError("discriminant vanishes at precision, separability unknown")
         return False, None
     return True, disc.valuation()

@@ -31,7 +31,6 @@ from .errors import (
     NonExactDivision,
     NotAFlag,
     OracleMismatch,
-    PrecisionError,
     PreconditionError,
 )
 from .formal import DEFAULT_RANK_CAP, build_tower, check_level, gl_order
@@ -71,7 +70,7 @@ def exit_code_for(exc: BaseException) -> int | None:
         return EXIT_CAP
     if isinstance(exc, (OracleMismatch, NonExactDivision)):
         return EXIT_MISMATCH
-    if isinstance(exc, (PreconditionError, NotAFlag, PrecisionError)):
+    if isinstance(exc, (PreconditionError, NotAFlag)):
         return EXIT_PRECONDITION
     return None
 

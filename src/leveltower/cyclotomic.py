@@ -152,11 +152,6 @@ class Cyclotomic:
                 out[(-j) % self.N] += c
         return Cyclotomic(self.N, out)
 
-    def __truediv__(self, other):
-        if isinstance(other, Cyclotomic):
-            raise TypeError("division by a general cyclotomic is not supported")
-        return self * Fraction(1, other)
-
     # -- predicates ----------------------------------------------------------------
 
     def is_zero(self) -> bool:

@@ -110,7 +110,7 @@ class DivisionAlgebra:
         if x.field is not self.small:
             raise PreconditionError("scalar lives in an unrelated field")
         t = self._lift_table
-        return Laurent(self.big, {e: t[c] for e, c in x.coeffs.items()}, x.prec)
+        return Laurent(self.big, {e: t[c] for e, c in x.coeffs.items()})
 
     def descend_scalar(self, x: Laurent) -> Laurent:
         """Image in F_q((pi)); every coefficient must be Frobenius-fixed."""
@@ -120,7 +120,7 @@ class DivisionAlgebra:
                 raise OracleMismatch(
                     f"coefficient at pi^{e} is not fixed by the q-power Frobenius")
             out[e] = self._drop_table[c]
-        return Laurent(self.small, out, x.prec)
+        return Laurent(self.small, out)
 
     # -- element constructors ----------------------------------------------
 
@@ -160,10 +160,10 @@ class DivisionAlgebra:
         n = self.n
         out = [Laurent.zero(self.big) for _ in range(n)]
         for i, x in enumerate(a.coords):
-            if x.is_zero() and x.exact:
+            if x.is_zero():
                 continue
             for j, y in enumerate(b.coords):
-                if y.is_zero() and y.exact:
+                if y.is_zero():
                     continue
                 k = (i + j) % n
                 term = x * self.sigma(y, i)

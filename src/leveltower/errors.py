@@ -43,7 +43,3 @@ class NonExactDivision(LevelTowerError):
 
 class NotAFlag(LevelTowerError):
     """The greedy chain construction produced a non-subgroup or non-free step."""
-
-
-class PrecisionError(LevelTowerError):
-    """Finite-precision arithmetic cannot decide the requested question."""

@@ -135,8 +135,8 @@ def make_module(n: int, q: int, u_spec=None, prec: int = 3) -> FormalOModule:
     u_spec is a list of n-1 entries, one per middle coefficient:
       * an int N >= 1: a formal nilpotent generator with that vanishing order
         (N = 1 collapses to the value 0),
-      * a tuple/list of F_q digit codes (c_0, c_1, ...): the value
-        sum_i c_i pi^i.
+      * a tuple/list of F_q digit codes (c_0, c_1, ...), each in 0..q-1: the
+        value sum_i c_i pi^i.
     The default makes every middle coefficient a square-zero formal generator.
     """
     if n < 1:
@@ -149,6 +149,14 @@ def make_module(n: int, q: int, u_spec=None, prec: int = 3) -> FormalOModule:
     if prec < 2:
         raise PreconditionError("precision must be >= 2 so pi is visible")
     fld = FqField(*split_prime_power(q))
+    for s in u_spec:
+        if isinstance(s, int):
+            if s < 1:
+                raise PreconditionError(f"u-spec order {s} must be at least 1")
+        else:
+            for c in s:
+                if not 0 <= c < q:
+                    raise PreconditionError(f"u-spec digit code {c} is outside 0..{q - 1}")
     u_orders = tuple(s for s in u_spec if isinstance(s, int) and s >= 2)
     ring = CoeffRing(fld, prec, u_orders=u_orders)
     u_values = []

@@ -202,30 +202,26 @@ def _default_modulus(p: int, f: int) -> tuple[int, ...]:
 
 
 class FqField:
-    """The finite field with p^f elements; instances are interned by (p, f, modulus)."""
+    """The finite field with p^f elements, modulo `_default_modulus(p, f)`;
+    instances are interned by (p, f)."""
 
     _cache: dict[tuple, "FqField"] = {}
 
-    def __new__(cls, p: int, f: int = 1, modulus=None):
+    def __new__(cls, p: int, f: int = 1):
         if not _is_prime(p):
             raise PreconditionError(f"p = {p} is not prime")
         if f < 1:
             raise PreconditionError("extension degree must be >= 1")
         if p ** f > _Q_CAP:
             raise CapExceeded(f"q = {p}^{f} exceeds the 2^16 field cap")
-        mod = tuple(modulus) if modulus is not None else _default_modulus(p, f)
-        if len(mod) != f + 1 or mod[-1] != 1:
-            raise PreconditionError("modulus must be monic of degree f")
-        key = (p, f, mod)
+        key = (p, f)
         if key in cls._cache:
             return cls._cache[key]
         self = super().__new__(cls)
-        self.p, self.f, self.modulus = p, f, mod
+        self.p, self.f, self.modulus = p, f, _default_modulus(p, f)
         self.q = p ** f
         if f > 1:
             self._prime = FqField(p)
-            if not _poly_irreducible(self._prime, mod):
-                raise PreconditionError("modulus is reducible over F_p")
         self._build_tables()
         cls._cache[key] = self
         return self
@@ -347,13 +343,13 @@ class FqField:
         """
         if big.p != self.p or big.f % self.f:
             raise PreconditionError("no embedding: incompatible fields")
-        key = (self.p, self.f, self.modulus)
+        key = self.f
         cache = getattr(big, "_emb_cache", None)
         if cache is None:
             cache = big._emb_cache = {}
         if key in cache:
             return cache[key]
-        if self.q == big.q and self.modulus == big.modulus:
+        if self is big:
             table = list(range(self.q))
             cache[key] = table
             return table

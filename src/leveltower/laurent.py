@@ -1,33 +1,27 @@
-"""Laurent series over a finite field with explicit precision tracking.
+"""Exact Laurent polynomials over a finite field, the scalars of F_q((pi)).
 
-A series is a finite dict {exponent: nonzero F_q code} plus an absolute
-precision bound `prec`: coefficients at exponents < prec are known, the rest
-are not.  prec = None means the series is exact (a Laurent polynomial known
-at every exponent).  Arithmetic propagates precision pessimistically and any
-attempt to read an unknown coefficient raises PrecisionError.
+A scalar is a finite dict {exponent: nonzero F_q code}.  Every scalar the
+package builds from its input is a Laurent polynomial, and the matrix
+routines only add, subtract, multiply and shift by powers of pi, so every
+coefficient is known and none is ever dropped.  Where a unit has to be
+inverted (`matrices.hnf`), the inverse is taken modulo a power of pi that
+the lattice is known to contain, which is again a polynomial.
 """
 
 from __future__ import annotations
 
 from math import inf
 
-from .errors import PrecisionError, PreconditionError
+from .errors import PreconditionError
 from .fq import FqField
-
-DEFAULT_PREC = 24
 
 
 class Laurent:
-    __slots__ = ("field", "coeffs", "prec")
+    __slots__ = ("field", "coeffs")
 
-    def __init__(self, field: FqField, coeffs: dict, prec=None):
+    def __init__(self, field: FqField, coeffs: dict):
         self.field = field
-        if prec is None:
-            cs = {e: c for e, c in coeffs.items() if c}
-        else:
-            cs = {e: c for e, c in coeffs.items() if c and e < prec}
-        self.coeffs = cs
-        self.prec = prec
+        self.coeffs = {e: c for e, c in coeffs.items() if c}
 
     # -- constructors -----------------------------------------------------
 
@@ -53,57 +47,28 @@ class Laurent:
 
     # -- structure --------------------------------------------------------
 
-    @property
-    def exact(self) -> bool:
-        return self.prec is None
-
     def is_zero(self) -> bool:
-        """True when no known coefficient is nonzero.
-
-        For an inexact series this only means zero at the working precision.
-        """
         return not self.coeffs
 
     def valuation(self):
-        """Exact pi-adic valuation; inf for the exact zero series.
-
-        Raises PrecisionError when the series vanishes at its precision but
-        is not known exactly, since the true valuation is then unknowable.
-        """
-        if self.coeffs:
-            return min(self.coeffs)
-        if self.exact:
-            return inf
-        raise PrecisionError(f"valuation of a series that vanishes to O(pi^{self.prec})")
+        """pi-adic valuation; inf for zero."""
+        return min(self.coeffs) if self.coeffs else inf
 
     def coeff(self, e: int) -> int:
-        if self.prec is not None and e >= self.prec:
-            raise PrecisionError(f"coefficient at pi^{e} is beyond precision O(pi^{self.prec})")
         return self.coeffs.get(e, 0)
 
-    def known_to(self, e: int) -> bool:
-        return self.prec is None or e <= self.prec
-
-    def truncate(self, prec: int) -> "Laurent":
-        new = prec if self.prec is None else min(self.prec, prec)
-        return Laurent(self.field, self.coeffs, new)
-
     def shift(self, k: int) -> "Laurent":
-        return Laurent(self.field, {e + k: c for e, c in self.coeffs.items()},
-                       None if self.exact else self.prec + k)
+        return Laurent(self.field, {e + k: c for e, c in self.coeffs.items()})
 
     def frobenius(self, fp_times: int) -> "Laurent":
         """Apply the coefficientwise p^fp_times power map (fixes pi)."""
         f = self.field
-        return Laurent(f, {e: f.frobenius(c, fp_times) for e, c in self.coeffs.items()},
-                       self.prec)
+        return Laurent(f, {e: f.frobenius(c, fp_times) for e, c in self.coeffs.items()})
 
     def reduce_mod(self, m: int) -> int:
         """Image in o/pi^m as a ChainRing code.  Requires integrality."""
         if self.coeffs and min(self.coeffs) < 0:
             raise PreconditionError("series has a pole, no image mod pi^m")
-        if self.prec is not None and self.prec < m:
-            raise PrecisionError(f"need precision {m}, have O(pi^{self.prec})")
         q = self.field.q
         out = 0
         for e in range(m - 1, -1, -1):
@@ -111,12 +76,6 @@ class Laurent:
         return out
 
     # -- arithmetic -------------------------------------------------------
-
-    def _common_prec(self, other):
-        a = inf if self.prec is None else self.prec
-        b = inf if other.prec is None else other.prec
-        m = min(a, b)
-        return None if m is inf else m
 
     def __add__(self, other):
         if not isinstance(other, Laurent):
@@ -129,11 +88,11 @@ class Laurent:
                 cs[e] = s
             else:
                 cs.pop(e, None)
-        return Laurent(f, cs, self._common_prec(other))
+        return Laurent(f, cs)
 
     def __neg__(self):
         f = self.field
-        return Laurent(f, {e: f.neg(c) for e, c in self.coeffs.items()}, self.prec)
+        return Laurent(f, {e: f.neg(c) for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Laurent):
@@ -144,22 +103,6 @@ class Laurent:
         if not isinstance(other, Laurent):
             return NotImplemented
         f = self.field
-        if self.prec is None and other.prec is None:
-            prec = None
-        elif not self.coeffs and self.prec is None:
-            prec = None  # exact zero times anything is exact zero
-        elif not other.coeffs and other.prec is None:
-            prec = None
-        else:
-            # known part of the product: min over v(a)+prec(b), v(b)+prec(a)
-            va = min(self.coeffs) if self.coeffs else (self.prec if self.prec is not None else 0)
-            vb = min(other.coeffs) if other.coeffs else (other.prec if other.prec is not None else 0)
-            cands = []
-            if other.prec is not None:
-                cands.append(va + other.prec)
-            if self.prec is not None:
-                cands.append(vb + self.prec)
-            prec = min(cands)
         cs = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
@@ -169,105 +112,33 @@ class Laurent:
                     cs[e] = s
                 else:
                     cs.pop(e, None)
-        return Laurent(f, cs, prec)
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = Laurent.one(self.field)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return Laurent(f, cs)
 
     def scale(self, code: int) -> "Laurent":
         f = self.field
-        if not code:
-            return Laurent(f, {}, self.prec)
-        return Laurent(f, {e: f.mul(c, code) for e, c in self.coeffs.items()}, self.prec)
-
-    def inverse(self, prec: int | None = None) -> "Laurent":
-        """Multiplicative inverse to absolute precision `prec`.
-
-        A single-term series inverts exactly.  Otherwise the result precision
-        is capped by self.prec - 2*valuation (inverting eats precision twice:
-        once locating the unit part, once in the series expansion).
-        """
-        f = self.field
-        if not self.coeffs:
-            raise PreconditionError("cannot invert a series with no known nonzero term")
-        v = min(self.coeffs)
-        if len(self.coeffs) == 1:
-            c = self.coeffs[v]
-            out = Laurent(f, {-v: f.inv(c)})
-            if self.prec is not None:
-                out = out.truncate(self.prec - 2 * v)
-            if prec is not None:
-                out = out.truncate(prec)
-            return out
-        cap = None if self.prec is None else self.prec - 2 * v
-        if prec is None:
-            prec = cap if cap is not None else DEFAULT_PREC - 2 * v
-        elif cap is not None and prec > cap:
-            prec = cap
-        # u = pi^{-v} * self is a unit; invert u by geometric series
-        rel = prec + v  # need u^{-1} to absolute precision rel
-        if rel <= 0:
-            raise PrecisionError("no significant digits left after inversion")
-        u = self.shift(-v)
-        c0 = u.coeffs[0]
-        w = Laurent(f, {e: c for e, c in u.coeffs.items() if e != 0}).scale(f.inv(c0))
-        # u = c0 (1 + w), v(w) >= 1
-        acc = Laurent.one(f)
-        term = Laurent.one(f)
-        for _ in range(rel):
-            term = (-term * w).truncate(rel)
-            if term.is_zero():
-                break
-            acc = acc + term
-        inv_u = acc.scale(f.inv(c0)).truncate(rel)
-        return inv_u.shift(-v).truncate(prec)
-
-    def __truediv__(self, other):
-        if not isinstance(other, Laurent):
-            return NotImplemented
-        return self * other.inverse()
+        return Laurent(f, {e: f.mul(c, code) for e, c in self.coeffs.items()})
 
     # -- comparison -------------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, Laurent):
             return NotImplemented
-        p = self._common_prec(other)
-        if p is None:
-            return self.coeffs == other.coeffs
-        for e in set(self.coeffs) | set(other.coeffs):
-            if e < p and self.coeffs.get(e, 0) != other.coeffs.get(e, 0):
-                return False
-        return True
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
-        if not self.exact:
-            raise PrecisionError("only exact series are hashable")
         return hash((self.field.q, tuple(sorted(self.coeffs.items()))))
 
     def __repr__(self):
         if not self.coeffs:
-            body = "0"
-        else:
-            parts = []
-            for e in sorted(self.coeffs):
-                c = self.coeffs[e]
-                cs = str(c) if self.field.f == 1 else f"[{c}]"
-                if e == 0:
-                    parts.append(cs)
-                elif e == 1:
-                    parts.append(f"{cs}*pi" if c != 1 else "pi")
-                else:
-                    parts.append(f"{cs}*pi^{e}" if c != 1 else f"pi^{e}")
-            body = " + ".join(parts)
-        tail = "" if self.exact else f" + O(pi^{self.prec})"
-        return body + tail
+            return "0"
+        parts = []
+        for e in sorted(self.coeffs):
+            c = self.coeffs[e]
+            cs = str(c) if self.field.f == 1 else f"[{c}]"
+            if e == 0:
+                parts.append(cs)
+            elif e == 1:
+                parts.append(f"{cs}*pi" if c != 1 else "pi")
+            else:
+                parts.append(f"{cs}*pi^{e}" if c != 1 else f"pi^{e}")
+        return " + ".join(parts)

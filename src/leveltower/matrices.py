@@ -1,24 +1,26 @@
 """Matrices over F = F_Q((pi)): exact small-matrix linear algebra, column
 Hermite reduction of lattice bases, and elementary divisor exponents.
 
-Matrices are tuples of row tuples of Laurent entries.  Lattices are spanned
-by matrix columns; the canonical basis is upper triangular with diagonal
-pi^(a_i) and above-diagonal entries reduced mod the diagonal of their row.
-Determinants and characteristic polynomials are the Leibniz expansions of
-`chain`, over Laurent arithmetic.
+Matrices are tuples of row tuples of exact Laurent entries.  Lattices are
+spanned by matrix columns; the canonical basis is upper triangular with
+diagonal pi^(a_i) and above-diagonal entries reduced mod the diagonal of
+their row.  Determinants and characteristic polynomials are the Leibniz
+expansions of `chain`, over Laurent arithmetic, and both normal forms rest
+on them: `smith_exponents` reads the elementary divisors off the least
+valuations of the k x k minors, and `hnf` eliminates modulo one power of pi
+above the determinant, so no step inverts a unit as a power series.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import inf
 from operator import add, mul, neg
 
 from .chain import leibniz_charpoly, leibniz_det
-from .errors import PrecisionError, PreconditionError
+from .errors import PreconditionError
 from .fq import FqField
 from .laurent import Laurent
-
-WORK_PREC = 32
 
 
 def mat_identity(field: FqField, n: int):
@@ -90,123 +92,99 @@ def companion(field: FqField, coeffs) -> tuple:
     return tuple(rows)
 
 
-def _exactify_below(x: Laurent, bound: int) -> Laurent:
-    """Rebuild x from its digits at exponents < bound as an exact series."""
-    if not x.known_to(bound):
-        raise PrecisionError("cannot canonicalize: precision below reduction bound")
-    return Laurent(x.field, {e: c for e, c in x.coeffs.items() if e < bound})
+def _mod(x: Laurent, N: int) -> Laurent:
+    """The terms of x below pi^N: its image in o/pi^N for integral x."""
+    return Laurent(x.field, {e: c for e, c in x.coeffs.items() if e < N})
 
 
-def hnf(columns, work_prec: int = WORK_PREC):
+def _unit_inverse(u: Laurent, N: int) -> Laurent:
+    """The inverse of a unit u of o modulo pi^N, solved digit by digit."""
+    f = u.field
+    c0 = f.inv(u.coeff(0))
+    digits = [c0]
+    for e in range(1, N):
+        acc = 0
+        for j in range(1, e + 1):
+            acc = f.add(acc, f.mul(u.coeff(j), digits[e - j]))
+        digits.append(f.mul(f.neg(acc), c0))
+    return Laurent.from_digits(f, digits)
+
+
+def hnf(columns):
     """Canonical column-Hermite basis of the lattice spanned by `columns`.
 
     Input: a list of length-n column tuples (at least n of them, full rank).
     Output: an n x n upper triangular matrix (tuple of rows) with diagonal
     pi^(a_i) and the entry (i, j), j > i, supported on exponents < a_i.
-    Entries of the result are exact.
+
+    The form commutes with scaling by pi^t, so the columns are first scaled
+    to be integral with an entry of valuation 0.  With D the least
+    valuation of a maximal minor, the lattice then contains pi^D o^n, so the
+    elimination runs in o/pi^N, N = D + 1, where a unit inverse is a
+    polynomial of degree < N.  Taking N = D + 1 rather than D keeps what the
+    placed columns add to a later pivot row above that row's exponent, so
+    each pivot is found among the columns not yet placed.
     """
     n = len(columns[0])
-    cols = [list(c) for c in columns]
+    field = columns[0][0].field
+    low = min(x.valuation() for c in columns for x in c)
+    if low == inf:
+        raise PreconditionError("columns do not have full rank")
+    cols = [[x.shift(-low) for x in c] for c in columns]
+    D = min(det(tuple(tuple(cols[j][i] for j in pick) for i in range(n))).valuation()
+            for pick in combinations(range(len(cols)), n))
+    if D == inf:
+        raise PreconditionError("columns do not have full rank")
+    N = D + 1
+    cols = [[_mod(x, N) for x in c] for c in cols]
     placed = [None] * n
+    diag_exp = [0] * n
     for i in range(n - 1, -1, -1):
-        best = None
-        best_v = inf
-        for c in cols:
-            x = c[i]
-            if x.is_zero():
-                if not x.exact and (x.prec is None or x.prec < work_prec // 2):
-                    raise PrecisionError("pivot entry vanishes at precision, rank unclear")
-                continue
-            v = x.valuation()
-            if v < best_v:
-                best_v = v
-                best = c
-        if best is None:
-            raise PreconditionError(f"columns do not have full rank at row {i}")
+        best = min((c for c in cols if not c[i].is_zero()), key=lambda c: c[i].valuation())
         cols.remove(best)
-        pivot = best[i]
-        # normalize the pivot column so its leading entry is exactly pi^a
-        unit_inv = pivot.shift(-best_v).inverse(work_prec)
-        best = [x * unit_inv for x in best]
-        best[i] = Laurent.pi(pivot.field, best_v)
-        placed[i] = best
+        a = best[i].valuation()
+        # normalize the pivot column so its pivot entry is exactly pi^a
+        w = _unit_inverse(best[i].shift(-a), N - a)
+        best = [_mod(x * w, N) for x in best[:i]] + [Laurent.pi(field, a)] + best[i + 1:]
+        placed[i], diag_exp[i] = best, a
         for c in cols:
             if not c[i].is_zero():
-                factor = c[i].shift(-best_v)
-                for r in range(n):
-                    c[r] = c[r] - factor * best[r]
-                c[i] = Laurent.zero(pivot.field)
-    # above-diagonal reduction, top rows already triangular
-    diag_exp = [placed[i][i].valuation() for i in range(n)]
+                factor = c[i].shift(-a)
+                for r in range(i):
+                    c[r] = _mod(c[r] - factor * best[r], N)
+                c[i] = Laurent.zero(field)
+    # above-diagonal reduction, exact: each step subtracts an integral
+    # multiple of a placed column
     for j in range(n):
         col = placed[j]
         for i in range(j - 1, -1, -1):
-            a_i = diag_exp[i]
-            x = col[i]
-            if x.is_zero():
-                continue
-            carry = Laurent(x.field, {e: c for e, c in x.coeffs.items() if e >= a_i})
+            carry = Laurent(field, {e: c for e, c in col[i].coeffs.items() if e >= diag_exp[i]})
             if not carry.is_zero():
-                factor = carry.shift(-a_i)
+                factor = carry.shift(-diag_exp[i])
                 for r in range(i + 1):
                     col[r] = col[r] - factor * placed[i][r]
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            x = placed[j][i]
-            if i == j:
-                row.append(Laurent.pi(x.field, diag_exp[i]))
-            elif j < i:
-                row.append(Laurent.zero(x.field))
-            else:
-                row.append(_exactify_below(x, diag_exp[i]))
-        rows.append(tuple(row))
-    return tuple(rows)
+    return tuple(tuple(placed[j][i].shift(low) if j >= i else Laurent.zero(field)
+                       for j in range(n)) for i in range(n))
 
 
 def smith_exponents(A) -> list:
-    """Elementary divisor exponents of an integral full-rank matrix, ascending."""
+    """Elementary divisor exponents of an integral full-rank matrix, ascending.
+
+    With d_k the least valuation of a k x k minor (d_0 = 0), the k-th
+    exponent is d_k - d_(k-1).
+    """
     n = len(A)
-    M = [list(row) for row in A]
-    for row in M:
-        for x in row:
-            if not x.is_zero() and x.valuation() < 0:
-                raise PreconditionError("matrix is not integral")
-    out = []
-    size = n
-    while size > 0:
-        best = None
-        best_v = inf
-        for i in range(size):
-            for j in range(size):
-                x = M[i][j]
-                if not x.is_zero():
-                    v = x.valuation()
-                    if v < best_v:
-                        best_v, best = v, (i, j)
-        if best is None:
-            raise PreconditionError("matrix is singular, no elementary divisors")
-        bi, bj = best
-        M[0], M[bi] = M[bi], M[0]
-        for row in M:
-            row[0], row[bj] = row[bj], row[0]
-        piv = M[0][0]
-        piv_inv = piv.inverse(WORK_PREC)
-        for j in range(1, size):
-            if not M[0][j].is_zero():
-                f = M[0][j] * piv_inv
-                for i in range(size):
-                    M[i][j] = M[i][j] - f * M[i][0]
-        for i in range(1, size):
-            if not M[i][0].is_zero():
-                f = M[i][0] * piv_inv
-                for j in range(size):
-                    M[i][j] = M[i][j] - f * M[0][j]
-        out.append(best_v)
-        M = [row[1:] for row in M[1:]]
-        size -= 1
-    return sorted(out)
+    if any(x.valuation() < 0 for row in A for x in row):
+        raise PreconditionError("matrix is not integral")
+    top = det(A).valuation()
+    if top == inf:
+        raise PreconditionError("matrix is singular, no elementary divisors")
+    d = [0]
+    for k in range(1, n):
+        d.append(min(det(tuple(tuple(A[r][c] for c in cs) for r in rs)).valuation()
+                     for rs in combinations(range(n), k) for cs in combinations(range(n), k)))
+    d.append(top)
+    return [d[k] - d[k - 1] for k in range(1, n + 1)]
 
 
 def mat_reduce_mod(A, m: int):

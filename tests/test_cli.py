@@ -266,6 +266,15 @@ def test_huge_q_is_refused_before_factoring():
     (["flags", "--n", "1"], "error: empty rank signature\n"),
     (["strata-action", "--q", "2", "--n", "3", "--g", "companion:T^3+T+1", "--scan-m", "0"],
      "error: scan_m 0 must be at least 1\n"),
+    # u-spec digits must be F_q codes and nil orders at least 1
+    (["tower", "--q", "2", "--n", "2", "--m", "2", "--u-spec", "3"],
+     "error: u-spec digit code 3 is outside 0..1\n"),
+    (["tower", "--q", "2", "--n", "2", "--m", "2", "--u-spec", "1,5"],
+     "error: u-spec digit code 5 is outside 0..1\n"),
+    (["tower", "--q", "2", "--n", "2", "--m", "2", "--u-spec", "nil-3"],
+     "error: u-spec order -3 must be at least 1\n"),
+    (["tower", "--q", "2", "--n", "2", "--m", "2", "--u-spec", "-1"],
+     "error: u-spec digit code -1 is outside 0..1\n"),
 ])
 def test_bad_element_tokens_exit_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)

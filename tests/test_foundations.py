@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import random_unit_matrix
 
 from leveltower.chain import ChainRing
 from leveltower.cyclotomic import Cyclotomic
@@ -50,7 +51,7 @@ def test_split_prime_power_rejects(q):
 
 def test_default_modulus_field_is_interned():
     assert FqField(3, 4) is FqField(3, 4)
-    assert FqField(2, 2) is FqField(2, 2, FqField(2, 2).modulus)
+    assert FqField(2, 2) is FqField(2, 2)
 
 
 @pytest.mark.parametrize("p,f,modulus", [
@@ -112,13 +113,6 @@ def test_cyclotomic_mixed_conductors():
     assert (a + b) - b == a.lift(12)
 
 
-def test_cyclotomic_rational_division_only():
-    z = Cyclotomic.root_of_unity(8)
-    assert (z / 2) * Fraction(2) == z
-    with pytest.raises(TypeError):
-        z / z
-
-
 def test_cyclotomic_hash_agrees_across_lifts():
     z = Cyclotomic.root_of_unity(4)
     assert z == z.lift(8) and hash(z) == hash(z.lift(8))
@@ -178,6 +172,88 @@ def test_smith_exponents_diagonal_oracle():
     f = FqField(2, 1)
     m = [[Laurent.pi(f, 3), Laurent.zero(f)], [Laurent.zero(f), Laurent.pi(f, 1)]]
     assert smith_exponents(m) == [1, 3]
+
+
+def _columns(mat):
+    n = len(mat)
+    return [tuple(mat[i][j] for i in range(n)) for j in range(n)]
+
+
+def _pi35_matrix(field):
+    """det = pi^35 (in characteristic 2, and up to sign in 3): elementary divisors 1, pi^35."""
+    return [[Laurent.from_digits(field, [1, 1]), Laurent(field, {0: 1, 1: 1, 35: 1})],
+            [Laurent.one(field), Laurent.one(field)]]
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_smith_exponents_invariant_under_unimodular_change(q):
+    field = FqField(q)
+    rng = random.Random(40 + q)
+    pi = lambda k: Laurent.pi(field, k)   # noqa: E731
+    zero = Laurent.zero(field)
+    cases = [
+        (_pi35_matrix(field), [0, 35]),
+        ([[pi(3), zero], [zero, pi(1)]], [1, 3]),
+        ([[pi(0), zero, zero], [zero, pi(40), zero], [zero, zero, pi(2)]], [0, 2, 40]),
+        ([[pi(1), pi(1), zero], [zero, pi(1), zero], [zero, zero, pi(1)]], [1, 1, 1]),
+    ]
+    for A, expected in cases:
+        assert smith_exponents(A) == expected
+        n = len(A)
+        for _ in range(3):
+            U = random_unit_matrix(field, n, rng)
+            V = random_unit_matrix(field, n, rng)
+            assert smith_exponents(mat_mul(mat_mul(U, A), V)) == expected
+    with pytest.raises(PreconditionError, match="singular"):
+        smith_exponents([[pi(1), pi(2)], [pi(1), pi(2)]])
+    with pytest.raises(PreconditionError, match="not integral"):
+        smith_exponents([[pi(-1), zero], [zero, pi(0)]])
+
+
+def _in_lattice(B, C):
+    """Every column of C lies in the lattice spanned by the columns of square B.
+
+    B^{-1} C = adj(B) C / det(B), and det(B) is pi^v(det B) times a unit.
+    """
+    v = det(B).valuation()
+    return all(x.valuation() >= v for row in mat_mul(adjugate(B), C) for x in row)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_hnf_is_the_canonical_basis_of_the_same_lattice(q):
+    field = FqField(q)
+    rng = random.Random(60 + q)
+    deep = 0
+    for trial in range(24):
+        n = 2 + trial % 2
+        low = -2 if trial % 3 == 0 else 0           # poles in a third of the trials
+        while True:
+            A = [[Laurent(field, {e: rng.randrange(q) for e in range(low, low + 3)})
+                  for _ in range(n)] for _ in range(n)]
+            # scale columns so that v(det) passes 32 in part of the trials
+            A = [[x.shift(rng.choice((0, 1, 17, 33))) for x in row] for row in zip(*A)]
+            A = mat_mul([list(r) for r in zip(*A)], random_unit_matrix(field, n, rng))
+            if not det(A).is_zero():
+                break
+        H = hnf(_columns(A))
+        a = [H[i][i].valuation() for i in range(n)]
+        for i in range(n):
+            assert H[i][i] == Laurent.pi(field, a[i])
+            for j in range(n):
+                if j < i:
+                    assert H[i][j].is_zero()
+                elif j > i:
+                    assert all(e < a[i] for e in H[i][j].coeffs)
+        assert sum(a) == det(A).valuation()
+        deep += sum(a) > 32
+        assert _in_lattice(A, H) and _in_lattice(H, A)
+        # a spanning set with a redundant column gives the same basis
+        extra = [x + y.shift(1) for x, y in zip(*_columns(A)[:2])]
+        assert hnf(_columns(A) + [tuple(extra)]) == H
+    assert deep
+    with pytest.raises(PreconditionError, match="full rank"):
+        col = (Laurent.one(field), Laurent.pi(field, 1))
+        hnf([col, col])
 
 
 def test_charpoly_of_companion_matrix():
