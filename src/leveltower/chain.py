@@ -239,10 +239,16 @@ _gl_cache: dict[tuple, list] = {}
 
 
 def gl_elements(ch: ChainRing, n: int, cap: int = _GL_CAP):
-    """All invertible n x n matrices over o/pi^m, cached.
+    """All invertible n x n matrices over o/pi^m in lexicographic order of
+    their entries, cached.
 
-    The raw scan has q^(m n^2) candidates; anything past the cap raises so
-    callers can fall back or refuse loudly.
+    A matrix is invertible exactly when its reduction mod pi is, so one
+    determinant per residue matrix (entries below q, q^(n^2) of them)
+    decides the scan.  For m >= 2 each invertible residue matrix is lifted
+    in every way, an entry with residue r taking the codes r, r + q,
+    r + 2q, ..., and the lifts are sorted.  The raw scan has q^(m n^2)
+    candidates; anything past the cap raises so callers can fall back or
+    refuse loudly.
     """
     key = (ch.q, ch.m, n)
     if key in _gl_cache:
@@ -251,9 +257,14 @@ def gl_elements(ch: ChainRing, n: int, cap: int = _GL_CAP):
     if total > cap:
         raise CapExceeded(f"unit group scan size {total} exceeds cap {cap}")
     out = []
-    for flat in product(range(ch.size), repeat=n * n):
+    for flat in product(range(ch.q), repeat=n * n):
         M = tuple(flat[i * n:(i + 1) * n] for i in range(n))
         if ch.is_unit(ch.det(M)):
             out.append(M)
+    if ch.m > 1:
+        lifts = [range(r, ch.size, ch.q) for r in range(ch.q)]
+        out = sorted(tuple(flat[i * n:(i + 1) * n] for i in range(n))
+                     for M in out
+                     for flat in product(*(lifts[r] for row in M for r in row)))
     _gl_cache[key] = out
     return out

@@ -10,12 +10,14 @@ form or proves the span is not a free direct summand.
 
 Full flags are built, not searched for: a flag's top part B is a hyperplane
 label, B is isomorphic to (o/pi^m)^(n-1) through its generators, and the
-parts below B are the image of a full flag of (o/pi^m)^(n-1).
+parts below B are the image of a full flag of (o/pi^m)^(n-1).  `Flag`
+checks every chain; the flags of one `enumerate_flags` call share their
+label objects, so each distinct step (A, B) is checked once per call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 from itertools import combinations, product
 
@@ -203,8 +205,12 @@ class Flag:
     summand of the next (and of the ambient module)."""
 
     parts: tuple  # DirectSummands, ascending rank
+    # Step verdicts shared by the flags of one `enumerate_flags` call, keyed
+    # by the ids of the two labels, so it must not outlive them.  Not stored;
+    # a flag built without it checks each of its steps.
+    verdicts: InitVar[dict | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, verdicts):
         parts = self.parts
         if not parts:
             raise NotAFlag("empty chain")
@@ -214,7 +220,14 @@ class Flag:
         for A, B in zip(parts, parts[1:]):
             if not A.rank < B.rank:
                 raise NotAFlag("ranks must strictly increase")
-            if not A.is_summand_of(B):
+            if verdicts is None:
+                ok = A.is_summand_of(B)
+            else:
+                key = (id(A), id(B))
+                ok = verdicts.get(key)
+                if ok is None:
+                    ok = verdicts[key] = A.is_summand_of(B)
+            if not ok:
                 raise NotAFlag(
                     f"rank-{A.rank} part is not a free direct summand of the rank-{B.rank} part")
 
@@ -229,33 +242,38 @@ def enumerate_flags(n: int, q: int, m: int):
     Each flag is built once, from its top part B, a hyperplane label, and a
     full flag of (o/pi^m)^(n-1) carried into B by v -> sum_k v_k B.cols[k];
     the carried parts are the label objects `enumerate_summands` holds.
-    Every flag is still checked by `Flag`.  There are
+    `Flag` checks each distinct step (A, B) once per call and reuses the
+    verdict for every flag that contains it.  There are
     |GL_n(o/pi^m)| / ((q-1)^n q^((m-1)n + m n(n-1)/2)) of them.
     """
     if n < 2:
         raise PreconditionError("empty rank signature")
-    return [Flag(parts) for parts in _full_flag_parts(n, q, m)]
+    verdicts = {}
+    return [Flag(parts, verdicts) for parts in _full_flag_parts(n, q, m)]
 
 
 def _full_flag_parts(n: int, q: int, m: int) -> list:
     top = enumerate_summands(n, q, m, n - 1)
     if n == 2:
         return [(B,) for B in top]
-    below = _full_flag_parts(n - 1, q, m)
     ch = _chain(q, m)
     labels = {A.key(): A for h in range(1, n - 1) for A in enumerate_summands(n, q, m, h)}
     smaller = [A for h in range(1, n - 1) for A in enumerate_summands(n - 1, q, m, h)]
+    # The flags below are carried by position in `smaller`: hashing a frozen
+    # label hashes every coordinate of it.
+    position = {id(A): i for i, A in enumerate(smaller)}
+    below = [[position[id(A)] for A in parts] for parts in _full_flag_parts(n - 1, q, m)]
     out = []
     for B in top:
         basis = tuple(zip(*B.cols))   # basis[i][k] = B.cols[k][i]
-        image = {}
+        image = []
         for A in smaller:
             got = _canonicalize(ch, n, [ch.matvec(basis, col) for col in A.cols])
             if got not in labels:
                 raise OracleMismatch(f"a rank-{A.rank} label carried into a hyperplane "
                                      f"is not a label of rank {A.rank}")
-            image[A] = labels[got]
-        out.extend(tuple(image[A] for A in parts) + (B,) for parts in below)
+            image.append(labels[got])
+        out.extend(tuple(image[i] for i in parts) + (B,) for parts in below)
     return out
 
 

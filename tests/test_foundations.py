@@ -1,12 +1,13 @@
 """Finite fields, cyclotomic numbers, Laurent scalars, matrix normal forms."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 from conftest import random_unit_matrix
 
-from leveltower.chain import ChainRing
+from leveltower.chain import ChainRing, gl_elements
 from leveltower.cyclotomic import Cyclotomic
 from leveltower.errors import NonExactDivision, PreconditionError
 from leveltower.fq import FqField, _poly_irreducible, factor, monic_polys, split_prime_power
@@ -335,3 +336,16 @@ def test_charpoly_over_chain_ring(q, m):
                 trace = ch.add(trace, M[i][i])
             _check_charpoly(n, ch.charpoly(M), powers, ch.add, ch.mul,
                             lambda x: x == 0, trace, ch.det(M), ch.neg)
+
+
+@pytest.mark.parametrize("q,m,n", [(2, 2, 2), (2, 3, 2), (3, 2, 2)])
+def test_gl_elements_match_the_determinant_filter(q, m, n):
+    # the unit group listed from residues mod pi equals the scan that takes a
+    # full determinant over o/pi^m of every matrix, in the same order
+    ch = ChainRing(FqField(q), m)
+    expected = []
+    for flat in itertools.product(range(ch.size), repeat=n * n):
+        M = tuple(flat[i * n:(i + 1) * n] for i in range(n))
+        if ch.is_unit(ch.det(M)):
+            expected.append(M)
+    assert gl_elements(ch, n) == expected

@@ -4,11 +4,12 @@ Every top-level function or class and every non-dunder method defined in
 src/leveltower/*.py must be named, as a whole word, somewhere in src/ or
 tests/ outside its own definition, its import lines and `__all__`.  The
 console-script entry point `main` is exempt.  README's module map lists
-exactly the package's modules, and one module owns the permutation
-expansion.
+exactly the package's modules, one module owns the permutation
+expansion, and every function perfbench traces is found in the package.
 """
 
 import ast
+import importlib.util
 import re
 from pathlib import Path
 
@@ -90,3 +91,22 @@ def test_one_module_imports_permutations():
             if from_itertools or attribute:
                 importers.append(path.name)
     assert importers == ["chain.py"]
+
+
+def test_traced_spans_resolve_in_the_package():
+    # perfbench wraps each SPANS and COUNTS entry by module and attribute
+    # path; a renamed function must fail here, not in a traced benchmark run
+    spec = importlib.util.spec_from_file_location(
+        "traced_job", ROOT / "perfbench" / "traced_job.py")
+    traced = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traced)
+    entries = {**traced.SPANS, **traced.COUNTS}
+    assert entries
+    missing = []
+    for name, (module, path) in entries.items():
+        owner = importlib.import_module(f"leveltower.{module}")
+        for attr in path.split("."):
+            owner = getattr(owner, attr, None)
+        if not callable(owner):
+            missing.append(f"{name}: leveltower.{module}.{path}")
+    assert not missing, "traced names not found:\n" + "\n".join(missing)

@@ -11,6 +11,8 @@ from leveltower.fq import FqField
 from leveltower.laurent import Laurent
 from leveltower.matrices import charpoly, companion, mat_reduce_mod
 from leveltower.strata import (
+    DirectSummand,
+    Flag,
     dual_summand,
     enumerate_flags,
     enumerate_summands,
@@ -153,12 +155,39 @@ def pairwise_flag_keys(n, q, m):
     return {tuple(A.key() for A in c) for c in chains}
 
 
-@pytest.mark.parametrize("n,q,m", [(3, 2, 2), (3, 3, 1)])
+@pytest.mark.parametrize("n,q,m", [(3, 2, 2), (3, 3, 1), (4, 2, 1)])
 def test_built_flags_equal_pairwise_search(n, q, m):
     flags = enumerate_flags(n, q, m)
     keys = [tuple(A.key() for A in f.parts) for f in flags]
     assert len(set(keys)) == len(keys)
     assert set(keys) == pairwise_flag_keys(n, q, m)
+
+
+def test_flags_check_each_distinct_step_once(monkeypatch):
+    # 20,160 flags of three parts share 6,720 distinct (A, B) steps
+    calls = []
+    check = DirectSummand.is_summand_of
+
+    def counted(A, B):
+        calls.append((A, B))
+        return check(A, B)
+
+    monkeypatch.setattr(DirectSummand, "is_summand_of", counted)
+    assert len(enumerate_flags(4, 2, 2)) == 20160
+    assert len(calls) == 6720
+    assert len({(id(A), id(B)) for A, B in calls}) == 6720
+
+
+def test_flag_checks_every_step_after_enumeration():
+    # the verdicts of one enumerate_flags call are not kept: a chain built
+    # by hand from the same label objects is checked in full
+    enumerate_flags(3, 2, 2)
+    lines, planes = enumerate_summands(3, 2, 2, 1), enumerate_summands(3, 2, 2, 2)
+    bad = [(A, B) for A in lines for B in planes if not A.is_summand_of(B)]
+    assert bad
+    for A, B in bad:
+        with pytest.raises(NotAFlag, match="not a free direct summand"):
+            Flag((A, B))
 
 
 def test_flags_need_two_ranks():
