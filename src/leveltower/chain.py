@@ -1,6 +1,9 @@
 """The chain ring o/pi^m = F_q[pi]/(pi^m) with int-encoded elements, plus small
 matrix/vector helpers over it.
 
+`ChainRing.echelon` is the package's one elimination over o/pi^m; it gives
+`strata` its canonical labels and `mat_inv` its inverses.
+
 An element is an int in [0, q^m) whose base-q digits are F_q-codes of the
 pi-adic coefficients, lowest first.  Addition is digitwise (no carries),
 multiplication is truncated convolution; both are table-backed at desk scale.
@@ -199,30 +202,46 @@ class ChainRing:
     def det(self, M):
         return leibniz_det(M, self.add, self.mul, self.neg, 0)
 
-    def mat_inv(self, M):
-        """Inverse via Gaussian elimination with unit pivots (local ring)."""
-        n = len(M)
-        A = [list(row) for row in M]
-        I = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        for col in range(n):
-            piv = None
-            for r in range(col, n):
-                if self.is_unit(A[r][col]):
-                    piv = r
+    def echelon(self, n: int, gens):
+        """Greedy unit-pivot reduction of length-n columns.  Returns
+        (pivot_rows, columns) or None when the span is not a free direct
+        summand (a column is left nonzero with no unit entry)."""
+        cols = [list(g) for g in gens if any(g)]
+        pivots = []
+        piv_cols = []
+        for r in range(n):
+            hit = None
+            for c in cols:
+                if self.is_unit(c[r]):
+                    hit = c
                     break
-            if piv is None:
-                raise PreconditionError("matrix is not invertible")
-            A[col], A[piv] = A[piv], A[col]
-            I[col], I[piv] = I[piv], I[col]
-            c = self.inv(A[col][col])
-            A[col] = [self.mul(c, x) for x in A[col]]
-            I[col] = [self.mul(c, x) for x in I[col]]
-            for r in range(n):
-                if r != col and A[r][col]:
-                    f = A[r][col]
-                    A[r] = [self.sub(x, self.mul(f, y)) for x, y in zip(A[r], A[col])]
-                    I[r] = [self.sub(x, self.mul(f, y)) for x, y in zip(I[r], I[col])]
-        return tuple(tuple(row) for row in I)
+            if hit is None:
+                continue
+            cols.remove(hit)
+            inv = self.inv(hit[r])
+            hit = [self.mul(inv, x) for x in hit]
+            for c in cols + piv_cols:
+                if c[r]:
+                    f = c[r]
+                    for i in range(n):
+                        c[i] = self.sub(c[i], self.mul(f, hit[i]))
+            pivots.append(r)
+            piv_cols.append(hit)
+        for c in cols:
+            if any(c):
+                return None
+        return tuple(pivots), tuple(tuple(c) for c in piv_cols)
+
+    def mat_inv(self, M):
+        """Inverse by `echelon` on the columns of M stacked over I: the column
+        operations that turn M into I turn I into M^-1."""
+        n = len(M)
+        stacked = [tuple(M[i][j] for i in range(n)) + tuple(int(i == j) for i in range(n))
+                   for j in range(n)]
+        got = self.echelon(2 * n, stacked)
+        if got is None or got[0] != tuple(range(n)):
+            raise PreconditionError("matrix is not invertible")
+        return tuple(tuple(col[n + i] for col in got[1]) for i in range(n))
 
     def all_vectors(self, n):
         return product(range(self.size), repeat=n)
@@ -247,15 +266,15 @@ def gl_elements(ch: ChainRing, n: int, cap: int = _GL_CAP):
     decides the scan.  For m >= 2 each invertible residue matrix is lifted
     in every way, an entry with residue r taking the codes r, r + q,
     r + 2q, ..., and the lifts are sorted.  The raw scan has q^(m n^2)
-    candidates; anything past the cap raises so callers can fall back or
-    refuse loudly.
+    candidates; anything past the cap raises, cached or not, so callers can
+    fall back or refuse loudly.
     """
-    key = (ch.q, ch.m, n)
-    if key in _gl_cache:
-        return _gl_cache[key]
     total = ch.size ** (n * n)
     if total > cap:
         raise CapExceeded(f"unit group scan size {total} exceeds cap {cap}")
+    key = (ch.q, ch.m, n)
+    if key in _gl_cache:
+        return _gl_cache[key]
     out = []
     for flat in product(range(ch.q), repeat=n * n):
         M = tuple(flat[i * n:(i + 1) * n] for i in range(n))

@@ -330,8 +330,7 @@ def cmd_count(cfg: RunConfig, b_spec: str, g_spec: str) -> dict:
     if rep_s.total != rep_b.total:
         raise OracleMismatch(
             f"structured total {rep_s.total} != brute-force total {rep_b.total}")
-    pol = alg.reduced_charpoly(b)
-    cert = regular_elliptic_certify(pol)
+    cert = rep_s.certificate
     return {
         "b": b_spec,
         "g": g_spec,

@@ -11,20 +11,22 @@ pi^Z K_0 of K_m, is h^{-1} b h g in pi^Z K_m, which splits into
   * ybar^{-1} Vbar ybar = ubar^{-1} in GL_n(o/pi^m) (the frame condition).
 
 Since det V = pi^{-nz'} det b is a unit, the lattice condition is that V is
-integral.  `count_brute` scans a box of triangular lattice bases, tests each
-by back-substitution (`_fixed_lattices`, also the brute route of
-`induced.hc_character`), and reports whether the count was already stable
-one shell earlier.  `count_structured` uses a certificate for b: the order
-o[pi^{-z'} b] is then maximal, so at most one lattice class survives,
-tested once by the adjugate formula (`_lattice_eigen_matrix`), and the
-frame count is a centralizer order.  The two routes share nothing past the
-membership split above and are compared against each other in the test
-suite.
+integral.  `count_brute` scans one box of triangular lattice bases, sized
+from m and the elementary divisors of b, tests each by back-substitution
+(`_fixed_lattices`, also the brute route of `induced.hc_character`), and
+reports whether the count was already stable one shell earlier.
+`count_structured` uses a certificate for b: the order o[pi^{-z'} b] is
+then maximal, so at most one lattice class survives, tested once by the
+adjugate formula (`_lattice_eigen_matrix`), and the frame count is a
+centralizer order.  It takes the same steps at every rank n >= 1.  Both
+return a `CountResult` holding the count, z', the route and the stability
+flag.  The two routes share nothing past the membership split above and
+are compared against each other in the test suite.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -87,19 +89,6 @@ class CountResult:
     z_prime: Fraction
     route: str
     stable: bool = True
-    reason: str = ""
-    box_bound: int | None = None
-    lattices: list = dc_field(default_factory=list)  # (diag exps, frame count)
-
-    def summary(self) -> dict:
-        return {
-            "count": self.count,
-            "z_prime": [self.z_prime.numerator, self.z_prime.denominator],
-            "route": self.route,
-            "stable": self.stable,
-            "reason": self.reason,
-            "lattices": [[list(d), c] for d, c in self.lattices],
-        }
 
 
 def _lattice_bases(field: FqField, n: int, bound: int, cap: int):
@@ -131,15 +120,22 @@ def _lattice_bases(field: FqField, n: int, bound: int, cap: int):
             yield diag, tuple(tuple(r) for r in rows)
 
 
-def _fixed_lattices(b, z_prime: int, bound: int, cap: int = BRUTE_LATTICE_CAP):
-    """(diag, V) for every lattice of the box whose V passes the back-substitution test.
+def _fixed_lattices(b, z_prime: int, m: int):
+    """(on_shell, V mod pi^m) for every lattice of the box whose V passes the
+    back-substitution test.
 
-    The brute routes of `count_brute` and `induced.hc_character` both scan this.
+    The box holds the normalized lattices with diagonal exponents at most
+    m + (spread of the elementary divisor exponents of b) + 2; `on_shell`
+    marks a lattice with an exponent at that bound, one that a box smaller
+    by one would have missed.  The brute routes of `count_brute` and
+    `induced.hc_character` both scan this.
     """
-    for diag, H in _lattice_bases(b[0][0].field, len(b), bound, cap):
+    exps = smith_exponents(b)
+    bound = m + (exps[-1] - exps[0]) + 2
+    for diag, H in _lattice_bases(b[0][0].field, len(b), bound, BRUTE_LATTICE_CAP):
         V = _lattice_eigen_backsolve(H, b, z_prime)
         if V is not None:
-            yield diag, V
+            yield max(diag) >= bound, mat_reduce_mod(V, m)
 
 
 def _lattice_eigen_matrix(H, b, z_prime: int):
@@ -204,58 +200,37 @@ def _frame_count(ch: ChainRing, n: int, Vbar, target) -> int:
     return cnt
 
 
-def count_brute(b, g, m: int, bound: int | None = None,
-                cap: int = BRUTE_LATTICE_CAP) -> CountResult:
+def count_brute(b, g, m: int) -> CountResult:
     """Box-scan count of fixed cosets, with a shell-stability flag.
 
-    The scan covers all normalized lattices with diagonal exponents in
-    [0, bound]; `stable` reports that no surviving lattice touched the outer
-    shell, i.e. the same count would have been found with bound - 1.
+    The scan covers the box of `_fixed_lattices`; `stable` reports that no
+    lattice with a nonzero frame count lies on its outer shell, i.e. the same
+    count would have been found with a box smaller by one.
     """
     n = len(b)
     ch, target = _frame_target(g, m)
     zp = _z_prime(b)
     if zp.denominator != 1:
-        return CountResult(count=0, z_prime=zp, route="brute", stable=True,
-                           reason="determinant valuation is not a multiple of n")
-    zp_int = int(zp)
-    exps = smith_exponents(b)
-    if bound is None:
-        bound = m + (exps[-1] - exps[0]) + 2
+        return CountResult(count=0, z_prime=zp, route="brute")
     total = 0
-    details = []
     touched_shell = False
-    for diag, V in _fixed_lattices(b, zp_int, bound, cap):
-        Vbar = mat_reduce_mod(V, m)
+    for on_shell, Vbar in _fixed_lattices(b, int(zp), m):
         fc = _frame_count(ch, n, Vbar, target)
-        if fc:
-            total += fc
-            details.append((diag, fc))
-            if max(diag) >= bound:
-                touched_shell = True
-    return CountResult(count=total, z_prime=zp, route="brute",
-                       stable=not touched_shell, box_bound=bound,
-                       lattices=details)
+        total += fc
+        touched_shell |= on_shell and fc > 0
+    return CountResult(count=total, z_prime=zp, route="brute", stable=not touched_shell)
 
 
-def _cyclic_basis(ch: ChainRing, M, v, n: int):
-    cols = []
-    cur = tuple(v)
-    for _ in range(n):
-        cols.append(cur)
-        cur = ch.matvec(M, cur)
-    P = tuple(tuple(cols[k][i] for k in range(n)) for i in range(n))
-    return P
-
-
-def _find_cyclic_vector(ch: ChainRing, M, n: int):
+def _cyclic_basis(ch: ChainRing, M, n: int):
+    """The first P = (v, Mv, ..., M^(n-1) v) that is invertible, or None."""
     for v in ch.all_vectors(n):
-        if not any(v):
-            continue
-        P = _cyclic_basis(ch, M, v, n)
+        cols = [v]
+        for _ in range(n - 1):
+            cols.append(ch.matvec(M, cols[-1]))
+        P = tuple(zip(*cols))
         if ch.is_unit(ch.det(P)):
-            return v, P
-    return None, None
+            return P
+    return None
 
 
 def unit_group_order_unramified(n: int, q: int, m: int) -> int:
@@ -268,7 +243,7 @@ def stable_lattice_reduction(b, m: int,
     """The one lattice class a certified elliptic b can fix, reduced mod pi^m.
 
     Returns (H, Vbar, z') with H the hnf basis of the order lattice
-    o[pi^{-z'} b] * e1 (the identity for n = 1), Vbar the reduction of
+    o[pi^{-z'} b] * e1, Vbar the reduction of
     V = pi^{-z'} H^{-1} b H, and z' = v(det b)/n.  Raises PreconditionError
     when z' is not an integer, since then no lattice meets the eigen
     condition at all.
@@ -282,19 +257,15 @@ def stable_lattice_reduction(b, m: int,
         raise PreconditionError(
             f"z' = {zp} is not an integer, no stable lattice exists")
     zp_int = int(zp)
-    if n == 1:
-        H = mat_identity(field, 1)
-    else:
-        assert cert.kind == "unramified", \
-            "integral z' with n > 1 forces the unramified kind"
-        # the unique candidate lattice class: the order o[g1] acting on e1
-        g1 = mat_shift(b, -zp_int)
-        cols = []
-        P = mat_identity(field, n)
-        for _ in range(n):
-            cols.append(tuple(P[a][0] for a in range(n)))
-            P = mat_mul(g1, P)
-        H = hnf(cols)
+    assert cert.kind == "unramified", "integral z' forces the unramified kind"
+    # the unique candidate lattice class: the order o[g1] acting on e1
+    g1 = mat_shift(b, -zp_int)
+    cols = []
+    P = mat_identity(field, n)
+    for _ in range(n):
+        cols.append(tuple(P[a][0] for a in range(n)))
+        P = mat_mul(g1, P)
+    H = hnf(cols)
     V = _lattice_eigen_matrix(H, b, zp_int)
     assert V is not None, "the order lattice must satisfy the eigen condition"
     return H, mat_reduce_mod(V, m), zp_int
@@ -312,38 +283,23 @@ def count_structured(b, g, m: int,
     """
     field = b[0][0].field
     n = len(b)
-    q = field.q
     if cert is None:
         cert = regular_elliptic_certify(charpoly(b))
     ch, target = _frame_target(g, m)
     zp = Fraction(cert.det_val, n)
     if zp.denominator != 1:
-        kind = "ramified" if cert.kind == "ramified" else cert.kind
-        return CountResult(count=0, z_prime=zp, route="structured", stable=True,
-                           reason=f"{kind} class: z' = {zp} is not an integer, "
-                                  "no lattice satisfies the eigen condition")
+        # no lattice satisfies the eigen condition
+        return CountResult(count=0, z_prime=zp, route="structured")
 
-    H, Vbar, zp_int = stable_lattice_reduction(b, m, cert)
-
-    if n == 1:
-        cnt = q ** (m - 1) * (q - 1) if Vbar == target else 0
-        return CountResult(count=cnt, z_prime=zp, route="structured",
-                           reason="rank-1 closed form",
-                           lattices=[((0,), cnt)] if cnt else [])
-
+    _, Vbar, _ = stable_lattice_reduction(b, m, cert)
     if ch.charpoly(Vbar) != ch.charpoly(target):
-        return CountResult(count=0, z_prime=zp, route="structured",
-                           reason="frame characteristic polynomials differ mod pi^m")
-    v, Pt = _find_cyclic_vector(ch, target, n)
-    if v is None:
-        return CountResult(count=0, z_prime=zp, route="structured",
-                           reason="frame target is not cyclic mod pi^m, "
-                                  "cannot be conjugate to a maximal-order generator")
-    _, Pv = _find_cyclic_vector(ch, Vbar, n)
+        return CountResult(count=0, z_prime=zp, route="structured")
+    Pt = _cyclic_basis(ch, target, n)
+    if Pt is None:  # not conjugate to a maximal-order generator
+        return CountResult(count=0, z_prime=zp, route="structured")
+    Pv = _cyclic_basis(ch, Vbar, n)
     assert Pv is not None, "a maximal-order generator is cyclic"
     y0 = ch.matmul(Pv, ch.mat_inv(Pt))
     assert ch.matmul(Vbar, y0) == ch.matmul(y0, target), "conjugator check"
-    cnt = unit_group_order_unramified(n, q, m)
-    return CountResult(count=cnt, z_prime=zp, route="structured",
-                       reason="unique maximal-order lattice class",
-                       lattices=[(tuple(H[i][i].valuation() for i in range(n)), cnt)])
+    return CountResult(count=unit_group_order_unramified(n, field.q, m), z_prime=zp,
+                       route="structured")

@@ -18,7 +18,9 @@ covers both the unramified case (where the extension splits) and the
 ramified separable case (where it is a field).
 """
 
-from .certify import regular_elliptic_certify
+from dataclasses import dataclass
+
+from .certify import EllipticCertificate, regular_elliptic_certify
 from .counting import CountResult, count_brute, count_structured
 from .errors import OracleMismatch, PreconditionError
 from .fq import FqField, split_prime_power
@@ -310,19 +312,18 @@ def projective_fixed_points(alg: DivisionAlgebra, b: DElem, cert=None):
     return lines
 
 
+@dataclass(frozen=True)
 class TotalFixedReport:
-    """Total fixed-point count assembled from the per-fiber lattice count."""
+    """Total fixed-point count assembled from the per-fiber lattice count,
+    with the certificate of b's reduced characteristic polynomial."""
 
-    __slots__ = ("n", "per_fiber", "total", "fiber_result", "lines_checked",
-                 "line_count")
-
-    def __init__(self, n, per_fiber, total, fiber_result, lines_checked, line_count):
-        self.n = n
-        self.per_fiber = per_fiber
-        self.total = total
-        self.fiber_result = fiber_result
-        self.lines_checked = lines_checked
-        self.line_count = line_count
+    n: int
+    per_fiber: int
+    total: int
+    fiber_result: CountResult
+    lines_checked: bool
+    line_count: int | None
+    certificate: EllipticCertificate
 
     def summary(self) -> dict:
         return {
@@ -366,5 +367,6 @@ def total_fixed_points(alg: DivisionAlgebra, b: DElem, g, m: int,
         if not all(ln.simple for ln in lines):
             raise OracleMismatch("a fixed line is not simple")
         lines_checked = True
-    return TotalFixedReport(alg.n, res.count, alg.n * res.count, res,
-                            lines_checked, line_count)
+    return TotalFixedReport(n=alg.n, per_fiber=res.count, total=alg.n * res.count,
+                            fiber_result=res, lines_checked=lines_checked,
+                            line_count=line_count, certificate=cert)

@@ -36,8 +36,6 @@ from .matrices import (
     charpoly,
     companion,
     mat_identity,
-    mat_reduce_mod,
-    smith_exponents,
 )
 
 JL_Q_CAP = 4
@@ -136,17 +134,13 @@ def hc_character(spec: InducedCharSpec, g, route: str = "structured",
         return _root_power(spec.central, zp_int) * row[grp.class_of[grp.index[Vbar]]]
 
     zp_int = int(zp)
-    exps = smith_exponents(g)
-    bound = (exps[-1] - exps[0]) + 3
     total = Cyclotomic.zero()
     touched = False
-    for diag, V in _fixed_lattices(g, zp_int, bound):
-        Vbar = mat_reduce_mod(V, 1)
+    for on_shell, Vbar in _fixed_lattices(g, zp_int, 1):
         idx = grp.index.get(Vbar)
         if idx is None:
             raise OracleMismatch("an integral eigen matrix reduced to a non-unit")
-        if max(diag) >= bound:
-            touched = True
+        touched |= on_shell
         total = total + row[grp.class_of[idx]]
     if touched:
         raise Inconclusive("the lattice box scan did not stabilize")

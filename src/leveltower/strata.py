@@ -5,8 +5,8 @@ A label of corank type h is a free rank-h direct summand A of (o/pi^m)^n.
 Canonical form: the unique generating matrix in reduced column echelon form
 with unit pivots scaled to 1, pivot rows increasing, other columns zero at
 pivot rows, and every entry lying strictly above a column's pivot row a
-non-unit.  Greedy unit-pivot reduction from any generating set reaches this
-form or proves the span is not a free direct summand.
+non-unit.  `ChainRing.echelon`, greedy unit-pivot reduction, reaches this
+form from any generating set or proves the span is not a free direct summand.
 
 Full flags are built, not searched for: a flag's top part B is a hyperplane
 label, B is isomorphic to (o/pi^m)^(n-1) through its generators, and the
@@ -24,35 +24,6 @@ from itertools import combinations, product
 from .chain import ChainRing
 from .errors import NotAFlag, OracleMismatch, PreconditionError
 from .fq import FqField, split_prime_power
-
-
-def _canonicalize(ch: ChainRing, n: int, gens):
-    """Greedy unit-pivot reduction.  Returns (pivot_rows, columns) or None."""
-    cols = [list(g) for g in gens if any(g)]
-    pivots = []
-    piv_cols = []
-    for r in range(n):
-        hit = None
-        for c in cols:
-            if ch.is_unit(c[r]):
-                hit = c
-                break
-        if hit is None:
-            continue
-        cols.remove(hit)
-        inv = ch.inv(hit[r])
-        hit = [ch.mul(inv, x) for x in hit]
-        for c in cols + piv_cols:
-            if c[r]:
-                f = c[r]
-                for i in range(n):
-                    c[i] = ch.sub(c[i], ch.mul(f, hit[i]))
-        pivots.append(r)
-        piv_cols.append(hit)
-    for c in cols:
-        if any(c):
-            return None
-    return tuple(pivots), tuple(tuple(c) for c in piv_cols)
 
 
 @dataclass(frozen=True)
@@ -76,7 +47,7 @@ class DirectSummand:
     @staticmethod
     def from_generators(n: int, q: int, m: int, gens) -> "DirectSummand":
         ch = _chain(q, m)
-        got = _canonicalize(ch, n, gens)
+        got = ch.echelon(n, gens)
         if got is None:
             raise PreconditionError("generators do not span a free direct summand")
         pivots, cols = got
@@ -105,7 +76,7 @@ class DirectSummand:
     def is_summand_of(self, other: "DirectSummand") -> bool:
         """Whether self is a free direct summand of `other` (not just contained)."""
         coords = [other.coords(col) for col in self.cols]
-        return None not in coords and _canonicalize(self.chain, other.rank, coords) is not None
+        return None not in coords and self.chain.echelon(other.rank, coords) is not None
 
     def elements(self):
         ch = self.chain
@@ -268,7 +239,7 @@ def _full_flag_parts(n: int, q: int, m: int) -> list:
         basis = tuple(zip(*B.cols))   # basis[i][k] = B.cols[k][i]
         image = []
         for A in smaller:
-            got = _canonicalize(ch, n, [ch.matvec(basis, col) for col in A.cols])
+            got = ch.echelon(n, [ch.matvec(basis, col) for col in A.cols])
             if got not in labels:
                 raise OracleMismatch(f"a rank-{A.rank} label carried into a hyperplane "
                                      f"is not a label of rank {A.rank}")
@@ -307,7 +278,7 @@ def flag_of_point(values: dict, n: int, q: int, m: int) -> Flag:
     for cut in range(1, len(levels) + 1):
         allowed = set(levels[:cut])
         S = sorted(v for v, t in table.items() if t in allowed)
-        got = _canonicalize(ch, n, S)
+        got = ch.echelon(n, S)
         if got is None:
             raise NotAFlag(
                 f"the cut below tier {levels[cut - 1]} does not span a free direct summand")

@@ -9,7 +9,7 @@ from conftest import random_unit_matrix
 
 from leveltower.chain import ChainRing, gl_elements
 from leveltower.cyclotomic import Cyclotomic
-from leveltower.errors import NonExactDivision, PreconditionError
+from leveltower.errors import CapExceeded, NonExactDivision, PreconditionError
 from leveltower.fq import FqField, _poly_irreducible, factor, monic_polys, split_prime_power
 from leveltower.laurent import Laurent
 from leveltower.matrices import (
@@ -349,3 +349,31 @@ def test_gl_elements_match_the_determinant_filter(q, m, n):
         if ch.is_unit(ch.det(M)):
             expected.append(M)
     assert gl_elements(ch, n) == expected
+
+
+def test_gl_elements_cap_holds_on_a_cache_hit():
+    # (o/pi^2)^(2x2) has 4^4 = 256 candidates; a cached list is no exemption
+    ch = ChainRing(FqField(2), 2)
+    assert len(gl_elements(ch, 2, cap=10 ** 6)) == 96
+    with pytest.raises(CapExceeded):
+        gl_elements(ch, 2, cap=100)
+
+
+@pytest.mark.parametrize("q,m,n", [(2, 1, 3), (2, 2, 2), (3, 1, 2)])
+def test_mat_inv_inverts_every_unit_and_rejects_the_rest(q, m, n):
+    ch = ChainRing(FqField(q), m)
+    eye = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    units = gl_elements(ch, n)
+    for M in units:
+        Mi = ch.mat_inv(M)
+        assert ch.matmul(M, Mi) == eye
+        assert ch.matmul(Mi, M) == eye
+    unit_set = set(units)
+    singular = 0
+    for flat in itertools.product(range(ch.size), repeat=n * n):
+        M = tuple(flat[i * n:(i + 1) * n] for i in range(n))
+        if M not in unit_set:
+            singular += 1
+            with pytest.raises(PreconditionError):
+                ch.mat_inv(M)
+    assert singular == ch.size ** (n * n) - len(units) > 0

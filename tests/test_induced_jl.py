@@ -37,7 +37,7 @@ def test_trivial_spec_equals_count_on_suite():
 
 def test_trivial_spec_rank_one_closed_form():
     # a single lattice class, so the value counts the residual unit frames
-    for q, m, expected in [(3, 1, 2), (2, 2, 2), (3, 2, 6)]:
+    for q, m, expected in [(3, 1, 2), (2, 2, 2), (3, 2, 6), (2, 3, 4)]:
         field = FqField(q, 1)
         b = [[Laurent.const(field, 1)]]
         spec = InducedCharSpec("trivial", m=m)
