@@ -14,7 +14,10 @@ Since det V = pi^{-nz'} det b is a unit, the lattice condition is that V is
 integral.  `count_brute` scans one box of triangular lattice bases, sized
 from m and the elementary divisors of b, tests each by back-substitution
 (`_fixed_lattices`, also the brute route of `induced.hc_character`), and
-reports whether the count was already stable one shell earlier.
+reports whether the count was already stable one shell earlier.  Its frame
+count (`_frame_count`) solves the frame condition as one F_q-linear kernel
+over o/pi^m and counts the solutions that are units mod pi; it lists only
+the residue units GL_n(F_q), never GL_n(o/pi^m).
 `count_structured` uses a certificate for b: the order o[pi^{-z'} b] is
 then maximal, so at most one lattice class survives, tested once by the
 adjugate formula (`_lattice_eigen_matrix`), and the frame count is a
@@ -29,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 from .certify import EllipticCertificate, regular_elliptic_certify
 from .chain import ChainRing, gl_elements
@@ -97,18 +101,19 @@ def _lattice_bases(field: FqField, n: int, bound: int, cap: int):
     Yields (diag_exponents, H).  Normalization: minimal valuation over all
     entries is 0, picking one representative per pi^Z class.  An entry with
     code c has valuation 0 exactly when c is not divisible by q, so the test
-    runs on the codes before H is built; every candidate counts against the cap.
+    runs on the codes before H is built.  Every candidate counts against the
+    cap, and the box is refused before the scan: row i has n - 1 - i entries
+    above the diagonal with q^(d_i) codes each.
     """
     q = field.q
+    total = prod(sum(q ** (d * (n - 1 - i)) for d in range(bound + 1)) for i in range(n))
+    if total > cap:
+        raise CapExceeded(f"lattice box of {total} candidates exceeds cap {cap}")
     positions = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    seen = 0
     for diag in product(range(bound + 1), repeat=n):
         rows = [[Laurent.pi(field, diag[i]) if i == j else Laurent.zero(field)
                  for j in range(n)] for i in range(n)]
         for combo in product(*(range(q ** diag[i]) for i, _ in positions)):
-            seen += 1
-            if seen > cap:
-                raise CapExceeded(f"lattice scan exceeded cap {cap}")
             if min(diag) and all(code % q == 0 for code in combo):
                 continue
             for (i, j), code in zip(positions, combo):
@@ -193,11 +198,41 @@ def _lattice_eigen_backsolve(H, b, z_prime: int):
 
 
 def _frame_count(ch: ChainRing, n: int, Vbar, target) -> int:
-    cnt = 0
-    for y in gl_elements(ch, n):
-        if ch.matmul(Vbar, y) == ch.matmul(y, target):
-            cnt += 1
-    return cnt
+    """#{y in GL_n(o/pi^m) : Vbar y = y target}, by one F_q-linear kernel.
+
+    The base-q digits of an element are its coordinates over F_q, and
+    y -> Vbar y - y target is F_q-linear, so the solutions form a subspace K
+    of the m n^2 coordinates.  `echelon` over F_q runs on the images of the
+    basis matrices pi^t E_ij stacked over the identity, whose rows put t = 0
+    first.  It leaves K's basis in reduced form: the vectors pivoting at
+    t = 0 reduce to a basis of W = K mod pi, the others span the solutions
+    divisible by pi.  As y is invertible exactly when y mod pi is, the count
+    is q^(dim K - dim W) times the number of residue units in W.
+    """
+    res = ChainRing(ch.field, 1)
+    nn = n * n
+    size = ch.m * nn
+    cols = []
+    for k in range(size):
+        t, ij = divmod(k, nn)
+        E = tuple(tuple(ch.q ** t if a * n + c == ij else 0 for c in range(n))
+                  for a in range(n))
+        image = zip(ch.matmul(Vbar, E), ch.matmul(E, target))
+        digits = [d for left, right in image for x, y in zip(left, right)
+                  for d in ch.digits(ch.sub(x, y))]
+        cols.append(tuple(digits) + tuple(int(u == k) for u in range(size)))
+    pivots, reduced = res.echelon(2 * size, cols)
+    residue_basis = [(r - size, col[size:size + nn])
+                     for r, col in zip(pivots, reduced) if size <= r < size + nn]
+    higher = sum(r >= size + nn for r in pivots)
+    units = 0
+    for y in gl_elements(res, n):
+        flat = tuple(x for row in y for x in row)
+        span = (0,) * nn
+        for r, w in residue_basis:
+            span = res.vadd(span, res.vscale(flat[r], w))
+        units += span == flat
+    return ch.q ** higher * units
 
 
 def count_brute(b, g, m: int) -> CountResult:

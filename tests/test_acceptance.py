@@ -4,8 +4,6 @@ import json
 import random
 from fractions import Fraction
 
-import pytest
-
 from conftest import counting_suite, random_unit_matrix
 
 from leveltower.certify import regular_elliptic_certify
@@ -13,7 +11,6 @@ from leveltower.chartab import character_table, cuspidal_characters
 from leveltower.counting import count_brute, count_structured
 from leveltower.cyclotomic import Cyclotomic
 from leveltower.division import DivisionAlgebra, projective_fixed_points, total_fixed_points
-from leveltower.errors import Inconclusive
 from leveltower.formal import LevelStructure, build_tower, check_level, gl_order, make_module
 from leveltower.fq import FqField
 from leveltower.groups import group_gl, group_quaternion_quotient

@@ -428,6 +428,28 @@ def test_count_command(capsys):
     assert doc["results"]["structured"]["per_fiber"] == doc["results"]["bruteforce"]["per_fiber"]
 
 
+
+@pytest.mark.parametrize("q,n,m,g", [(2, 3, 2, "companion:T^3+T+1"),
+                                     (3, 2, 3, "companion:T^2+T+2+P")])
+def test_count_past_the_old_unit_scan_cap(capsys, q, n, m, g):
+    # |GL_n(o/pi^m)| is 262,144 and 531,441 candidates here, over the 200k
+    # scan cap; the frame count only lists the residue units mod pi
+    code, out, err = run(capsys, "count", "--q", str(q), "--n", str(n), "--m", str(m),
+                         "--b", "x:3", "--g", g)
+    assert (code, err) == (0, "")
+    res = json.loads(out)["results"]
+    assert res["agreement"] is True
+    assert res["structured"]["per_fiber"] == res["bruteforce"]["per_fiber"]
+    assert res["per_fiber"] in (0, (q ** n - 1) * q ** (n * (m - 1)))
+
+
+def test_count_refuses_an_oversized_lattice_box_before_scanning(capsys):
+    # (2,3,3) has a brute box bound of 5: 1365 * 63 * 6 candidates
+    code, out, err = run(capsys, "count", "--q", "2", "--n", "3", "--m", "3",
+                         "--b", "x:3", "--g", "companion:T^3+T+1")
+    assert (code, out) == (3, "")
+    assert err == "error: lattice box of 515970 candidates exceeds cap 400000\n"
+
 def test_jl_cap_exit(capsys):
     code, out, err = run(capsys, "jl", "--q", "5")
     assert code == 3

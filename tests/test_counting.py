@@ -1,16 +1,18 @@
 """Fixed-coset counting: structured route against the box-scan oracle."""
 
+import random
 from fractions import Fraction
 from itertools import product
 from math import prod
 
 import pytest
 
-from conftest import counting_suite, random_unit_matrix
+from conftest import counting_suite
 
-from leveltower import counting
-from leveltower.certify import regular_elliptic_certify
+from leveltower import chain, cli, counting, groups
+from leveltower.chain import ChainRing, gl_elements
 from leveltower.counting import (
+    _frame_count,
     _lattice_bases,
     _lattice_eigen_backsolve,
     _lattice_eigen_matrix,
@@ -20,7 +22,7 @@ from leveltower.counting import (
     unit_group_order_unramified,
 )
 from leveltower.errors import CapExceeded, PreconditionError
-from leveltower.fq import FqField
+from leveltower.fq import FqField, split_prime_power
 from leveltower.laurent import Laurent
 from leveltower.matrices import (
     adjugate,
@@ -91,7 +93,6 @@ def test_stable_lattice_reduction_unit_case():
     assert zp == 0
     ch_char = [c for c in charpoly(b)]
     # the reduced frame matrix has the same residual charpoly as b
-    from leveltower.chain import ChainRing
     ch = ChainRing(field, 1)
     assert list(ch.charpoly(Vbar)) == [c.coeff(0) for c in ch_char]
 
@@ -212,3 +213,50 @@ def test_count_brute_makes_no_adjugate_call(monkeypatch):
     assert calls == []
     assert count_structured(b, g, 1).count == 7
     assert calls, "the structured route still takes the adjugate step"
+
+
+def _frame_pairs(ch, n, rng):
+    """(V, T) pairs: V = T = I, three conjugate pairs, two with different
+    characteristic polynomials (so never conjugate)."""
+    units = gl_elements(ch, n)
+    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    pairs = [(identity, identity)]
+    while len(pairs) < 4:
+        T, y = rng.choice(units), rng.choice(units)
+        pairs.append((ch.matmul(ch.matmul(y, T), ch.mat_inv(y)), T))
+    while len(pairs) < 6:
+        V, T = rng.choice(units), rng.choice(units)
+        if ch.charpoly(V) != ch.charpoly(T):
+            pairs.append((V, T))
+    return pairs
+
+
+@pytest.mark.parametrize("q,m,n", [(2, 1, 2), (2, 2, 2), (2, 3, 2), (3, 2, 2), (4, 1, 2),
+                                   (2, 1, 3)])
+def test_frame_count_matches_the_unit_scan(q, m, n):
+    ch = ChainRing(FqField(*split_prime_power(q)), m)
+    rng = random.Random(q * 100 + m * 10 + n)
+    counts = []
+    for V, T in _frame_pairs(ch, n, rng):
+        scan = sum(ch.matmul(V, y) == ch.matmul(y, T) for y in gl_elements(ch, n))
+        assert _frame_count(ch, n, V, T) == scan, (V, T)
+        counts.append(scan)
+    assert counts[0] == len(gl_elements(ch, n))
+    assert all(counts[1:4]) and counts[4:] == [0, 0]
+
+
+def test_frame_count_lists_only_residue_units(monkeypatch):
+    # the unit scan over o/pi^m leaves the count path: only the residue
+    # units mod pi are listed, even at m = 4
+    rings = []
+
+    def recorded(ch, n, *args, **kwargs):
+        rings.append(ch.m)
+        return gl_elements(ch, n, *args, **kwargs)
+
+    for module in (chain, counting, groups):
+        monkeypatch.setattr(module, "gl_elements", recorded)
+    code = cli.main(["count", "--q", "2", "--n", "2", "--m", "4", "--b", "x:3",
+                     "--g", "companion:T^2+T+P*T+1"])
+    assert code == 0
+    assert rings and set(rings) == {1}

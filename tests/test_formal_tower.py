@@ -1,6 +1,5 @@
 """Formal module arithmetic, level towers, and the level-structure checker."""
 
-import dataclasses
 import random
 
 import pytest

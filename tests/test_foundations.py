@@ -9,7 +9,7 @@ from conftest import random_unit_matrix
 
 from leveltower.chain import ChainRing, gl_elements
 from leveltower.cyclotomic import Cyclotomic
-from leveltower.errors import CapExceeded, NonExactDivision, PreconditionError
+from leveltower.errors import CapExceeded, PreconditionError
 from leveltower.fq import FqField, _poly_irreducible, factor, monic_polys, split_prime_power
 from leveltower.laurent import Laurent
 from leveltower.matrices import (

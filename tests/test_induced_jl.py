@@ -1,18 +1,16 @@
 """Induced-character evaluation and the depth-zero matching."""
 
 import random
-from fractions import Fraction
 
 import pytest
 
 from conftest import counting_suite, random_unit_matrix
 
 from leveltower import counting
-from leveltower.certify import regular_elliptic_certify
 from leveltower.chartab import character_table, cuspidal_characters
 from leveltower.counting import count_structured
 from leveltower.cyclotomic import Cyclotomic
-from leveltower.errors import CapExceeded, OracleMismatch
+from leveltower.errors import CapExceeded
 from leveltower.fq import FqField
 from leveltower.groups import group_gl
 from leveltower.induced import (
@@ -22,7 +20,7 @@ from leveltower.induced import (
     jl_match,
 )
 from leveltower.laurent import Laurent
-from leveltower.matrices import adjugate, charpoly, companion, det, mat_identity, mat_mul
+from leveltower.matrices import adjugate, companion, det, mat_identity, mat_mul
 
 
 def test_trivial_spec_equals_count_on_suite():

@@ -3,7 +3,9 @@
 Every top-level function or class and every non-dunder method defined in
 src/leveltower/*.py must be named, as a whole word, somewhere in src/ or
 tests/ outside its own definition, its import lines and `__all__`.  The
-console-script entry point `main` is exempt.  README's module map lists
+console-script entry point `main` is exempt.  Every name a module in src/ or
+tests/ imports is read in that module or listed in its `__all__`
+(`__future__` imports are exempt).  README's module map lists
 exactly the package's modules, one module owns the permutation
 expansion, and every function perfbench traces is found in the package.
 """
@@ -18,13 +20,16 @@ PACKAGE = ROOT / "src" / "leveltower"
 EXEMPT = {"main"}
 
 
+def _is_all(node):
+    return (isinstance(node, ast.Assign)
+            and any(getattr(t, "id", None) == "__all__" for t in node.targets))
+
+
 def _excluded_lines(tree):
     """1-based line numbers of import statements and `__all__` assignments."""
     lines = set()
     for node in ast.walk(tree):
-        is_all = (isinstance(node, ast.Assign)
-                  and any(getattr(t, "id", None) == "__all__" for t in node.targets))
-        if isinstance(node, (ast.Import, ast.ImportFrom)) or is_all:
+        if isinstance(node, (ast.Import, ast.ImportFrom)) or _is_all(node):
             lines.update(range(node.lineno, node.end_lineno + 1))
     return lines
 
@@ -66,6 +71,31 @@ def test_every_definition_is_referenced():
         and all(path == home and first <= number <= last
                 for path, number in where.get(name, ()))]
     assert not unreferenced, "unreferenced definitions:\n" + "\n".join(unreferenced)
+
+
+def _unread_imports(tree):
+    """(line, name) for each name the module imports but never reads."""
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.extend((node.lineno, (a.asname or a.name).split(".")[0])
+                            for a in node.names)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in ast.walk(tree):
+        if _is_all(node):
+            read.update(elt.value for elt in node.value.elts)
+    return [(line, name) for line, name in imported if name not in read]
+
+
+def test_every_import_is_read():
+    sources = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    unread = [f"{path.relative_to(ROOT)}:{line} {name}"
+              for path in sources
+              for line, name in _unread_imports(ast.parse(path.read_text(encoding="utf-8")))]
+    assert not unread, "imported names never read:\n" + "\n".join(unread)
 
 
 def _modules():
