@@ -10,19 +10,24 @@ form from any generating set or proves the span is not a free direct summand.
 
 Full flags are built, not searched for: a flag's top part B is a hyperplane
 label, B is isomorphic to (o/pi^m)^(n-1) through its generators, and the
-parts below B are the image of a full flag of (o/pi^m)^(n-1).  `Flag`
-checks every chain; the flags of one `enumerate_flags` call share their
-label objects, so each distinct step (A, B) is checked once per call.
+parts below B are the image of a full flag of (o/pi^m)^(n-1).  A built flag
+is a flag by construction, so it is the plain tuple of its labels; `Flag`
+checks the chains that come from elsewhere, step by step.
+
+Both censuses are sized from their closed forms before anything is built
+(Honold and Landjev, Electron. J. Combin. 7 (2000)): q^((m-1)h(n-h)) [n h]_q
+labels of rank h and q^((m-1)n(n-1)/2) [n]_q! full flags.  One above
+LABEL_CAP or FLAG_CAP is refused with CapExceeded.
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
 
 from .chain import ChainRing
-from .errors import NotAFlag, OracleMismatch, PreconditionError
+from .errors import CapExceeded, NotAFlag, OracleMismatch, PreconditionError
 from .fq import FqField, split_prime_power
 
 
@@ -98,8 +103,20 @@ class DirectSummand:
         return f"rank {self.rank} label <" + ", ".join(gens) + ">"
 
 
+LABEL_CAP = 200_000     # labels of one rank, per enumeration
+FLAG_CAP = 1_500_000    # full flags, per enumeration
+
+
 def _chain(q: int, m: int) -> ChainRing:
     return ChainRing(FqField(*split_prime_power(q)), m)
+
+
+def _q_factorial(k: int, q: int) -> int:
+    """[k]_q! = prod_{i=1..k} (q^i - 1)/(q - 1), the number of full flags of F_q^k."""
+    out = 1
+    for i in range(1, k + 1):
+        out *= (q ** i - 1) // (q - 1)
+    return out
 
 
 _enum_cache: dict[tuple, list] = {}
@@ -118,6 +135,11 @@ def enumerate_summands(n: int, q: int, m: int, h: int):
     if key in _enum_cache:
         return _enum_cache[key]
     ch = _chain(q, m)
+    # at least 2^(m h(n-h)) labels: past that bound, refuse without the closed form
+    e = h * (n - h)
+    if m * e >= LABEL_CAP.bit_length() or q ** ((m - 1) * e) * _q_factorial(n, q) // (
+            _q_factorial(h, q) * _q_factorial(n - h, q)) > LABEL_CAP:
+        raise CapExceeded(f"rank-{h} labels of (o/pi^{m})^{n} exceed cap {LABEL_CAP}")
     nonunits = [a for a in range(ch.size) if not ch.is_unit(a)]
     full = list(range(ch.size))
     out = []
@@ -176,12 +198,8 @@ class Flag:
     summand of the next (and of the ambient module)."""
 
     parts: tuple  # DirectSummands, ascending rank
-    # Step verdicts shared by the flags of one `enumerate_flags` call, keyed
-    # by the ids of the two labels, so it must not outlive them.  Not stored;
-    # a flag built without it checks each of its steps.
-    verdicts: InitVar[dict | None] = None
 
-    def __post_init__(self, verdicts):
+    def __post_init__(self):
         parts = self.parts
         if not parts:
             raise NotAFlag("empty chain")
@@ -191,14 +209,7 @@ class Flag:
         for A, B in zip(parts, parts[1:]):
             if not A.rank < B.rank:
                 raise NotAFlag("ranks must strictly increase")
-            if verdicts is None:
-                ok = A.is_summand_of(B)
-            else:
-                key = (id(A), id(B))
-                ok = verdicts.get(key)
-                if ok is None:
-                    ok = verdicts[key] = A.is_summand_of(B)
-            if not ok:
+            if not A.is_summand_of(B):
                 raise NotAFlag(
                     f"rank-{A.rank} part is not a free direct summand of the rank-{B.rank} part")
 
@@ -207,23 +218,24 @@ class Flag:
         return tuple(A.rank for A in self.parts)
 
 
-def enumerate_flags(n: int, q: int, m: int):
-    """All full flags (ranks 1, ..., n-1) of labels in (o/pi^m)^n.
+def enumerate_flags(n: int, q: int, m: int) -> list:
+    """All full flags (ranks 1, ..., n-1) of labels in (o/pi^m)^n, each the
+    tuple of its labels in ascending rank, q^((m-1)n(n-1)/2) [n]_q! of them.
 
     Each flag is built once, from its top part B, a hyperplane label, and a
-    full flag of (o/pi^m)^(n-1) carried into B by v -> sum_k v_k B.cols[k];
-    the carried parts are the label objects `enumerate_summands` holds.
-    `Flag` checks each distinct step (A, B) once per call and reuses the
-    verdict for every flag that contains it.  There are
-    |GL_n(o/pi^m)| / ((q-1)^n q^((m-1)n + m n(n-1)/2)) of them.
+    full flag of (o/pi^m)^(n-1) carried into B by v -> sum_k v_k B.cols[k].
+    Each carried label is checked once per B to be a label of the same rank,
+    and that proves every chain a flag: the carry is injective and linear,
+    so the carried parts nest inside B, and a free direct summand of the
+    ambient module that lies inside B is a free direct summand of B.  The
+    parts are the label objects `enumerate_summands` holds.
     """
     if n < 2:
         raise PreconditionError("empty rank signature")
-    verdicts = {}
-    return [Flag(parts, verdicts) for parts in _full_flag_parts(n, q, m)]
-
-
-def _full_flag_parts(n: int, q: int, m: int) -> list:
+    # at least 2^(m n(n-1)/2) flags: past that bound, refuse without the closed form
+    e = n * (n - 1) // 2
+    if m * e >= FLAG_CAP.bit_length() or q ** ((m - 1) * e) * _q_factorial(n, q) > FLAG_CAP:
+        raise CapExceeded(f"full flags of (o/pi^{m})^{n} exceed cap {FLAG_CAP}")
     top = enumerate_summands(n, q, m, n - 1)
     if n == 2:
         return [(B,) for B in top]
@@ -233,7 +245,7 @@ def _full_flag_parts(n: int, q: int, m: int) -> list:
     # The flags below are carried by position in `smaller`: hashing a frozen
     # label hashes every coordinate of it.
     position = {id(A): i for i, A in enumerate(smaller)}
-    below = [[position[id(A)] for A in parts] for parts in _full_flag_parts(n - 1, q, m)]
+    below = [[position[id(A)] for A in parts] for parts in enumerate_flags(n - 1, q, m)]
     out = []
     for B in top:
         basis = tuple(zip(*B.cols))   # basis[i][k] = B.cols[k][i]
@@ -244,7 +256,7 @@ def _full_flag_parts(n: int, q: int, m: int) -> list:
                 raise OracleMismatch(f"a rank-{A.rank} label carried into a hyperplane "
                                      f"is not a label of rank {A.rank}")
             image.append(labels[got])
-        out.extend(tuple(image[i] for i in parts) + (B,) for parts in below)
+        out.extend((*map(image.__getitem__, parts), B) for parts in below)
     return out
 
 

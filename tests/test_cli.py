@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from leveltower import cli, serialize
+from leveltower import cli, serialize, strata
 from leveltower.errors import (
     CapExceeded,
     NotAFlag,
@@ -23,6 +23,13 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def _fresh_cli(*argv):
+    # a fresh process with a timeout, so an input that runs on fails instead of hanging
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    return subprocess.run([sys.executable, "-m", "leveltower.cli", *argv],
+                          capture_output=True, text=True, timeout=60, env=env)
 
 
 def test_exit_code_mapping():
@@ -118,6 +125,37 @@ def test_strata_action_zero_table(capsys):
     assert doc["results"]["observed_minimal_free_level"] == {"1": 1, "2": 1}
 
 
+def test_strata_n_must_be_positive(capsys):
+    for n in ("0", "-1"):
+        code, out, err = run(capsys, "strata", "--n", n)
+        assert (code, out, err) == (2, "", "error: height n must be >= 1\n")
+    code, out, err = run(capsys, "strata", "--n", "1")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["results"]["counts"] == {}
+
+
+@pytest.mark.parametrize("argv,message", [
+    # 9,999,360 flags, refused before one is built
+    (["flags", "--q", "2", "--n", "5", "--m", "2"],
+     "error: full flags of (o/pi^2)^5 exceed cap 1500000\n"),
+    # 2^18 - 1 lines, refused before one is built
+    (["strata", "--q", "2", "--n", "18", "--m", "1"],
+     "error: rank-1 labels of (o/pi^1)^18 exceed cap 200000\n"),
+], ids=["flags-2-5-2", "strata-2-18-1"])
+def test_census_cap_exits_3(argv, message):
+    proc = _fresh_cli(*argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", message)
+
+
+def test_strata_action_census_cap_exits_3(capsys, monkeypatch):
+    # (3,2,m) has 7 * 4^(m-1) rank-1 labels: 7 and 28 fit under a cap of 100, 112 does not
+    monkeypatch.setattr(strata, "_enum_cache", {})
+    monkeypatch.setattr(strata, "LABEL_CAP", 100)
+    code, out, err = run(capsys, "strata-action", "--q", "2", "--n", "3",
+                         "--g", "companion:T^3+T+1", "--scan-m", "4")
+    assert (code, out, err) == (3, "", "error: rank-1 labels of (o/pi^3)^3 exceed cap 100\n")
+
+
 def test_strata_action_rejects_non_unit(capsys):
     code, out, err = run(capsys, "strata-action", "--q", "2", "--n", "2",
                          "--g", "companion:T^2+P")
@@ -164,11 +202,7 @@ def _bad_q_argv(command, q, tmp_path):
 @pytest.mark.parametrize("command", ["strata", "flags", "strata-action", "flag-of-point",
                                      "strata-n1", "selftest", "jl"])
 def test_q_not_prime_power_exits_2(command, q, tmp_path):
-    # a fresh process with a timeout, so a q that loops forever fails instead of hanging
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
-    proc = subprocess.run([sys.executable, "-m", "leveltower.cli",
-                           *_bad_q_argv(command, q, tmp_path)],
-                          capture_output=True, text=True, timeout=60, env=env)
+    proc = _fresh_cli(*_bad_q_argv(command, q, tmp_path))
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == f"error: q = {q} " + (
@@ -176,9 +210,10 @@ def test_q_not_prime_power_exits_2(command, q, tmp_path):
 
 
 def test_removed_knobs_are_rejected(capsys, tmp_path):
-    for flag in ("--group-cap", "--pair-cap"):
+    for argv in (["strata", "--group-cap", "5"], ["strata", "--pair-cap", "5"],
+                 ["selftest", "--seed", "5"]):
         with pytest.raises(SystemExit) as exc:
-            cli.main(["strata", flag, "5"])
+            cli.main(argv)
         assert exc.value.code == 2
     cfg = tmp_path / "run.cfg"
     for key in ("table_cap", "pair_cap"):
@@ -192,7 +227,7 @@ def test_removed_knobs_are_rejected(capsys, tmp_path):
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 ALL_KNOBS = ("q", "n", "m", "prec", "u_spec", "rank_cap", "jl_q_cap", "scan_m",
-             "cache_dir", "seed")
+             "cache_dir")
 
 
 @pytest.mark.parametrize("command,knobs,extra", [
@@ -203,7 +238,7 @@ ALL_KNOBS = ("q", "n", "m", "prec", "u_spec", "rank_cap", "jl_q_cap", "scan_m",
     ("flags", "q n m", []),
     ("flag-of-point", "", ["--table", "{table}"]),
     ("jl", "q jl_q_cap", []),
-    ("selftest", "q seed", []),
+    ("selftest", "q", []),
 ])
 def test_command_takes_and_reports_only_its_knobs(capsys, tmp_path, command, knobs, extra):
     table = tmp_path / "vt.txt"
@@ -243,10 +278,7 @@ def test_readme_knob_table_matches_the_commands():
 
 def test_huge_q_is_refused_before_factoring():
     # 2^61 - 1 is prime; trial division up to its square root would not finish
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
-    proc = subprocess.run([sys.executable, "-m", "leveltower.cli", "tower",
-                           "--q", "2305843009213693951"],
-                          capture_output=True, text=True, timeout=60, env=env)
+    proc = _fresh_cli("tower", "--q", "2305843009213693951")
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert proc.stderr == "error: q = 2305843009213693951 exceeds the 2^16 field cap\n"
@@ -275,6 +307,17 @@ def test_huge_q_is_refused_before_factoring():
      "error: u-spec order -3 must be at least 1\n"),
     (["tower", "--q", "2", "--n", "2", "--m", "2", "--u-spec", "-1"],
      "error: u-spec digit code -1 is outside 0..1\n"),
+    # a --g of another size than --n: count used to exit 4, strata-action to cut g silently
+    (["count", "--q", "2", "--n", "3", "--m", "1", "--b", "x:3", "--g", "companion:T^2+T+1"],
+     "error: matrix 'companion:T^2+T+1' is 2x2, not 3x3\n"),
+    (["count", "--q", "2", "--n", "2", "--m", "1", "--b", "x:2", "--g", "mat:1,0,0;0,1,0;0,0,1"],
+     "error: matrix 'mat:1,0,0;0,1,0;0,0,1' is 3x3, not 2x2\n"),
+    (["count", "--q", "2", "--n", "2", "--m", "1", "--b", "x:2", "--g", "diag:1"],
+     "error: matrix 'diag:1' is 1x1, not 2x2\n"),
+    (["strata-action", "--q", "2", "--n", "3", "--g", "companion:T^2+T+1"],
+     "error: matrix 'companion:T^2+T+1' is 2x2, not 3x3\n"),
+    (["strata-action", "--q", "2", "--n", "2", "--g", "companion:T^3+T+1"],
+     "error: matrix 'companion:T^3+T+1' is 3x3, not 2x2\n"),
 ])
 def test_bad_element_tokens_exit_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -400,11 +443,11 @@ def test_reload_defect_is_not_a_cache_miss(capsys, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("argv,full,code,message", [
-    (["selftest", "--se", "3"], ["selftest", "--seed", "3"], 0, ""),
+    (["jl", "--q", "2", "--jl-q", "3"], ["jl", "--q", "2", "--jl-q-cap", "3"], 0, ""),
     (["tower", "--q", "2", "--n", "2", "--m", "1", "--rank", "9"],
      ["tower", "--q", "2", "--n", "2", "--m", "1", "--rank-cap", "9"], 3,
      "error: ring rank 24 exceeds cap 9\n"),
-], ids=["selftest-seed", "tower-rank-cap"])
+], ids=["jl-q-cap", "tower-rank-cap"])
 def test_flags_need_their_full_spelling(capsys, argv, full, code, message):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
@@ -415,7 +458,7 @@ def test_flags_need_their_full_spelling(capsys, argv, full, code, message):
     got, out, err = run(capsys, *full)
     assert (got, err) == (code, message)
     if code == 0:
-        assert json.loads(out)["config"]["seed"] == 3
+        assert json.loads(out)["config"]["jl_q_cap"] == 3
 
 
 def test_count_command(capsys):
@@ -524,3 +567,18 @@ def test_selftest_command(capsys):
     assert code == 0
     doc = json.loads(out)
     assert all(c["status"] == "pass" for c in doc["results"]["checks"])
+
+
+def test_selftest_catches_a_non_commutative_product(capsys, monkeypatch):
+    # skew only the precision-3 ring the axiom check builds; the tower rings have precision 2
+    product = cli.CoeffRing._mul_dicts
+
+    def skewed(ring, A, B):
+        out = product(ring, A, B)
+        if ring.prec == 3 and len(A) == len(B) == 1 and min(A) > min(B):
+            out = {**out, 0: ring.field.add(out.get(0, 0), 1)}
+        return {k: c for k, c in out.items() if c}
+
+    monkeypatch.setattr(cli.CoeffRing, "_mul_dicts", skewed)
+    code, out, err = run(capsys, "selftest")
+    assert (code, out, err) == (4, "", "error: selftest failed at ring axioms\n")

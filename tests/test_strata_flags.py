@@ -5,13 +5,13 @@ import itertools
 import pytest
 
 from leveltower.certify import regular_elliptic_certify
-from leveltower.errors import NotAFlag, PreconditionError
+from leveltower import strata
+from leveltower.errors import CapExceeded, NotAFlag, PreconditionError
 from leveltower.formal import gl_order
 from leveltower.fq import FqField
 from leveltower.laurent import Laurent
 from leveltower.matrices import charpoly, companion, mat_reduce_mod
 from leveltower.strata import (
-    DirectSummand,
     Flag,
     dual_summand,
     enumerate_flags,
@@ -71,6 +71,23 @@ def test_higher_level_label_counts():
     for n, q, m, h in [(2, 2, 2, 1), (3, 2, 2, 1), (3, 2, 2, 2), (2, 3, 2, 1)]:
         expected = gaussian_binomial(n, h, q) * q ** (h * (n - h) * (m - 1))
         assert len(enumerate_summands(n, q, m, h)) == expected
+
+
+def test_label_census_is_capped_before_it_is_built(monkeypatch):
+    monkeypatch.setattr(strata, "_enum_cache", {})
+    # (3,2,2) has 28 labels of each rank: admitted at a cap of 28, refused at 27
+    monkeypatch.setattr(strata, "LABEL_CAP", 28)
+    assert len(enumerate_summands(3, 2, 2, 1)) == 28
+    monkeypatch.setattr(strata, "LABEL_CAP", 27)
+    with pytest.raises(CapExceeded, match=r"rank-2 labels of \(o/pi\^2\)\^3 exceed cap 27"):
+        enumerate_summands(3, 2, 2, 2)
+    monkeypatch.undo()
+    monkeypatch.setattr(strata, "_enum_cache", {})
+    # 2^18 - 1 lines of F_2^18 by the closed form; at least 2^999 lines of F_2^1000
+    # by the lower bound
+    for n in (18, 1000):
+        with pytest.raises(CapExceeded, match=f"rank-1 labels of \\(o/pi\\^1\\)\\^{n} exceed"):
+            enumerate_summands(n, 2, 1, 1)
 
 
 def test_dual_summand_involution_and_rank():
@@ -158,29 +175,35 @@ def pairwise_flag_keys(n, q, m):
 @pytest.mark.parametrize("n,q,m", [(3, 2, 2), (3, 3, 1), (4, 2, 1)])
 def test_built_flags_equal_pairwise_search(n, q, m):
     flags = enumerate_flags(n, q, m)
-    keys = [tuple(A.key() for A in f.parts) for f in flags]
+    keys = [tuple(A.key() for A in f) for f in flags]
     assert len(set(keys)) == len(keys)
     assert set(keys) == pairwise_flag_keys(n, q, m)
 
 
-def test_flags_check_each_distinct_step_once(monkeypatch):
-    # 20,160 flags of three parts share 6,720 distinct (A, B) steps
-    calls = []
-    check = DirectSummand.is_summand_of
+@pytest.mark.parametrize("n,q,m", [(3, 2, 2), (3, 3, 1), (4, 2, 1)])
+def test_built_flags_pass_the_step_check(n, q, m):
+    # enumerate_flags proves its chains flags by construction; Flag checks each step
+    for chain in enumerate_flags(n, q, m):
+        assert Flag(chain).signature == tuple(range(1, n))
 
-    def counted(A, B):
-        calls.append((A, B))
-        return check(A, B)
 
-    monkeypatch.setattr(DirectSummand, "is_summand_of", counted)
-    assert len(enumerate_flags(4, 2, 2)) == 20160
-    assert len(calls) == 6720
-    assert len({(id(A), id(B)) for A, B in calls}) == 6720
+def test_flag_census_is_capped_before_it_is_built(monkeypatch):
+    # (3,2,2) has 2^3 * [3]_2! = 168 full flags: admitted at a cap of 168, refused at 167
+    monkeypatch.setattr(strata, "FLAG_CAP", 168)
+    assert len(enumerate_flags(3, 2, 2)) == 168
+    monkeypatch.setattr(strata, "FLAG_CAP", 167)
+    with pytest.raises(CapExceeded, match=r"full flags of \(o/pi\^2\)\^3 exceed cap 167"):
+        enumerate_flags(3, 2, 2)
+    monkeypatch.undo()
+    # 2^10 * [5]_2! = 9,999,360 by the closed form; at least 2^(2*45) by the lower bound
+    for n in (5, 10):
+        with pytest.raises(CapExceeded, match=f"full flags of \\(o/pi\\^2\\)\\^{n} exceed"):
+            enumerate_flags(n, 2, 2)
 
 
 def test_flag_checks_every_step_after_enumeration():
-    # the verdicts of one enumerate_flags call are not kept: a chain built
-    # by hand from the same label objects is checked in full
+    # a chain built by hand from the label objects enumerate_flags carries
+    # is checked in full
     enumerate_flags(3, 2, 2)
     lines, planes = enumerate_summands(3, 2, 2, 1), enumerate_summands(3, 2, 2, 2)
     bad = [(A, B) for A in lines for B in planes if not A.is_summand_of(B)]
