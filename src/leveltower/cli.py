@@ -11,6 +11,9 @@ Exit codes: 0 success, 2 precondition or certification failure (a usage
 error included), 3 a desk-scale cap was exceeded, 4 an internal defect: two
 computation routes disagreed or an unexpected exception was raised (never
 user error).  Every nonzero exit writes one `error:` line to stderr.
+
+Importing this module loads only `argparse`, `json` and `errors`; each
+command imports the modules it runs, so a process loads only its own.
 """
 
 from __future__ import annotations
@@ -18,37 +21,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from pathlib import Path
 from time import perf_counter
 from typing import Callable, NamedTuple
 
-from .certify import regular_elliptic_certify
-from .counting import count_brute, count_structured
-from .division import DivisionAlgebra, total_fixed_points
 from .errors import (
+    DEFAULT_RANK_CAP,
+    JL_Q_CAP,
     CapExceeded,
     NonExactDivision,
     NotAFlag,
     OracleMismatch,
     PreconditionError,
 )
-from .formal import DEFAULT_RANK_CAP, build_tower, check_level, gl_order
-from .fq import FqField, split_prime_power
-from .induced import JL_Q_CAP, jl_match
-from .laurent import Laurent
-from .matrices import charpoly, det, mat_reduce_mod
-from .rings import CoeffRing, RingElem
-from .serialize import (
-    Cache,
-    REPORT_SCHEMA,
-    TOWER_SCHEMA,
-    canonical_dumps,
-    content_key,
-    tower_from_doc,
-    tower_to_doc,
-)
-from .strata import enumerate_flags, enumerate_summands, flag_of_point, strata_fixed_count
 
 CSV_SCHEMA = "leveltower-csv/1"
 
@@ -78,7 +62,6 @@ def exit_code_for(exc: BaseException) -> int | None:
 # -- configuration ----------------------------------------------------------------
 
 
-@dataclass
 class RunConfig:
     q: int = 2
     n: int = 2
@@ -105,6 +88,7 @@ class RunConfig:
         if out.get("scan_m", 1) < 1:
             raise PreconditionError(f"scan_m {out['scan_m']} must be at least 1")
         if "q" in out:
+            from .fq import split_prime_power
             split_prime_power(out["q"])
         return out
 
@@ -188,12 +172,12 @@ def resolve_config(args, knobs) -> RunConfig:
 
 def parse_laurent(expr: str, field: FqField) -> Laurent:
     """Sum of terms over F_q((pi)): `3`, `P`, `P^2`, `2*P^3`, `1+P`, `-P`."""
-    coeffs = parse_poly(expr, field, allow_T=False)
-    return coeffs[0] if coeffs else Laurent.zero(field)
+    return parse_poly(expr, field, allow_T=False)[0]
 
 
 def parse_poly(expr: str, field: FqField, allow_T: bool = True):
     """Coefficient list (low degree first) of a polynomial in T over F_q((pi))."""
+    from .laurent import Laurent
     expr = expr.replace(" ", "")
     if not expr:
         raise PreconditionError("empty element expression")
@@ -245,6 +229,7 @@ def parse_poly(expr: str, field: FqField, allow_T: bool = True):
 
 def parse_matrix(spec: str, field: FqField, n: int):
     """An n x n matrix in the mini-language: companion:<poly in T>, diag:<entries>, mat:<rows>."""
+    from .laurent import Laurent
     kind, sep, rest = spec.partition(":")
     if not sep:
         raise PreconditionError(
@@ -285,9 +270,12 @@ def parse_algebra_element(spec: str, alg: DivisionAlgebra):
 
 
 def cmd_tower(cfg: RunConfig) -> dict:
+    from .formal import build_tower, check_level, gl_order
     cache_info = {"enabled": cfg.cache_dir is not None, "hit": False, "key": None}
     tower = None
     if cfg.cache_dir is not None:
+        from .serialize import (
+            TOWER_SCHEMA, Cache, canonical_dumps, content_key, tower_from_doc, tower_to_doc)
         cache = Cache(cfg.cache_dir)
         key = content_key({
             "kind": "tower", "schema": TOWER_SCHEMA, "q": cfg.q, "n": cfg.n, "m": cfg.m,
@@ -325,6 +313,8 @@ def cmd_tower(cfg: RunConfig) -> dict:
 
 
 def cmd_count(cfg: RunConfig, b_spec: str, g_spec: str) -> dict:
+    from .division import DivisionAlgebra, total_fixed_points
+    from .matrices import det
     alg = DivisionAlgebra(cfg.q, cfg.n)
     b = parse_algebra_element(b_spec, alg)
     g = parse_matrix(g_spec, alg.small, cfg.n)
@@ -350,23 +340,27 @@ def cmd_count(cfg: RunConfig, b_spec: str, g_spec: str) -> dict:
 
 
 def cmd_strata(cfg: RunConfig) -> dict:
-    per_h = {}
-    total = 0
-    for h in range(1, cfg.n):
-        cnt = len(enumerate_summands(cfg.n, cfg.q, cfg.m, h))
-        per_h[h] = cnt
-        total += cnt
-    return {"n": cfg.n, "q": cfg.q, "m": cfg.m,
-            "counts": {str(h): c for h, c in per_h.items()}, "total": total}
+    from .strata import check_label_census, enumerate_summands
+    for h in range(1, cfg.n):  # every census is sized before any is built
+        check_label_census(cfg.n, cfg.q, cfg.m, h)
+    counts = {str(h): len(enumerate_summands(cfg.n, cfg.q, cfg.m, h)) for h in range(1, cfg.n)}
+    return {"n": cfg.n, "q": cfg.q, "m": cfg.m, "counts": counts, "total": sum(counts.values())}
 
 
 def cmd_strata_action(cfg: RunConfig, g_spec: str) -> dict:
+    from .certify import regular_elliptic_certify
+    from .fq import FqField, split_prime_power
+    from .matrices import charpoly, mat_reduce_mod
+    from .strata import check_label_census, strata_fixed_count
     field = FqField(*split_prime_power(cfg.q))
     g = parse_matrix(g_spec, field, cfg.n)
     cert = regular_elliptic_certify(charpoly(g))
     if cert.det_val != 0:
         raise PreconditionError(
             f"v(det g) = {cert.det_val} != 0, the label action needs a unit class")
+    for h in range(1, cfg.n):  # every census is sized before any is built
+        for m in range(1, cfg.scan_m + 1):
+            check_label_census(cfg.n, cfg.q, m, h)
     table = {}
     minimal_zero = {}
     for h in range(1, cfg.n):
@@ -382,6 +376,7 @@ def cmd_strata_action(cfg: RunConfig, g_spec: str) -> dict:
 
 
 def cmd_flags(cfg: RunConfig) -> dict:
+    from .strata import enumerate_flags
     flags = enumerate_flags(cfg.n, cfg.q, cfg.m)
     return {"n": cfg.n, "q": cfg.q, "m": cfg.m,
             "signature": list(range(1, cfg.n)),
@@ -412,6 +407,7 @@ def load_value_table(path: str):
 
 
 def cmd_flag_of_point(cfg: RunConfig, path: str) -> dict:
+    from .strata import flag_of_point
     (n, q, m), values = load_value_table(path)
     flag = flag_of_point(values, n, q, m)
     return {"n": n, "q": q, "m": m,
@@ -420,6 +416,7 @@ def cmd_flag_of_point(cfg: RunConfig, path: str) -> dict:
 
 
 def cmd_jl(cfg: RunConfig) -> dict:
+    from .induced import jl_match
     result = jl_match(cfg.q, cap_q=cfg.jl_q_cap)
     doc = result.summary()
     doc["cuspidal_count"] = len(result.pairs)
@@ -431,7 +428,13 @@ def cmd_jl(cfg: RunConfig) -> dict:
 def cmd_selftest(cfg: RunConfig) -> dict:
     """A quick battery of cross-checked identities; any failure raises."""
     from .chartab import character_table, cuspidal_characters
+    from .counting import count_brute, count_structured
+    from .formal import build_tower, check_level, gl_order
+    from .fq import FqField
     from .groups import group_gl
+    from .induced import jl_match
+    from .rings import CoeffRing, RingElem
+    from .strata import enumerate_flags, enumerate_summands
 
     checks = []
 
@@ -552,6 +555,7 @@ def render_text(command: str, report: dict) -> str:
 
 def emit(report: dict, cfg: RunConfig) -> str:
     if cfg.format == "json":
+        from .serialize import canonical_dumps
         return canonical_dumps(report) + "\n"
     if cfg.format == "csv":
         return render_csv(report["command"], report)
@@ -621,6 +625,7 @@ def main(argv=None) -> int:
         t0 = perf_counter()
         results = command.run(cfg, *(getattr(args, arg) for arg, _ in command.required))
         elapsed = perf_counter() - t0
+        from .serialize import REPORT_SCHEMA
         report = {
             "schema": REPORT_SCHEMA,
             "command": args.command,
@@ -635,6 +640,7 @@ def main(argv=None) -> int:
         code = exit_code_for(exc)
         if code is None:
             import traceback  # only on this path: it would slow every start-up
+            from pathlib import Path
             where = traceback.extract_tb(exc.__traceback__)[-1]
             sys.stderr.write(f"error: internal defect: {type(exc).__name__}: {exc} "
                              f"(at {Path(where.filename).name}:{where.lineno})\n")

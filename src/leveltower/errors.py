@@ -1,8 +1,13 @@
-"""Error taxonomy shared by the whole package.
+"""Error taxonomy shared by the whole package, and the caps the CLI echoes.
 
 Every failure mode that callers are expected to handle gets its own class;
-the CLI maps them onto the exit-code contract (see cli.EXIT_CODES).
+the CLI maps them onto the exit-code contract (see cli.EXIT_CODES).  The
+default caps live here, beside CapExceeded, so that the CLI can report them
+without importing the modules that enforce them.
 """
+
+DEFAULT_RANK_CAP = 5000  # formal.build_tower: ring rank of the top stage
+JL_Q_CAP = 4             # induced.jl_match: largest q matched
 
 
 class LevelTowerError(Exception):

@@ -15,12 +15,11 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from itertools import product
 from math import prod
 
 from .chain import ChainRing
-from .errors import PreconditionError, RankCapExceeded
+from .errors import DEFAULT_RANK_CAP, PreconditionError, RankCapExceeded
 from .fq import FqField, split_prime_power
 from .rings import (
     CoeffRing,
@@ -181,16 +180,12 @@ def _pi_poly_value(ring: CoeffRing, digits) -> RingElem:
     return out
 
 
-@dataclass
 class LevelStructure:
     """A level-m structure: a value phi(v) for every v in (o/pi^m)^n."""
 
-    module: FormalOModule
-    m: int
-    values: dict
-
-    def __post_init__(self):
-        self.chain = ChainRing(self.module.scalar_field, self.m)
+    def __init__(self, module: FormalOModule, m: int, values: dict):
+        self.module, self.m, self.values = module, m, values
+        self.chain = ChainRing(module.scalar_field, m)
 
     def torsion_vectors(self):
         """Vectors killed by pi, i.e. with all digits below the top one zero."""
@@ -265,22 +260,17 @@ def check_level(phi: LevelStructure):
     return report
 
 
-@dataclass
 class Tower:
     """A full level-m structure built stage by stage over the base ring."""
 
-    n: int
-    q: int
-    m: int
-    ring: CoeffRing
-    module: FormalOModule
-    stage_degrees: list
-    table: dict                 # phi on (o/pi^m)^n, in the top ring
-    u_spec_label: str
-    structure: LevelStructure = dc_field(init=False)
-
-    def __post_init__(self):
-        self.structure = LevelStructure(self.module, self.m, self.table)
+    def __init__(self, n: int, q: int, m: int, ring: CoeffRing, module: FormalOModule,
+                 stage_degrees: list, table: dict, u_spec_label: str):
+        self.n, self.q, self.m = n, q, m
+        self.ring, self.module = ring, module
+        self.stage_degrees = stage_degrees
+        self.table = table  # phi on (o/pi^m)^n, in the top ring
+        self.u_spec_label = u_spec_label
+        self.structure = LevelStructure(module, m, table)
 
     @property
     def rank_over_base(self) -> int:
@@ -297,9 +287,6 @@ def _u_spec_label(n, u_spec) -> str:
         else:
             parts.append("val:" + ",".join(str(c) for c in s))
     return ";".join(parts) if parts else "-"
-
-
-DEFAULT_RANK_CAP = 5000
 
 
 def gl_order(n: int, q: int, m: int = 1) -> int:
@@ -349,6 +336,10 @@ def build_tower(n: int, q: int, m: int, prec: int | None = None, u_spec=None,
     if prec < m + 1:
         raise PreconditionError(f"precision {prec} < level + 1 = {m + 1}")
     module = make_module(n, q, u_spec=u_spec, prec=prec)
+    # |GL_n(o/pi^m)| >= 2^(m n^2 - n): refuse on that bound before forming the rank
+    bound = m * n * n - n
+    if bound >= rank_cap.bit_length():
+        raise RankCapExceeded(f"ring rank >= 2^{bound} exceeds cap {rank_cap}")
     ring = module.ring
     expected = gl_order(n, q, m)
     top_rank = ring.rank * expected

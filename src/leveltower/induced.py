@@ -30,15 +30,13 @@ from .counting import (
     stable_lattice_reduction,
 )
 from .cyclotomic import Cyclotomic
-from .errors import CapExceeded, Inconclusive, OracleMismatch, PreconditionError
+from .errors import JL_Q_CAP, CapExceeded, Inconclusive, OracleMismatch, PreconditionError
 from .groups import group_gl, group_quaternion_quotient
 from .matrices import (
     charpoly,
     companion,
     mat_identity,
 )
-
-JL_Q_CAP = 4
 
 _ONE = Cyclotomic.from_rational(1)
 

@@ -23,16 +23,11 @@ os.replace, so a reader never observes a half-written entry.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
-import tempfile
 from itertools import product, zip_longest
 
 from .errors import OracleMismatch, PreconditionError
-from .formal import FormalOModule, Tower
-from .fq import FqField
-from .rings import CoeffRing, RingElem
 
 RING_SCHEMA = "leveltower/ring/2"
 TOWER_SCHEMA = "leveltower/tower/3"
@@ -44,6 +39,7 @@ def canonical_dumps(doc) -> str:
 
 
 def content_key(doc) -> str:
+    import hashlib
     return hashlib.sha256(canonical_dumps(doc).encode("ascii")).hexdigest()
 
 
@@ -109,6 +105,8 @@ def ring_to_doc(ring: CoeffRing) -> dict:
 
 
 def ring_from_doc(doc) -> CoeffRing:
+    from .fq import FqField
+    from .rings import CoeffRing
     _check_doc(doc, RING_SCHEMA, _RING_SHAPE, "ring")
     fd = doc["field"]
     field = FqField(fd["p"], fd["f"])
@@ -143,6 +141,8 @@ def tower_to_doc(tower: Tower) -> dict:
 
 
 def tower_from_doc(doc) -> Tower:
+    from .formal import FormalOModule, Tower
+    from .rings import RingElem
     _check_doc(doc, TOWER_SCHEMA, _TOWER_SHAPE, "tower")
     ring = ring_from_doc(doc["ring"])
     n, q, m = doc["n"], doc["q"], doc["m"]
@@ -197,6 +197,7 @@ class Cache:
             return None
 
     def put(self, key: str, text: str) -> str:
+        import tempfile
         path = self._path(key)
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:

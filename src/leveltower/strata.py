@@ -122,6 +122,20 @@ def _q_factorial(k: int, q: int) -> int:
 _enum_cache: dict[tuple, list] = {}
 
 
+def check_label_census(n: int, q: int, m: int, h: int) -> None:
+    """CapExceeded when the rank-h labels of (o/pi^m)^n, 0 <= h <= n, are more
+    than LABEL_CAP.
+
+    Sized from the closed form, q^((m-1)h(n-h)) times the Gaussian binomial,
+    so neither a label nor the chain ring o/pi^m is built.
+    """
+    # at least 2^(m h(n-h)) labels: past that bound, refuse without the closed form
+    e = h * (n - h)
+    if m * e >= LABEL_CAP.bit_length() or q ** ((m - 1) * e) * _q_factorial(n, q) // (
+            _q_factorial(h, q) * _q_factorial(n - h, q)) > LABEL_CAP:
+        raise CapExceeded(f"rank-{h} labels of (o/pi^{m})^{n} exceed cap {LABEL_CAP}")
+
+
 def enumerate_summands(n: int, q: int, m: int, h: int):
     """All rank-h labels, via the canonical-form parametrization.
 
@@ -135,11 +149,7 @@ def enumerate_summands(n: int, q: int, m: int, h: int):
     if key in _enum_cache:
         return _enum_cache[key]
     ch = _chain(q, m)
-    # at least 2^(m h(n-h)) labels: past that bound, refuse without the closed form
-    e = h * (n - h)
-    if m * e >= LABEL_CAP.bit_length() or q ** ((m - 1) * e) * _q_factorial(n, q) // (
-            _q_factorial(h, q) * _q_factorial(n - h, q)) > LABEL_CAP:
-        raise CapExceeded(f"rank-{h} labels of (o/pi^{m})^{n} exceed cap {LABEL_CAP}")
+    check_label_census(n, q, m, h)
     nonunits = [a for a in range(ch.size) if not ch.is_unit(a)]
     full = list(range(ch.size))
     out = []

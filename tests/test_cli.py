@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from leveltower import cli, serialize, strata
+from leveltower import cli, rings, serialize, strata
 from leveltower.errors import (
     CapExceeded,
     NotAFlag,
@@ -86,7 +86,7 @@ def test_tower_cache_key_names_the_schema(capsys, tmp_path, monkeypatch):
     # an entry written under another document schema is never looked up
     argv = ["tower", "--q", "2", "--n", "2", "--m", "1", "--cache-dir", str(tmp_path)]
     _, out1, _ = run(capsys, *argv)
-    monkeypatch.setattr(cli, "TOWER_SCHEMA", "leveltower/tower/1")
+    monkeypatch.setattr(serialize, "TOWER_SCHEMA", "leveltower/tower/1")
     code, out2, err = run(capsys, *argv)
     assert code == 0 and err == ""
     c1, c2 = json.loads(out1)["results"]["cache"], json.loads(out2)["results"]["cache"]
@@ -141,9 +141,35 @@ def test_strata_n_must_be_positive(capsys):
     # 2^18 - 1 lines, refused before one is built
     (["strata", "--q", "2", "--n", "18", "--m", "1"],
      "error: rank-1 labels of (o/pi^1)^18 exceed cap 200000\n"),
-], ids=["flags-2-5-2", "strata-2-18-1"])
+    # ranks 1 and 2 fit (175,274 labels) but rank 3 does not: refused before rank 1 is built
+    (["strata", "--q", "2", "--n", "10", "--m", "1"],
+     "error: rank-3 labels of (o/pi^1)^10 exceed cap 200000\n"),
+], ids=["flags-2-5-2", "strata-2-18-1", "strata-2-10-1"])
 def test_census_cap_exits_3(argv, message):
     proc = _fresh_cli(*argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", message)
+
+
+@pytest.mark.parametrize("argv", [
+    ["strata", "--q", "2", "--n", "10", "--m", "1"],
+    ["strata-action", "--q", "2", "--n", "3", "--g", "companion:T^3+T+1", "--scan-m", "9"],
+], ids=["strata", "strata-action"])
+def test_census_refusal_builds_no_label(capsys, monkeypatch, argv):
+    # every rank (and, for strata-action, every level) is sized before any is built
+    monkeypatch.setattr(strata, "_enum_cache", {})
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: rank-") and err.endswith("exceed cap 200000\n")
+    assert strata._enum_cache == {}
+
+
+@pytest.mark.parametrize("n,message", [
+    # |GL_100(F_3)| has more than 4,300 digits; |GL_3000(F_3)| would take minutes to form
+    ("100", "error: ring rank >= 2^9900 exceeds cap 5000\n"),
+    ("3000", "error: ring rank >= 2^8997000 exceeds cap 5000\n"),
+], ids=["n100", "n3000"])
+def test_huge_tower_is_refused_before_its_rank_is_formed(n, message):
+    proc = _fresh_cli("tower", "--q", "3", "--n", n)
     assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", message)
 
 
@@ -571,7 +597,7 @@ def test_selftest_command(capsys):
 
 def test_selftest_catches_a_non_commutative_product(capsys, monkeypatch):
     # skew only the precision-3 ring the axiom check builds; the tower rings have precision 2
-    product = cli.CoeffRing._mul_dicts
+    product = rings.CoeffRing._mul_dicts
 
     def skewed(ring, A, B):
         out = product(ring, A, B)
@@ -579,6 +605,6 @@ def test_selftest_catches_a_non_commutative_product(capsys, monkeypatch):
             out = {**out, 0: ring.field.add(out.get(0, 0), 1)}
         return {k: c for k, c in out.items() if c}
 
-    monkeypatch.setattr(cli.CoeffRing, "_mul_dicts", skewed)
+    monkeypatch.setattr(rings.CoeffRing, "_mul_dicts", skewed)
     code, out, err = run(capsys, "selftest")
     assert (code, out, err) == (4, "", "error: selftest failed at ring axioms\n")
