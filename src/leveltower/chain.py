@@ -267,8 +267,9 @@ def gl_elements(ch: ChainRing, n: int, cap: int = _GL_CAP):
     in every way, an entry with residue r taking the codes r, r + q,
     r + 2q, ..., and the lifts are sorted.  The raw scan has q^(m n^2)
     candidates; anything past the cap raises, cached or not, so callers can
-    fall back or refuse loudly.  `groups.group_gl` lists GL_n(o/pi^m) here;
-    `counting._frame_count` lists only the residue units, at m = 1.
+    fall back or refuse loudly.  `counting._frame_count` lists only the
+    residue units, at m = 1.  `groups.group_gl` is built as a closure from
+    generators instead; the tests compare its element list with this one.
     """
     total = ch.size ** (n * n)
     if total > cap:

@@ -1,15 +1,17 @@
-"""Finite groups as explicit element lists with a multiplication rule.
+"""Finite groups built exactly from generators.
 
 Two constructions are provided: the unit groups GL_n(o/pi^m) of the chain
-ring, enumerated matrix by matrix, and the quotients of the quaternionic
-unit group by pi^Z and a principal congruence level, realized by actual
-division-algebra arithmetic rather than by an abstract presentation.
+ring, as chain-ring matrices, and the quotients of the quaternionic unit
+group by pi^Z and a principal congruence level, realized by actual
+division-algebra arithmetic rather than by an abstract presentation.  Each
+is the closure of its identity under a generating set, checked against its
+order formula; inverses and conjugacy classes are read off the same
+generators, so nothing is sampled.
 """
 
-import random
-from functools import cached_property
+from functools import cache, cached_property
 
-from .chain import ChainRing, gl_elements
+from .chain import ChainRing
 from .division import DivisionAlgebra
 from .errors import CapExceeded, OracleMismatch, PreconditionError
 from .formal import gl_order
@@ -21,25 +23,60 @@ __all__ = ["FiniteGroup", "group_gl", "group_quaternion_quotient"]
 GROUP_ORDER_CAP = 100_000
 
 
-class FiniteGroup:
-    """A finite group: hashable element labels plus a composition callable.
+def _generator_inverse(identity, s, mul, order: int, name: str):
+    """The power of s just before the identity, found within `order` steps."""
+    prev, cur = identity, s
+    for _ in range(order):
+        if cur == identity:
+            return prev
+        prev, cur = cur, mul(cur, s)
+    raise OracleMismatch(f"{name}: powers of a generator miss the identity")
 
-    The element list fixes a deterministic order; conjugacy classes are
-    ordered by their smallest element index.  Construction spot-checks
-    closure and associativity on random samples and locates the identity,
-    so a malformed multiplication rule fails fast.
+
+class FiniteGroup:
+    """A finite group: the closure of an identity under generators.
+
+    The closure is built breadth-first by right multiplication, |G| |S|
+    products for a generating set S, and must reach exactly `order`
+    elements.  The elements are stored sorted; conjugacy classes are ordered
+    by their smallest element index.  Each new element g s gets the inverse
+    s^-1 g^-1, where s^-1 is a power of s, and every g g^-1 = e is checked,
+    so a malformed multiplication rule fails at construction.
     """
 
-    def __init__(self, elements, mul, name: str = "", meta=None):
-        self.elements = tuple(elements)
-        self.order = len(self.elements)
-        self.index = {g: i for i, g in enumerate(self.elements)}
-        if len(self.index) != self.order:
-            raise PreconditionError("duplicate element labels")
+    def __init__(self, identity, gens, mul, order: int, name: str = "", meta=None):
         self.mul = mul
-        self.name = name or f"group of order {self.order}"
+        self.name = name or f"group of order {order}"
         self.meta = dict(meta or {})
-        self._spot_check()
+        gens = tuple(dict.fromkeys(gens))
+        gen_invs = [_generator_inverse(identity, s, mul, order, self.name) for s in gens]
+        inv = {identity: identity}
+        frontier = [identity]
+        while frontier:
+            grown = []
+            for g in frontier:
+                for s, s_inv in zip(gens, gen_invs):
+                    h = mul(g, s)
+                    if h not in inv:
+                        inv[h] = mul(s_inv, inv[g])
+                        if len(inv) > order:
+                            raise OracleMismatch(f"{self.name}: closure exceeds the order {order}")
+                        grown.append(h)
+            frontier = grown
+        if len(inv) != order:
+            raise OracleMismatch(f"{self.name}: closure has {len(inv)} elements, "
+                                 f"the order is {order}")
+        self.elements = tuple(sorted(inv))
+        self.order = order
+        self.index = {g: i for i, g in enumerate(self.elements)}
+        self.identity_index = self.index[identity]
+        self.gens = tuple(self.index[s] for s in gens)
+        inverse = []
+        for g in self.elements:
+            if inv[g] not in self.index or mul(g, inv[g]) != identity:
+                raise OracleMismatch(f"{self.name}: {g} has no inverse in the closure")
+            inverse.append(self.index[inv[g]])
+        self.inverse = tuple(inverse)
 
     def imul(self, i: int, j: int) -> int:
         g = self.mul(self.elements[i], self.elements[j])
@@ -49,67 +86,28 @@ class FiniteGroup:
             raise OracleMismatch(
                 f"{self.name}: product of elements {i} and {j} left the element list")
 
-    def _spot_check(self, samples: int = 40):
-        rng = random.Random(0)
-        n = self.order
-        if n == 0:
-            raise PreconditionError("a group needs at least one element")
-        for _ in range(min(samples, n * n)):
-            i, j, k = rng.randrange(n), rng.randrange(n), rng.randrange(n)
-            ij = self.imul(i, j)
-            if self.imul(ij, k) != self.imul(i, self.imul(j, k)):
-                raise OracleMismatch(f"{self.name}: associativity failed at ({i},{j},{k})")
-        _ = self.identity_index
-
-    @cached_property
-    def identity_index(self) -> int:
-        probe = 0
-        for e in range(self.order):
-            if self.imul(e, probe) == probe and self.imul(probe, e) == probe:
-                for other in range(self.order):
-                    if self.imul(e, other) != other or self.imul(other, e) != other:
-                        raise OracleMismatch(f"{self.name}: one-sided identity at {e}")
-                return e
-        raise OracleMismatch(f"{self.name}: no identity element")
-
-    @cached_property
-    def inverse(self):
-        """inverse[i] = index of the inverse of element i.
-
-        One walk x, x^2, ..., x^k = e fills in all of <x>: x^j and x^(k-j)
-        are inverse, and two-sided since powers of x commute.
-        """
-        e = self.identity_index
-        inv = [None] * self.order
-        for i in range(self.order):
-            if inv[i] is not None:
-                continue
-            powers = [e, i]
-            while powers[-1] != e:
-                if len(powers) > self.order:
-                    raise OracleMismatch(f"{self.name}: powers of element {i} miss the identity")
-                powers.append(self.imul(powers[-1], i))
-            for j, x in enumerate(powers):
-                inv[x] = powers[-1 - j]
-        return tuple(inv)
-
     @cached_property
     def classes(self):
-        """Conjugacy classes as sorted index tuples, ordered by first element."""
-        inv = self.inverse
+        """Conjugacy classes as sorted index tuples, ordered by first element.
+
+        Each class is the orbit of its first element under x -> s x s^-1 for
+        the generators s: 2 |C| |S| products per class C.
+        """
+        imul, inv = self.imul, self.inverse
         seen = [False] * self.order
         out = []
         for i in range(self.order):
             if seen[i]:
                 continue
-            orbit = set()
-            for x in range(self.order):
-                orbit.add(self.imul(self.imul(x, i), inv[x]))
-            cls = tuple(sorted(orbit))
-            for j in cls:
-                seen[j] = True
-            out.append(cls)
-        out.sort(key=lambda c: c[0])
+            seen[i] = True
+            orbit = [i]
+            for x in orbit:
+                for s in self.gens:
+                    y = imul(imul(s, x), inv[s])
+                    if not seen[y]:
+                        seen[y] = True
+                        orbit.append(y)
+            out.append(tuple(sorted(orbit)))
         return tuple(out)
 
     @cached_property
@@ -147,32 +145,37 @@ class FiniteGroup:
         return out
 
 
-_gl_group_cache: dict = {}
+def _capped(order: int, what: str) -> int:
+    if order > GROUP_ORDER_CAP:
+        raise CapExceeded(f"{what} = {order} exceeds the cap {GROUP_ORDER_CAP}")
+    return order
 
 
-def group_gl(n: int, q: int, m: int = 1, cap: int = GROUP_ORDER_CAP) -> FiniteGroup:
-    """GL_n(o/pi^m) as an explicit group of chain-ring matrices."""
-    expected = gl_order(n, q, m)
-    if expected > cap:
-        raise CapExceeded(f"|GL_{n}(o/pi^{m})| = {expected} exceeds the cap {cap}")
-    key = (n, q, m)
-    if key in _gl_group_cache:
-        return _gl_group_cache[key]
+@cache
+def group_gl(n: int, q: int, m: int = 1) -> FiniteGroup:
+    """GL_n(o/pi^m) as chain-ring matrices, generated by diag(u, 1, ..., 1)
+    for the units u != 1, I + E_12 and the permutation matrices of (1 2)
+    and (1 2 ... n)."""
+    order = _capped(gl_order(n, q, m), f"|GL_{n}(o/pi^{m})|")
     p, s = split_prime_power(q)
     ch = ChainRing(FqField(p, s), m)
-    elements = gl_elements(ch, n, cap=max(ch.size ** (n * n), cap))
-    if len(elements) != expected:
-        raise OracleMismatch(
-            f"enumerated {len(elements)} invertible matrices, formula gives {expected}")
-    grp = FiniteGroup(elements, ch.matmul, name=f"GL_{n}(o/pi^{m}) q={q}",
-                      meta={"kind": "gl", "n": n, "q": q, "m": m, "chain": ch})
-    _gl_group_cache[key] = grp
-    return grp
+
+    def matrix(entry):
+        return tuple(tuple(entry(i, j) for j in range(n)) for i in range(n))
+
+    gens = [matrix(lambda i, j: u if i == j == 0 else int(i == j))
+            for u in range(2, ch.size) if ch.is_unit(u)]
+    if n > 1:
+        swap = {0: 1, 1: 0}
+        gens += [matrix(lambda i, j: int(i == j or (i, j) == (0, 1))),
+                 matrix(lambda i, j: int(j == swap.get(i, i))),
+                 matrix(lambda i, j: int(j == (i + 1) % n))]
+    return FiniteGroup(matrix(lambda i, j: int(i == j)), gens, ch.matmul, order,
+                       name=f"GL_{n}(o/pi^{m}) q={q}",
+                       meta={"kind": "gl", "n": n, "q": q, "m": m})
 
 
-_quat_cache: dict = {}
-
-
+@cache
 def group_quaternion_quotient(q: int, k: int = 1) -> FiniteGroup:
     """The quaternionic unit quotient at level k, over the residue field F_q.
 
@@ -181,25 +184,19 @@ def group_quaternion_quotient(q: int, k: int = 1) -> FiniteGroup:
     standing for (x + y*w) * w^i with x in F_{q^2} nonzero and y in F_{q^2}.
     The product is computed in the algebra and renormalized, so the group
     law is inherited rather than postulated.  Orders: 2(q^2-1) at level 1,
-    2 q^2 (q^2-1) at level 2.
+    2 q^2 (q^2-1) at level 2.  Generators: the generator zeta of F_{q^2}^x
+    and w, and at level 2 also 1 + w.
     """
     if k not in (1, 2):
         raise PreconditionError("only congruence levels 1 and 2 are supported")
-    key = (q, k)
-    if key in _quat_cache:
-        return _quat_cache[key]
+    name = f"w^Z\\D_{q}^x/(1+P^{k})"
+    order = _capped(2 * (q * q - 1) * (q * q if k == 2 else 1), f"|{name}|")
     alg = DivisionAlgebra(q, 2)
-    big = alg.big
-    Q2 = big.q
     w = alg.uniformizer()
-    w_inv = alg.elem([Laurent.zero(big), Laurent.pi(big, -1)])
+    w_inv = alg.elem([Laurent.zero(alg.big), Laurent.pi(alg.big, -1)])
 
     def to_elem(label):
-        if k == 1:
-            i, x = label
-            y = 0
-        else:
-            i, x, y = label
+        i, x, y = label if k == 2 else (*label, 0)
         unit = alg.elem([x, y])
         return unit * w if i else unit
 
@@ -224,19 +221,13 @@ def group_quaternion_quotient(q: int, k: int = 1) -> FiniteGroup:
     def mul(a, b):
         return normalize(to_elem(a) * to_elem(b))
 
-    if k == 1:
-        labels = [(i, x) for i in (0, 1) for x in range(1, Q2)]
-    else:
-        labels = [(i, x, y) for i in (0, 1) for x in range(1, Q2) for y in range(Q2)]
-    grp = FiniteGroup(labels, mul,
-                      name=f"w^Z\\D_{q}^x/(1+P^{k})",
-                      meta={"kind": "quaternion", "q": q, "k": k, "algebra": alg,
-                            "uniformizer_label": (1, 1) if k == 1 else (1, 1, 0)})
-    expected = 2 * (Q2 - 1) if k == 1 else 2 * Q2 * (Q2 - 1)
-    if grp.order != expected:
-        raise OracleMismatch(f"quaternion quotient order {grp.order}, expected {expected}")
+    tail = (0,) if k == 2 else ()
+    identity = (0, 1) + tail
     # w^2 = pi must land in the identity coset
-    if normalize(w * w) != grp.elements[grp.identity_index]:
+    if normalize(w * w) != identity:
         raise OracleMismatch("w^2 does not reduce to the identity coset")
-    _quat_cache[key] = grp
-    return grp
+    gens = [(0, alg.big.generator) + tail, (1, 1) + tail]
+    if k == 2:
+        gens.append((0, 1, 1))
+    return FiniteGroup(identity, gens, mul, order, name=name,
+                       meta={"kind": "quaternion", "q": q, "k": k, "algebra": alg})

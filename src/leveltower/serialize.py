@@ -182,7 +182,11 @@ class Cache:
 
     def __init__(self, root: str):
         self.root = root
-        os.makedirs(root, exist_ok=True)
+        try:
+            os.makedirs(root, exist_ok=True)
+        except OSError as exc:
+            raise PreconditionError(
+                f"cannot create cache directory {root!r}: {exc.strerror}") from None
 
     def _path(self, key: str) -> str:
         if not key or any(c not in "0123456789abcdef" for c in key):

@@ -94,6 +94,22 @@ def test_tower_cache_key_names_the_schema(capsys, tmp_path, monkeypatch):
     assert c2["hit"] is False
 
 
+@pytest.mark.parametrize("kind", ["existing-file", "empty"])
+def test_uncreatable_cache_dir_exits_2(capsys, tmp_path, kind):
+    if kind == "existing-file":
+        root = tmp_path / "taken"
+        root.write_text("")
+        reason = "File exists"
+    else:
+        root = ""
+        reason = "No such file or directory"
+    code, out, err = run(capsys, "tower", "--q", "2", "--n", "2", "--m", "1",
+                         "--cache-dir", str(root))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot create cache directory {str(root)!r}: {reason}\n"
+
+
 def test_tower_height_zero_exit(capsys):
     code, out, err = run(capsys, "tower", "--q", "2", "--n", "0", "--m", "1")
     assert code == 2

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import counting_suite
 
-from leveltower import chain, cli, counting, groups
+from leveltower import chain, cli, counting
 from leveltower.chain import ChainRing, gl_elements
 from leveltower.counting import (
     _frame_count,
@@ -254,7 +254,7 @@ def test_frame_count_lists_only_residue_units(monkeypatch):
         rings.append(ch.m)
         return gl_elements(ch, n, *args, **kwargs)
 
-    for module in (chain, counting, groups):
+    for module in (chain, counting):
         monkeypatch.setattr(module, "gl_elements", recorded)
     code = cli.main(["count", "--q", "2", "--n", "2", "--m", "4", "--b", "x:3",
                      "--g", "companion:T^2+T+P*T+1"])

@@ -1,0 +1,64 @@
+"""Finite groups as closures of generators, against independent oracles."""
+
+import pytest
+
+from leveltower import groups
+from leveltower.chain import ChainRing, gl_elements
+from leveltower.errors import CapExceeded, OracleMismatch
+from leveltower.fq import FqField, split_prime_power
+from leveltower.groups import FiniteGroup, group_gl, group_quaternion_quotient
+
+
+@pytest.mark.parametrize("n,q,m", [(1, 2, 1), (1, 4, 2), (1, 3, 3), (2, 2, 1), (2, 3, 1),
+                                   (2, 4, 1), (2, 2, 2), (2, 3, 2), (3, 2, 1), (2, 2, 3)])
+def test_gl_closure_is_the_lexicographic_unit_scan(n, q, m):
+    p, s = split_prime_power(q)
+    assert group_gl(n, q, m).elements == tuple(gl_elements(ChainRing(FqField(p, s), m), n))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_quaternion_quotient_orders(q):
+    assert group_quaternion_quotient(q, 1).order == 2 * (q * q - 1)
+    assert group_quaternion_quotient(q, 2).order == 2 * q * q * (q * q - 1)
+
+
+def _classes_by_full_scan(g):
+    """Each class as {x g_i x^-1 : x in G}, conjugating by every element."""
+    seen, out = set(), []
+    for i in range(g.order):
+        if i not in seen:
+            cls = tuple(sorted({g.imul(g.imul(x, i), g.inverse[x]) for x in range(g.order)}))
+            seen.update(cls)
+            out.append(cls)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("group", [lambda: group_gl(2, 3, 1), lambda: group_gl(2, 4, 1),
+                                   lambda: group_quaternion_quotient(2, 2)],
+                         ids=["GL2(F3)", "GL2(F4)", "quaternion-q2-level2"])
+def test_generator_orbits_are_the_conjugacy_classes(group):
+    g = group()
+    assert g.classes == _classes_by_full_scan(g)
+
+
+def test_oversized_quaternion_quotient_is_refused_before_any_product(monkeypatch):
+    def unbuilt(*args):
+        raise AssertionError("the division algebra was built")
+
+    monkeypatch.setattr(groups, "DivisionAlgebra", unbuilt)
+    with pytest.raises(CapExceeded, match="130560"):
+        group_quaternion_quotient(16, 2)
+
+
+def _cyclic_six(a, b):
+    return (a + b) % 6
+
+
+@pytest.mark.parametrize("gens,order,message", [
+    ([2], 6, "closure has 3 elements"),
+    ([2, 3], 5, "closure exceeds the order 5"),
+    ([1], 5, "powers of a generator miss the identity"),
+], ids=["too-few-generators", "order-too-small", "generator-order-too-large"])
+def test_closure_order_must_match_exactly(gens, order, message):
+    with pytest.raises(OracleMismatch, match=message):
+        FiniteGroup(0, gens, _cyclic_six, order)
