@@ -31,10 +31,8 @@ class EllipticCertificate:
     eisenstein: bool
     det_val: int           # valuation of the constant coefficient
     slope: Fraction        # common valuation of the roots
-    residual: tuple | None  # residue minimal polynomial codes, unramified case
     separable: bool
     disc_val: int | None
-    coeffs: tuple          # the certified characteristic polynomial
 
     def summary(self) -> dict:
         return {
@@ -133,8 +131,7 @@ def regular_elliptic_certify(coeffs) -> EllipticCertificate:
         return EllipticCertificate(
             degree=1, kind="unramified", e=1, f=1, eisenstein=False,
             det_val=c0.valuation(), slope=Fraction(c0.valuation(), 1),
-            residual=None, separable=True, disc_val=disc_val,
-            coeffs=tuple(coeffs))
+            separable=True, disc_val=disc_val)
 
     segs = newton_segments(coeffs)
     if len(segs) > 1:
@@ -147,8 +144,7 @@ def regular_elliptic_certify(coeffs) -> EllipticCertificate:
     if g == 1:
         return EllipticCertificate(
             degree=n, kind="ramified", e=n, f=1, eisenstein=(d == 1),
-            det_val=d, slope=slope, residual=None, separable=sep,
-            disc_val=disc_val, coeffs=tuple(coeffs))
+            det_val=d, slope=slope, separable=sep, disc_val=disc_val)
     if d % n == 0:
         s = d // n
         resid = []
@@ -159,12 +155,11 @@ def regular_elliptic_certify(coeffs) -> EllipticCertificate:
         if len(parts) > 1:
             names = " * ".join(f"(deg {len(p) - 1})^{m}" for p, m in parts)
             raise CertificationError(f"reducible: residue polynomial splits as {names}")
-        phi, mult = parts[0]
+        _, mult = parts[0]
         if mult == 1:
             return EllipticCertificate(
                 degree=n, kind="unramified", e=1, f=n, eisenstein=False,
-                det_val=d, slope=slope, residual=tuple(phi), separable=sep,
-                disc_val=disc_val, coeffs=tuple(coeffs))
+                det_val=d, slope=slope, separable=sep, disc_val=disc_val)
         raise Inconclusive(
             f"residue polynomial is an irreducible power (multiplicity {mult}); "
             "the polygon and residue invariants cannot decide this case")

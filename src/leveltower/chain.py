@@ -257,7 +257,7 @@ _GL_CAP = 200_000
 _gl_cache: dict[tuple, list] = {}
 
 
-def gl_elements(ch: ChainRing, n: int, cap: int = _GL_CAP):
+def gl_elements(ch: ChainRing, n: int):
     """All invertible n x n matrices over o/pi^m in lexicographic order of
     their entries, cached.
 
@@ -272,8 +272,8 @@ def gl_elements(ch: ChainRing, n: int, cap: int = _GL_CAP):
     generators instead; the tests compare its element list with this one.
     """
     total = ch.size ** (n * n)
-    if total > cap:
-        raise CapExceeded(f"unit group scan size {total} exceeds cap {cap}")
+    if total > _GL_CAP:
+        raise CapExceeded(f"unit group scan size {total} exceeds cap {_GL_CAP}")
     key = (ch.q, ch.m, n)
     if key in _gl_cache:
         return _gl_cache[key]

@@ -135,10 +135,11 @@ class CharacterTable:
         return True
 
 
-def character_table(group: FiniteGroup, cap: int = TABLE_ORDER_CAP) -> CharacterTable:
+def character_table(group: FiniteGroup) -> CharacterTable:
     """The complete exact character table, verified against both orthogonality laws."""
-    if group.order > cap:
-        raise CapExceeded(f"group order {group.order} exceeds the table cap {cap}")
+    if group.order > TABLE_ORDER_CAP:
+        raise CapExceeded(
+            f"group order {group.order} exceeds the table cap {TABLE_ORDER_CAP}")
     k = len(group.classes)
     e = group.exponent
     p = _choose_prime(e, group.order)

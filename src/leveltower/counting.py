@@ -22,9 +22,10 @@ the residue units GL_n(F_q), never GL_n(o/pi^m).
 then maximal, so at most one lattice class survives, tested once by the
 adjugate formula (`_lattice_eigen_matrix`), and the frame count is a
 centralizer order.  It takes the same steps at every rank n >= 1.  Both
-return a `CountResult` holding the count, z', the route and the stability
-flag.  The two routes share nothing past the membership split above and
-are compared against each other in the test suite.
+return a `CountResult` holding the count, z' and the stability flag.  The
+two routes share nothing past the membership split above;
+`division.total_fixed_points` runs both on every count and raises when they
+disagree, and the test suite compares them on randomized instances.
 """
 
 from __future__ import annotations
@@ -91,7 +92,6 @@ def _z_prime(b):
 class CountResult:
     count: int
     z_prime: Fraction
-    route: str
     stable: bool = True
 
 
@@ -246,14 +246,14 @@ def count_brute(b, g, m: int) -> CountResult:
     ch, target = _frame_target(g, m)
     zp = _z_prime(b)
     if zp.denominator != 1:
-        return CountResult(count=0, z_prime=zp, route="brute")
+        return CountResult(count=0, z_prime=zp)
     total = 0
     touched_shell = False
     for on_shell, Vbar in _fixed_lattices(b, int(zp), m):
         fc = _frame_count(ch, n, Vbar, target)
         total += fc
         touched_shell |= on_shell and fc > 0
-    return CountResult(count=total, z_prime=zp, route="brute", stable=not touched_shell)
+    return CountResult(count=total, z_prime=zp, stable=not touched_shell)
 
 
 def _cyclic_basis(ch: ChainRing, M, n: int):
@@ -324,17 +324,16 @@ def count_structured(b, g, m: int,
     zp = Fraction(cert.det_val, n)
     if zp.denominator != 1:
         # no lattice satisfies the eigen condition
-        return CountResult(count=0, z_prime=zp, route="structured")
+        return CountResult(count=0, z_prime=zp)
 
     _, Vbar, _ = stable_lattice_reduction(b, m, cert)
     if ch.charpoly(Vbar) != ch.charpoly(target):
-        return CountResult(count=0, z_prime=zp, route="structured")
+        return CountResult(count=0, z_prime=zp)
     Pt = _cyclic_basis(ch, target, n)
     if Pt is None:  # not conjugate to a maximal-order generator
-        return CountResult(count=0, z_prime=zp, route="structured")
+        return CountResult(count=0, z_prime=zp)
     Pv = _cyclic_basis(ch, Vbar, n)
     assert Pv is not None, "a maximal-order generator is cyclic"
     y0 = ch.matmul(Pv, ch.mat_inv(Pt))
     assert ch.matmul(Vbar, y0) == ch.matmul(y0, target), "conjugator check"
-    return CountResult(count=unit_group_order_unramified(n, field.q, m), z_prime=zp,
-                       route="structured")
+    return CountResult(count=unit_group_order_unramified(n, field.q, m), z_prime=zp)

@@ -16,6 +16,10 @@ The fixed lines of a regular element acting on the projective line are
 computed inside the quadratic extension F_{q^2}((pi))[T]/(charpoly), which
 covers both the unramified case (where the extension splits) and the
 ramified separable case (where it is a field).
+
+`total_fixed_points` certifies b once and runs both routes of `counting` on
+the companion matrix of its reduced characteristic polynomial; a
+disagreement between them is an OracleMismatch.
 """
 
 from dataclasses import dataclass
@@ -314,49 +318,55 @@ def projective_fixed_points(alg: DivisionAlgebra, b: DElem, cert=None):
 
 @dataclass(frozen=True)
 class TotalFixedReport:
-    """Total fixed-point count assembled from the per-fiber lattice count,
-    with the certificate of b's reduced characteristic polynomial."""
+    """Total fixed-point count on both routes, each n times its per-fiber
+    count, with the certificate of b's reduced characteristic polynomial."""
 
     n: int
-    per_fiber: int
-    total: int
-    fiber_result: CountResult
-    lines_checked: bool
+    structured: CountResult
+    brute: CountResult
     line_count: int | None
     certificate: EllipticCertificate
 
-    def summary(self) -> dict:
+    @property
+    def per_fiber(self) -> int:
+        return self.structured.count
+
+    @property
+    def total(self) -> int:
+        return self.n * self.structured.count
+
+    def summary(self, route: str) -> dict:
+        """One route's block of the report: "structured" or "brute"."""
+        res = {"structured": self.structured, "brute": self.brute}[route]
         return {
             "n": self.n,
-            "per_fiber": self.per_fiber,
-            "total": self.total,
-            "route": self.fiber_result.route,
-            "stable": self.fiber_result.stable,
-            "projective_lines_checked": self.lines_checked,
+            "per_fiber": res.count,
+            "total": self.n * res.count,
+            "route": route,
+            "stable": res.stable,
+            "projective_lines_checked": self.line_count is not None,
             "projective_line_count": self.line_count,
         }
 
 
-def total_fixed_points(alg: DivisionAlgebra, b: DElem, g, m: int,
-                       route: str = "structured") -> TotalFixedReport:
+def total_fixed_points(alg: DivisionAlgebra, b: DElem, g, m: int) -> TotalFixedReport:
     """n times the per-fiber count for the twisted action built from b and g.
 
     The fiber count is the number of lattice-frame cosets h with
     h^{-1} (g_b) h g in pi^Z K_m, where g_b is the companion matrix of the
-    reduced characteristic polynomial of b.  When the characteristic
-    polynomial is separable the projective fixed-line count is cross-checked
-    to equal n.
+    reduced characteristic polynomial of b.  b is certified once, and both
+    counting routes run on that one g_b; OracleMismatch is raised when they
+    disagree.  When the characteristic polynomial is separable the
+    projective fixed-line count is cross-checked to equal n.
     """
     pol = alg.reduced_charpoly(b)
     cert = regular_elliptic_certify(pol)
     g_b = companion(alg.small, pol)
-    if route == "structured":
-        res: CountResult = count_structured(g_b, g, m, cert=cert)
-    elif route == "brute":
-        res = count_brute(g_b, g, m)
-    else:
-        raise PreconditionError(f"unknown route {route!r}")
-    lines_checked = False
+    structured = count_structured(g_b, g, m, cert=cert)
+    brute = count_brute(g_b, g, m)
+    if structured.count != brute.count:
+        raise OracleMismatch(f"structured total {alg.n * structured.count} "
+                             f"!= brute-force total {alg.n * brute.count}")
     line_count = None
     if alg.n == 2 and cert.separable:
         lines = projective_fixed_points(alg, b, cert=cert)
@@ -366,7 +376,5 @@ def total_fixed_points(alg: DivisionAlgebra, b: DElem, g, m: int,
                 f"expected {alg.n} fixed lines, found {line_count}")
         if not all(ln.simple for ln in lines):
             raise OracleMismatch("a fixed line is not simple")
-        lines_checked = True
-    return TotalFixedReport(n=alg.n, per_fiber=res.count, total=alg.n * res.count,
-                            fiber_result=res, lines_checked=lines_checked,
+    return TotalFixedReport(n=alg.n, structured=structured, brute=brute,
                             line_count=line_count, certificate=cert)

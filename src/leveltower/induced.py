@@ -1,12 +1,15 @@
-"""Characters of representations induced from pi^Z K, and depth-zero matching.
+"""Characters of representations induced from pi^Z K_0, and depth-zero matching.
 
-Two shapes of inducing data are supported: the trivial character on
-pi^Z K_m, and a character of GL_n(o/pi) inflated to K_0 and extended to
-pi^Z K_0 by a central root of unity.  For a certified regular elliptic
+The inducing data is a character of GL_n(o/pi) inflated to K_0 and extended
+to pi^Z K_0 by a central root of unity.  For a certified regular elliptic
 argument the character of the induced representation is a finite sum over
-the cosets h with h^{-1} g h in pi^Z K, which the lattice machinery of
-`counting` enumerates; both its structured and brute routes are exposed
-here so they can be played against each other.
+the cosets h with h^{-1} g h in pi^Z K_0, which the lattice machinery of
+`counting` enumerates; `hc_character` takes either the structured route
+(the one stable lattice class) or the brute route (the lattice box scan),
+so the two can be played against each other.  The same number is an average
+of level-1 fixed-coset counts: summing count(g, c, 1) * chi(c) over GL_n(F_q),
+with c the constant lifts, gives |GL_n(F_q)| times the conjugate of this
+character, which the tests check on both counting routes.
 
 `jl_match` compares these induced characters against the character table of
 the quaternion unit quotient: for each cuspidal character of GL_2(F_q) it
@@ -23,20 +26,11 @@ from math import lcm
 
 from .certify import EllipticCertificate, regular_elliptic_certify
 from .chartab import CharacterTable, character_table, cuspidal_characters
-from .counting import (
-    _fixed_lattices,
-    count_brute,
-    count_structured,
-    stable_lattice_reduction,
-)
+from .counting import _fixed_lattices, stable_lattice_reduction
 from .cyclotomic import Cyclotomic
 from .errors import JL_Q_CAP, CapExceeded, Inconclusive, OracleMismatch, PreconditionError
 from .groups import group_gl, group_quaternion_quotient
-from .matrices import (
-    charpoly,
-    companion,
-    mat_identity,
-)
+from .matrices import charpoly, companion
 
 _ONE = Cyclotomic.from_rational(1)
 
@@ -52,47 +46,31 @@ def _root_power(c: Cyclotomic, a: int) -> Cyclotomic:
 
 @dataclass(frozen=True)
 class InducedCharSpec:
-    """Inducing data on pi^Z K.
-
-    kind "trivial": K = K_m (m >= 1), the character is 1 everywhere.
-    kind "inflated": K = K_0, the character is row `row` of `table` (a table
-    of GL_n(o/pi)) inflated through K_0 -> GL_n(o/pi) and sent to `central`
-    on the scalar pi.  pi^Z meets K_0 trivially, so any root of unity is a
-    consistent central value.
+    """A character of pi^Z K_0: row `row` of `table` (a table of GL_n(o/pi))
+    inflated through K_0 -> GL_n(o/pi), sending the scalar pi to `central`.
+    pi^Z meets K_0 trivially, so any root of unity is a consistent central
+    value.
     """
 
-    kind: str
-    m: int = 1
-    table: CharacterTable | None = None
-    row: int | None = None
+    table: CharacterTable
+    row: int
     central: Cyclotomic = _ONE
 
     def __post_init__(self):
-        if self.kind not in ("trivial", "inflated"):
-            raise PreconditionError(f"unknown inducing kind {self.kind!r}")
-        if self.central * self.central.conjugate() != _ONE:
-            raise PreconditionError("the central value must be a root of unity")
-        if self.kind == "trivial":
-            if self.m < 1:
-                raise PreconditionError("the trivial kind needs a level m >= 1")
-            return
-        if self.m != 0:
-            raise PreconditionError("the inflated kind lives on pi^Z K_0, set m = 0")
-        if self.table is None or self.row is None:
-            raise PreconditionError("the inflated kind needs a table and a row")
         meta = self.table.group.meta
         if meta.get("kind") != "gl" or meta.get("m") != 1:
-            raise PreconditionError(
-                "the inflated kind needs a character table of GL_n(o/pi)")
+            raise PreconditionError("the inducing table must be one of GL_n(o/pi)")
         if not 0 <= self.row < len(self.table.degrees):
             raise PreconditionError("character row out of range")
+        if self.central * self.central.conjugate() != _ONE:
+            raise PreconditionError("the central value must be a root of unity")
 
 
 def hc_character(spec: InducedCharSpec, g, route: str = "structured",
                  cert: EllipticCertificate | None = None) -> Cyclotomic:
     """Character of c-Ind(lambda) at a certified regular elliptic g.
 
-    Evaluates sum_{h in G/pi^Z K, h^-1 g h in pi^Z K} lambda(h^-1 g h).
+    Evaluates sum_{h in G/pi^Z K_0, h^-1 g h in pi^Z K_0} lambda(h^-1 g h).
     Certification keeps the support finite and, on the structured route,
     pins it to the single stable lattice class.  The brute route rescans a
     lattice box and refuses (Inconclusive) if the scan does not stabilize.
@@ -103,18 +81,6 @@ def hc_character(spec: InducedCharSpec, g, route: str = "structured",
     n = len(g)
     if cert is None:
         cert = regular_elliptic_certify(charpoly(g))
-
-    if spec.kind == "trivial":
-        ident = mat_identity(field, n)
-        if route == "structured":
-            res = count_structured(g, ident, spec.m, cert)
-        else:
-            res = count_brute(g, ident, spec.m)
-            if not res.stable:
-                raise Inconclusive("the lattice box scan did not stabilize")
-        if res.count == 0:
-            return Cyclotomic.zero()
-        return _root_power(spec.central, int(res.z_prime)) * res.count
 
     grp = spec.table.group
     if grp.meta.get("q") != field.q:
@@ -153,7 +119,6 @@ class EllipticClassRecord:
     class_index: int
     label: tuple
     kind: str                  # "unit" or "uniformizer"
-    poly: tuple
     g_matrix: tuple
     certificate: EllipticCertificate
 
@@ -217,8 +182,7 @@ def elliptic_quotient_classes(group) -> tuple:
             class_index=ci,
             label=(i, x),
             kind="unit" if i == 0 else "uniformizer",
-            poly=tuple(pol),
-            g_matrix=companion(alg.small, list(pol)),
+            g_matrix=companion(alg.small, pol),
             certificate=cert,
         ))
     q = meta["q"]
@@ -255,7 +219,7 @@ def jl_match(q: int, cap_q: int = JL_Q_CAP) -> JLMatchResult:
 
     pi_values = {}
     for r in cuspidal_rows:
-        spec = InducedCharSpec(kind="inflated", m=0, table=table_g, row=r)
+        spec = InducedCharSpec(table_g, r)
         pi_values[r] = tuple(
             hc_character(spec, rec.g_matrix, cert=rec.certificate)
             for rec in elliptic)

@@ -2,7 +2,6 @@
 
 import json
 import random
-from fractions import Fraction
 
 from conftest import counting_suite, random_unit_matrix
 
@@ -16,7 +15,7 @@ from leveltower.fq import FqField
 from leveltower.groups import group_gl, group_quaternion_quotient
 from leveltower.induced import InducedCharSpec, hc_character, jl_match
 from leveltower.laurent import Laurent
-from leveltower.matrices import charpoly, companion, det, mat_identity, mat_reduce_mod
+from leveltower.matrices import charpoly, companion, det, mat_reduce_mod
 from leveltower.rings import CoeffRing, poly_trim
 from leveltower.serialize import canonical_dumps, tower_from_doc, tower_to_doc
 from leveltower.strata import enumerate_summands, strata_fixed_count
@@ -136,14 +135,28 @@ def test_criterion_07_fixed_lines_and_total_assembly():
 
 
 def test_criterion_08_induced_character_consistency():
+    # sum_C |C| count(b, c_C, 1) chi(c_C) = |G| conj(hc_character(chi, b)) over
+    # the classes C of GL_2(F_q), c_C the constant lift of C's representative
     suite = counting_suite(total=20, seed=2024)
+    pairs = 0
     for inst in suite:
-        field, b, m, cert = inst["field"], inst["b"], inst["m"], inst["cert"]
-        spec = InducedCharSpec("trivial", m=m)
-        val = hc_character(spec, b, cert=cert)
-        cnt = count_structured(b, mat_identity(field, 2), m, cert).count
-        assert val == Cyclotomic.from_rational(Fraction(cnt))
-    print(f"criterion 8 PASS: induced trivial character equals the coset count on {len(suite)} instances")
+        field, b, cert = inst["field"], inst["b"], inst["cert"]
+        grp = group_gl(2, field.q, 1)
+        tab = character_table(grp)
+        lifts = [[[Laurent.const(field, x) for x in row] for row in grp.elements[rep]]
+                 for rep in grp.class_reps]
+        counts = [(count_structured(b, c, 1, cert).count, count_brute(b, c, 1).count)
+                  for c in lifts]
+        for row in range(len(tab.degrees)):
+            want = hc_character(InducedCharSpec(tab, row), b, cert=cert).conjugate() * grp.order
+            for route in (0, 1):
+                got = Cyclotomic.zero()
+                for size, cnt, chi in zip(grp.class_sizes, counts, tab.values[row]):
+                    got = got + chi * (size * cnt[route])
+                assert got == want
+            pairs += 1
+    print(f"criterion 8 PASS: the level-1 counts average to the induced character "
+          f"on {pairs} (row, b) pairs, both count routes")
 
 
 def test_criterion_09_depth_zero_matching():

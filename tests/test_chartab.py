@@ -2,6 +2,7 @@
 
 import pytest
 
+from leveltower import chartab
 from leveltower.chartab import CharacterTable, character_table, cuspidal_characters
 from leveltower.errors import CapExceeded, OracleMismatch
 from leveltower.groups import group_gl, group_quaternion_quotient
@@ -112,6 +113,7 @@ def test_class_count_matches_rows():
     assert tab.n_classes == len(g.classes) == len(tab.values)
 
 
-def test_table_cap_guard():
+def test_table_cap_guard(monkeypatch):
+    monkeypatch.setattr(chartab, "TABLE_ORDER_CAP", 10)
     with pytest.raises(CapExceeded):
-        character_table(group_gl(2, 3, 1), cap=10)
+        character_table(group_gl(2, 3, 1))

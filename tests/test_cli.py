@@ -1,5 +1,6 @@
 """End-to-end command driver checks through main()."""
 
+import dataclasses
 import json
 import os
 import re
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from leveltower import cli, rings, serialize, strata
+from leveltower import cli, division, rings, serialize, strata
 from leveltower.errors import (
     CapExceeded,
     NotAFlag,
@@ -371,6 +372,11 @@ def test_bad_element_tokens_exit_2(capsys, argv, message):
 @pytest.mark.parametrize("text,message", [
     ("2 2 x\n", "1: header entry 'x' is not an integer"),
     ("2 2 1\n0,a : 1\n", "2: code 'a' is not an integer"),
+    # a second row for one vector used to replace the first silently
+    ("2 2 1\n1,0 : 1\n1,0 : 2\n0,1 : 2\n1,1 : 2\n", "3: vector (1, 0) has a second row"),
+    # n < 1 used to reach the table check ("covers 0 of -0.5") or "empty chain"
+    ("-1 2 1\n", "1: height n must be >= 1"),
+    ("0 2 1\n", "1: height n must be >= 1"),
 ])
 def test_bad_table_tokens_exit_2(capsys, tmp_path, text, message):
     table = tmp_path / "vt.txt"
@@ -512,6 +518,38 @@ def test_count_command(capsys):
     assert doc["results"]["total"] == doc["results"]["per_fiber"] * 2
     assert doc["results"]["structured"]["per_fiber"] == doc["results"]["bruteforce"]["per_fiber"]
 
+
+COUNT_ARGV = ("count", "--q", "2", "--n", "2", "--m", "1", "--b", "x:2", "--g", "companion:T^2+T+1")
+
+
+def test_count_certifies_b_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(pol):
+        calls.append(pol)
+        return certify(pol)
+
+    certify = division.regular_elliptic_certify
+    monkeypatch.setattr(division, "regular_elliptic_certify", counted)
+    code, _, err = run(capsys, *COUNT_ARGV)
+    assert (code, err) == (0, "")
+    assert len(calls) == 1
+
+
+def test_count_routes_that_disagree_exit_4(capsys, monkeypatch):
+    code, out, _ = run(capsys, *COUNT_ARGV)
+    assert code == 0
+    total = json.loads(out)["results"]["total"]
+    brute = division.count_brute
+
+    def one_too_many(b, g, m):
+        res = brute(b, g, m)
+        return dataclasses.replace(res, count=res.count + 1)
+
+    monkeypatch.setattr(division, "count_brute", one_too_many)
+    code, out, err = run(capsys, *COUNT_ARGV)
+    assert (code, out) == (4, "")
+    assert err == f"error: structured total {total} != brute-force total {total + 2}\n"
 
 
 @pytest.mark.parametrize("q,n,m,g", [(2, 3, 2, "companion:T^3+T+1"),

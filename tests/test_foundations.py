@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from conftest import random_unit_matrix
 
+from leveltower import chain
 from leveltower.chain import ChainRing, gl_elements
 from leveltower.cyclotomic import Cyclotomic
 from leveltower.errors import CapExceeded, PreconditionError
@@ -351,12 +352,13 @@ def test_gl_elements_match_the_determinant_filter(q, m, n):
     assert gl_elements(ch, n) == expected
 
 
-def test_gl_elements_cap_holds_on_a_cache_hit():
+def test_gl_elements_cap_holds_on_a_cache_hit(monkeypatch):
     # (o/pi^2)^(2x2) has 4^4 = 256 candidates; a cached list is no exemption
     ch = ChainRing(FqField(2), 2)
-    assert len(gl_elements(ch, 2, cap=10 ** 6)) == 96
+    assert len(gl_elements(ch, 2)) == 96
+    monkeypatch.setattr(chain, "_GL_CAP", 100)
     with pytest.raises(CapExceeded):
-        gl_elements(ch, 2, cap=100)
+        gl_elements(ch, 2)
 
 
 @pytest.mark.parametrize("q,m,n", [(2, 1, 3), (2, 2, 2), (3, 1, 2)])

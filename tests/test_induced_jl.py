@@ -8,9 +8,9 @@ from conftest import counting_suite, random_unit_matrix
 
 from leveltower import counting
 from leveltower.chartab import character_table, cuspidal_characters
-from leveltower.counting import count_structured
+from leveltower.counting import count_brute, count_structured
 from leveltower.cyclotomic import Cyclotomic
-from leveltower.errors import CapExceeded
+from leveltower.errors import CapExceeded, PreconditionError
 from leveltower.fq import FqField
 from leveltower.groups import group_gl
 from leveltower.induced import (
@@ -20,17 +20,24 @@ from leveltower.induced import (
     jl_match,
 )
 from leveltower.laurent import Laurent
-from leveltower.matrices import adjugate, companion, det, mat_identity, mat_mul
+from leveltower.matrices import adjugate, companion, det, mat_identity, mat_mul, mat_shift
+
+
+# The representation induced from the trivial character of pi^Z K_m has the
+# fixed-coset count at the identity frame as its character, so its identities
+# are checked on `count_structured` and `count_brute` directly.
+
+def _counts_at_identity(b, m, cert=None):
+    ident = mat_identity(b[0][0].field, len(b))
+    brute = count_brute(b, ident, m)
+    assert brute.stable
+    return count_structured(b, ident, m, cert).count, brute.count
 
 
 def test_trivial_spec_equals_count_on_suite():
     for inst in counting_suite(total=20, seed=4321):
-        field, b, m, cert = inst["field"], inst["b"], inst["m"], inst["cert"]
-        spec = InducedCharSpec("trivial", m=m)
-        val = hc_character(spec, b, cert=cert)
-        cnt = count_structured(b, mat_identity(field, 2), m, cert).count
-        assert val == Cyclotomic.from_rational(cnt)
-        assert hc_character(spec, b, route="brute") == val
+        structured, brute = _counts_at_identity(inst["b"], inst["m"], inst["cert"])
+        assert structured == brute
 
 
 def test_trivial_spec_rank_one_closed_form():
@@ -38,46 +45,44 @@ def test_trivial_spec_rank_one_closed_form():
     for q, m, expected in [(3, 1, 2), (2, 2, 2), (3, 2, 6), (2, 3, 4)]:
         field = FqField(q, 1)
         b = [[Laurent.const(field, 1)]]
-        spec = InducedCharSpec("trivial", m=m)
-        assert hc_character(spec, b) == Cyclotomic.from_rational(expected)
-        assert hc_character(spec, b, route="brute") == Cyclotomic.from_rational(expected)
+        assert _counts_at_identity(b, m) == (expected, expected)
 
 
 def test_trivial_spec_rank_one_congruence_gate():
     field = FqField(2, 1)
     b = [[Laurent.const(field, 1) + Laurent.pi(field, 1)]]
-    spec1 = InducedCharSpec("trivial", m=1)
-    spec2 = InducedCharSpec("trivial", m=2)
     # 1 + pi is trivial mod pi but not mod pi^2
-    assert hc_character(spec1, b) == Cyclotomic.from_rational(2 ** 0 * 1)
-    assert hc_character(spec2, b) == Cyclotomic.zero()
-
-
-def test_central_twist_multiplies_by_root_of_unity():
-    field = FqField(3, 1)
-    b = [[Laurent.pi(field, 1)]]
-    i_unit = Cyclotomic.root_of_unity(4)
-    plain = InducedCharSpec("trivial", m=1)
-    twisted = InducedCharSpec("trivial", m=1, central=i_unit)
-    base = hc_character(plain, b)
-    assert base == Cyclotomic.from_rational(2)
-    got = hc_character(twisted, b)
-    assert got == i_unit * base
-    assert hc_character(twisted, b, route="brute") == got
+    assert _counts_at_identity(b, 1) == (1, 1)
+    assert _counts_at_identity(b, 2) == (0, 0)
 
 
 def test_trivial_spec_vanishes_on_certified_rank_two_units():
     field = FqField(2, 1)
     b = companion(field, [Laurent.const(field, c) for c in (1, 1, 1)])
-    spec = InducedCharSpec("trivial", m=1)
-    assert hc_character(spec, b).is_zero()
+    assert _counts_at_identity(b, 1) == (0, 0)
+
+
+def test_central_twist_multiplies_by_root_of_unity():
+    # a pi-scaled unit has z' = 1, so pi enters once and a degree-one row
+    # keeps the value a nonzero root of unity
+    field = FqField(3, 1)
+    b = mat_shift(companion(field, [Laurent.const(field, c) for c in (1, 0, 1)]), 1)
+    tab = character_table(group_gl(2, 3, 1))
+    row = tab.degrees.index(1)
+    i_unit = Cyclotomic.root_of_unity(4)
+    base = hc_character(InducedCharSpec(tab, row), b)
+    assert not base.is_zero()
+    twisted = InducedCharSpec(tab, row, central=i_unit)
+    got = hc_character(twisted, b)
+    assert got == i_unit * base
+    assert hc_character(twisted, b, route="brute") == got
 
 
 def _inflated_spec(q, row=None):
     tab = character_table(group_gl(2, q, 1))
     if row is None:
         row = cuspidal_characters(tab)[0]
-    return tab, InducedCharSpec("inflated", m=0, table=tab, row=row)
+    return tab, InducedCharSpec(tab, row)
 
 
 def test_inflated_spec_reads_residual_class():
@@ -182,8 +187,11 @@ def test_jl_match_respects_cap():
 
 
 def test_spec_validation():
-    with pytest.raises(Exception):
-        InducedCharSpec("trivial", m=0)
+    from leveltower.groups import group_quaternion_quotient
     tab = character_table(group_gl(2, 2, 1))
-    with pytest.raises(Exception):
-        InducedCharSpec("inflated", m=1, table=tab, row=0)
+    with pytest.raises(PreconditionError):
+        InducedCharSpec(character_table(group_quaternion_quotient(2, 1)), 0)
+    with pytest.raises(PreconditionError):
+        InducedCharSpec(tab, len(tab.degrees))
+    with pytest.raises(PreconditionError):
+        InducedCharSpec(tab, 0, central=Cyclotomic.from_rational(2))

@@ -5,7 +5,8 @@ src/leveltower/*.py must be named, as a whole word, somewhere in src/ or
 tests/ outside its own definition, its import lines and `__all__`.  The
 console-script entry point `main` is exempt.  Every name a module in src/ or
 tests/ imports is read in that module or listed in its `__all__`
-(`__future__` imports are exempt).  README's module map lists
+(`__future__` imports are exempt).  Every field a class in src/ stores is
+read in src/ or tests/.  README's module map lists
 exactly the package's modules, one module owns the permutation
 expansion, and every function perfbench traces is found in the package.
 """
@@ -96,6 +97,53 @@ def test_every_import_is_read():
               for path in sources
               for line, name in _unread_imports(ast.parse(path.read_text(encoding="utf-8")))]
     assert not unread, "imported names never read:\n" + "\n".join(unread)
+
+
+def _is_dataclass(node):
+    return any(getattr(d, "id", None) == "dataclass"
+               or getattr(getattr(d, "func", None), "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def _stored_fields(cls):
+    """The dataclass fields, `__slots__` entries and `self.<name>` that
+    `__init__`/`__new__` set, of one class."""
+    out = set()
+    for item in cls.body:
+        if (_is_dataclass(cls) and isinstance(item, ast.AnnAssign)
+                and isinstance(item.target, ast.Name)):
+            out.add(item.target.id)
+        if (isinstance(item, ast.Assign)
+                and any(getattr(t, "id", None) == "__slots__" for t in item.targets)):
+            out.update(elt.value for elt in item.value.elts)
+        if isinstance(item, ast.FunctionDef) and item.name in ("__init__", "__new__"):
+            out.update(node.attr for node in ast.walk(item)
+                       if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                       and getattr(node.value, "id", None) == "self")
+    return out
+
+
+def _read_names(tree):
+    """Attribute names loaded, and names passed to `getattr` as strings."""
+    out = {node.attr for node in ast.walk(tree)
+           if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    out.update(node.args[1].value for node in ast.walk(tree)
+               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr"
+               and len(node.args) > 1 and isinstance(node.args[1], ast.Constant))
+    return out
+
+
+def test_every_stored_field_is_read():
+    # matched by name, like the definition check: a field escapes when any
+    # other class has an attribute of the same name that is read
+    sources = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sources}
+    read = set().union(*map(_read_names, trees.values()))
+    unread = [f"{path.name}:{cls.lineno} {cls.name}.{name}"
+              for path, tree in trees.items() if path.parent == PACKAGE
+              for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+              for name in sorted(_stored_fields(cls) - read)]
+    assert not unread, "fields never read:\n" + "\n".join(unread)
 
 
 def _modules():
