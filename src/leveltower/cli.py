@@ -409,10 +409,10 @@ def load_value_table(path: str):
 def cmd_flag_of_point(cfg: RunConfig, path: str) -> dict:
     from .strata import flag_of_point
     (n, q, m), values = load_value_table(path)
-    flag = flag_of_point(values, n, q, m)
+    parts = flag_of_point(values, n, q, m)
     return {"n": n, "q": q, "m": m,
-            "signature": list(flag.signature),
-            "parts": [A.describe() for A in flag.parts]}
+            "signature": [A.rank for A in parts],
+            "parts": [A.describe() for A in parts]}
 
 
 def cmd_jl(cfg: RunConfig) -> dict:

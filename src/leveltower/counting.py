@@ -13,11 +13,11 @@ pi^Z K_0 of K_m, is h^{-1} b h g in pi^Z K_m, which splits into
 Since det V = pi^{-nz'} det b is a unit, the lattice condition is that V is
 integral.  `count_brute` scans one box of triangular lattice bases, sized
 from m and the elementary divisors of b, tests each by back-substitution
-(`_fixed_lattices`, also the brute route of `induced.hc_character`), and
-reports whether the count was already stable one shell earlier.  Its frame
-count (`_frame_count`) solves the frame condition as one F_q-linear kernel
-over o/pi^m and counts the solutions that are units mod pi; it lists only
-the residue units GL_n(F_q), never GL_n(o/pi^m).
+(`_fixed_lattices`), and reports whether the count was already stable one
+shell earlier.  Its frame count (`_frame_count`) solves the frame condition
+as one F_q-linear kernel over o/pi^m and counts the solutions that are
+units mod pi; it lists only the residue units GL_n(F_q), never
+GL_n(o/pi^m).
 `count_structured` uses a certificate for b: the order o[pi^{-z'} b] is
 then maximal, so at most one lattice class survives, tested once by the
 adjugate formula (`_lattice_eigen_matrix`), and the frame count is a
@@ -132,8 +132,7 @@ def _fixed_lattices(b, z_prime: int, m: int):
     The box holds the normalized lattices with diagonal exponents at most
     m + (spread of the elementary divisor exponents of b) + 2; `on_shell`
     marks a lattice with an exponent at that bound, one that a box smaller
-    by one would have missed.  The brute routes of `count_brute` and
-    `induced.hc_character` both scan this.
+    by one would have missed.  `count_brute` scans this.
     """
     exps = smith_exponents(b)
     bound = m + (exps[-1] - exps[0]) + 2

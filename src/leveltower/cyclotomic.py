@@ -83,13 +83,6 @@ class Cyclotomic:
     def from_rational(x, N: int = 1) -> "Cyclotomic":
         return Cyclotomic(N, [x])
 
-    @staticmethod
-    def root_of_unity(N: int, power: int = 1) -> "Cyclotomic":
-        power %= N
-        v = [0] * (power + 1)
-        v[power] = 1
-        return Cyclotomic(N, v)
-
     # -- structure -------------------------------------------------------------
 
     def lift(self, M: int) -> "Cyclotomic":

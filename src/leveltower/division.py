@@ -29,7 +29,7 @@ from .counting import CountResult, count_brute, count_structured
 from .errors import OracleMismatch, PreconditionError
 from .fq import FqField, split_prime_power
 from .laurent import Laurent
-from .matrices import charpoly, companion, det
+from .matrices import charpoly, companion
 
 __all__ = [
     "DivisionAlgebra",
@@ -79,9 +79,6 @@ class DElem:
 
     def __hash__(self):
         return hash((id(self.alg), self.coords))
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coords)
 
     def __repr__(self):
         parts = []
@@ -140,9 +137,6 @@ class DivisionAlgebra:
             fixed.append(c)
         return DElem(self, fixed)
 
-    def zero(self) -> DElem:
-        return self.elem([0] * self.n)
-
     def one(self) -> DElem:
         return self.elem([1] + [0] * (self.n - 1))
 
@@ -155,9 +149,6 @@ class DivisionAlgebra:
         if self.n == 1:
             return self.elem([Laurent.pi(self.big)])
         return self.elem([0, 1] + [0] * (self.n - 2))
-
-    def scalar_pi(self, k: int = 1) -> DElem:
-        return self.elem([Laurent.pi(self.big, k)] + [0] * (self.n - 1))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -198,9 +189,6 @@ class DivisionAlgebra:
                 row.append(x)
             rows.append(tuple(row))
         return tuple(rows)
-
-    def reduced_norm(self, b: DElem) -> Laurent:
-        return self.descend_scalar(det(self.embed_matrix(b)))
 
     def reduced_charpoly(self, b: DElem):
         """Monic degree-n polynomial over F_q((pi)), low coefficients first."""
@@ -261,19 +249,18 @@ class FixedLine:
         return f"FixedLine(vector={self.vector!r}, simple={self.simple})"
 
 
-def projective_fixed_points(alg: DivisionAlgebra, b: DElem, cert=None):
+def projective_fixed_points(alg: DivisionAlgebra, b: DElem, pol,
+                            cert: EllipticCertificate):
     """The fixed lines of b acting on the projective line, with simplicity flags.
 
-    Requires n = 2, a regular (irreducible characteristic polynomial)
-    element, and separability.  Returns exactly two lines over the quadratic
-    extension F_{q^2}((pi))[T]/(charpoly); each is flagged simple because the
-    certified discriminant is nonzero.
+    `pol` is b's reduced characteristic polynomial and `cert` its
+    certificate.  Requires n = 2, a regular (irreducible characteristic
+    polynomial) element, and separability.  Returns exactly two lines over
+    the quadratic extension F_{q^2}((pi))[T]/(charpoly); each is flagged
+    simple because the certified discriminant is nonzero.
     """
     if alg.n != 2:
         raise PreconditionError("fixed-line extraction is implemented for n = 2")
-    pol = alg.reduced_charpoly(b)
-    if cert is None:
-        cert = regular_elliptic_certify(pol)
     if not cert.separable:
         raise PreconditionError(
             "characteristic polynomial is inseparable, the fixed points are not simple")
@@ -369,7 +356,7 @@ def total_fixed_points(alg: DivisionAlgebra, b: DElem, g, m: int) -> TotalFixedR
                              f"!= brute-force total {alg.n * brute.count}")
     line_count = None
     if alg.n == 2 and cert.separable:
-        lines = projective_fixed_points(alg, b, cert=cert)
+        lines = projective_fixed_points(alg, b, pol, cert)
         line_count = len(lines)
         if line_count != alg.n:
             raise OracleMismatch(

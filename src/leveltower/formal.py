@@ -25,11 +25,8 @@ from .rings import (
     CoeffRing,
     RingElem,
     convert,
-    poly_add,
-    poly_compose,
     poly_divide_exact,
     poly_mul,
-    poly_scale,
     poly_trim,
     ring_extend,
 )
@@ -61,7 +58,6 @@ class FormalOModule:
         self.scalar_field = FqField(p, f)
         self._embed = self.scalar_field.embedding(ring.field)
         self.u_values = [v if isinstance(v, RingElem) else ring.from_int(v) for v in u_values]
-        self._pi_powers = [[ring.zero(), ring.one()]]  # [pi^0] = T
 
     def scalar(self, c: int) -> RingElem:
         """The ring element acting as the F_q-scalar with code c."""
@@ -70,7 +66,7 @@ class FormalOModule:
     def pi_poly(self):
         """[pi](T) as a dense coefficient list of length q^n + 1.
 
-        For polynomial work only: division, stage polynomials, [pi^k] and the
+        For polynomial work only: division, stage polynomials and the
         quotient.  To evaluate [pi] at a point use pi_eval.
         """
         ring, q, n = self.ring, self.q, self.n
@@ -91,36 +87,6 @@ class FormalOModule:
                 acc = acc + u * xq
         return acc + xq.qpower(self.q)
 
-    def pi_power(self, k: int):
-        """[pi^k](T), cached; degree q^(n*k), derivative pi^k."""
-        if k < 0:
-            raise PreconditionError("k must be >= 0")
-        while len(self._pi_powers) <= k:
-            self._pi_powers.append(poly_compose(self.pi_poly(), self._pi_powers[-1]))
-        return self._pi_powers[k]
-
-    def alpha_mult(self, digits):
-        """[alpha](T) for alpha = sum_i digits[i] * pi^i, digits F_q-codes."""
-        out = [self.ring.zero()]
-        for i, c in enumerate(digits):
-            if c:
-                out = poly_add(out, poly_scale(self.scalar(c), self.pi_power(i)))
-        return poly_trim(out)
-
-    def act(self, digits, value: RingElem) -> RingElem:
-        """Evaluate [alpha] at a point value without building any polynomial.
-
-        Applies [pi] through pi_eval; alpha_mult builds [alpha](T) instead.
-        """
-        acc = self.ring.zero()
-        cur = value
-        for i, c in enumerate(digits):
-            if i:
-                cur = self.pi_eval(cur)
-            if c:
-                acc = acc + self.scalar(c) * cur
-        return acc
-
     def __repr__(self):
         return f"FormalOModule(n={self.n}, q={self.q}, over {self.ring.describe()})"
 
@@ -131,8 +97,9 @@ def make_module(n: int, q: int, u_spec=None, prec: int = 3) -> FormalOModule:
     u_spec is a list of n-1 entries, one per middle coefficient:
       * an int N >= 1: a formal nilpotent generator with that vanishing order
         (N = 1 collapses to the value 0),
-      * a tuple/list of F_q digit codes (c_0, c_1, ...), each in 0..q-1: the
-        value sum_i c_i pi^i.
+      * a tuple/list of F_q digit codes (c_0, c_1, ...), each in 0..q-1, with
+        c_0 = 0: the value sum_i c_i pi^i, a multiple of pi as every middle
+        coefficient of a height-n module must be.
     The default makes every middle coefficient a square-zero formal generator.
     """
     if n < 1:
@@ -145,7 +112,7 @@ def make_module(n: int, q: int, u_spec=None, prec: int = 3) -> FormalOModule:
     if prec < 2:
         raise PreconditionError("precision must be >= 2 so pi is visible")
     fld = FqField(*split_prime_power(q))
-    for s in u_spec:
+    for k, s in enumerate(u_spec, start=1):
         if isinstance(s, int):
             if s < 1:
                 raise PreconditionError(f"u-spec order {s} must be at least 1")
@@ -153,6 +120,10 @@ def make_module(n: int, q: int, u_spec=None, prec: int = 3) -> FormalOModule:
             for c in s:
                 if not 0 <= c < q:
                     raise PreconditionError(f"u-spec digit code {c} is outside 0..{q - 1}")
+            if s and s[0]:
+                raise PreconditionError(
+                    f"u-spec entry {k} has the unit constant digit {s[0]}; "
+                    f"middle coefficients must be multiples of pi")
     u_orders = tuple(s for s in u_spec if isinstance(s, int) and s >= 2)
     ring = CoeffRing(fld, prec, u_orders=u_orders)
     u_values = []

@@ -324,17 +324,6 @@ class FqField:
         """Image of the rational integer n (prime-subfield element)."""
         return n % self.p
 
-    def element_order(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("0 has no multiplicative order")
-        lg = self._log[a]
-        n = self.q - 1
-        from math import gcd
-        return n // gcd(n, lg)
-
-    def elements(self):
-        return range(self.q)
-
     def embedding(self, big: "FqField"):
         """Field embedding self -> big as a lookup list; requires f | big.f and same p.
 

@@ -1,8 +1,8 @@
 """Finite groups built exactly from generators.
 
 Two constructions are provided: the unit groups GL_n(o/pi^m) of the chain
-ring, as chain-ring matrices, and the quotients of the quaternionic unit
-group by pi^Z and a principal congruence level, realized by actual
+ring, as chain-ring matrices, and the quotient of the quaternionic unit
+group by pi^Z and the level-1 congruence subgroup 1 + P, realized by actual
 division-algebra arithmetic rather than by an abstract presentation.  Each
 is the closure of its identity under a generating set, checked against its
 order formula; inverses and conjugacy classes are read off the same
@@ -176,28 +176,24 @@ def group_gl(n: int, q: int, m: int = 1) -> FiniteGroup:
 
 
 @cache
-def group_quaternion_quotient(q: int, k: int = 1) -> FiniteGroup:
-    """The quaternionic unit quotient at level k, over the residue field F_q.
+def group_quaternion_quotient(q: int) -> FiniteGroup:
+    """The quaternionic unit quotient at level 1, over the residue field F_q.
 
-    Elements are cosets of pi^Z (1 + P^k) in the unit group of the n = 2
-    division algebra, labeled (i, x) for level 1 and (i, x, y) for level 2,
-    standing for (x + y*w) * w^i with x in F_{q^2} nonzero and y in F_{q^2}.
-    The product is computed in the algebra and renormalized, so the group
-    law is inherited rather than postulated.  Orders: 2(q^2-1) at level 1,
-    2 q^2 (q^2-1) at level 2.  Generators: the generator zeta of F_{q^2}^x
-    and w, and at level 2 also 1 + w.
+    Elements are cosets of pi^Z (1 + P) in the unit group of the n = 2
+    division algebra, labeled (i, x) and standing for x * w^i with x in
+    F_{q^2} nonzero.  The product is computed in the algebra and
+    renormalized, so the group law is inherited rather than postulated.
+    Order 2(q^2-1); generators the generator zeta of F_{q^2}^x and w.
     """
-    if k not in (1, 2):
-        raise PreconditionError("only congruence levels 1 and 2 are supported")
-    name = f"w^Z\\D_{q}^x/(1+P^{k})"
-    order = _capped(2 * (q * q - 1) * (q * q if k == 2 else 1), f"|{name}|")
+    name = f"w^Z\\D_{q}^x/(1+P^1)"
+    order = _capped(2 * (q * q - 1), f"|{name}|")
     alg = DivisionAlgebra(q, 2)
     w = alg.uniformizer()
     w_inv = alg.elem([Laurent.zero(alg.big), Laurent.pi(alg.big, -1)])
 
     def to_elem(label):
-        i, x, y = label if k == 2 else (*label, 0)
-        unit = alg.elem([x, y])
+        i, x = label
+        unit = alg.elem([x, 0])
         return unit * w if i else unit
 
     def normalize(d):
@@ -214,20 +210,15 @@ def group_quaternion_quotient(q: int, k: int = 1) -> FiniteGroup:
         x = u.coords[0].coeff(0)
         if x == 0:
             raise OracleMismatch("renormalized unit has a non-unit leading slot")
-        if k == 1:
-            return (v % 2, x)
-        return (v % 2, x, u.coords[1].coeff(0))
+        return (v % 2, x)
 
     def mul(a, b):
         return normalize(to_elem(a) * to_elem(b))
 
-    tail = (0,) if k == 2 else ()
-    identity = (0, 1) + tail
+    identity = (0, 1)
     # w^2 = pi must land in the identity coset
     if normalize(w * w) != identity:
         raise OracleMismatch("w^2 does not reduce to the identity coset")
-    gens = [(0, alg.big.generator) + tail, (1, 1) + tail]
-    if k == 2:
-        gens.append((0, 1, 1))
+    gens = [(0, alg.big.generator), (1, 1)]
     return FiniteGroup(identity, gens, mul, order, name=name,
-                       meta={"kind": "quaternion", "q": q, "k": k, "algebra": alg})
+                       meta={"kind": "quaternion", "q": q, "algebra": alg})

@@ -3,10 +3,9 @@
 The inducing data is a character of GL_n(o/pi) inflated to K_0 and extended
 to pi^Z K_0 by a central root of unity.  For a certified regular elliptic
 argument the character of the induced representation is a finite sum over
-the cosets h with h^{-1} g h in pi^Z K_0, which the lattice machinery of
-`counting` enumerates; `hc_character` takes either the structured route
-(the one stable lattice class) or the brute route (the lattice box scan),
-so the two can be played against each other.  The same number is an average
+the cosets h with h^{-1} g h in pi^Z K_0; the certificate leaves one stable
+lattice class, which `counting.stable_lattice_reduction` finds, so
+`hc_character` reads one table value.  The same number is an average
 of level-1 fixed-coset counts: summing count(g, c, 1) * chi(c) over GL_n(F_q),
 with c the constant lifts, gives |GL_n(F_q)| times the conjugate of this
 character, which the tests check on both counting routes.
@@ -21,12 +20,11 @@ aligned by reduced characteristic polynomial.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 
 from .certify import EllipticCertificate, regular_elliptic_certify
 from .chartab import CharacterTable, character_table, cuspidal_characters
-from .counting import _fixed_lattices, stable_lattice_reduction
+from .counting import stable_lattice_reduction
 from .cyclotomic import Cyclotomic
 from .errors import JL_Q_CAP, CapExceeded, Inconclusive, OracleMismatch, PreconditionError
 from .groups import group_gl, group_quaternion_quotient
@@ -66,17 +64,14 @@ class InducedCharSpec:
             raise PreconditionError("the central value must be a root of unity")
 
 
-def hc_character(spec: InducedCharSpec, g, route: str = "structured",
+def hc_character(spec: InducedCharSpec, g,
                  cert: EllipticCertificate | None = None) -> Cyclotomic:
     """Character of c-Ind(lambda) at a certified regular elliptic g.
 
     Evaluates sum_{h in G/pi^Z K_0, h^-1 g h in pi^Z K_0} lambda(h^-1 g h).
-    Certification keeps the support finite and, on the structured route,
-    pins it to the single stable lattice class.  The brute route rescans a
-    lattice box and refuses (Inconclusive) if the scan does not stabilize.
+    Certification keeps the support finite and pins it to the single stable
+    lattice class.
     """
-    if route not in ("structured", "brute"):
-        raise PreconditionError(f"unknown route {route!r}")
     field = g[0][0].field
     n = len(g)
     if cert is None:
@@ -87,28 +82,12 @@ def hc_character(spec: InducedCharSpec, g, route: str = "structured",
         raise PreconditionError("the table's residue field does not match g")
     if len(grp.elements[0]) != n:
         raise PreconditionError("the table's matrix size does not match g")
-    zp = Fraction(cert.det_val, n)
-    if zp.denominator != 1:
+    if cert.det_val % n:
         # pi^Z-normalization impossible, the support is empty
         return Cyclotomic.zero()
+    _, Vbar, zp_int = stable_lattice_reduction(g, 1, cert)
     row = spec.table.values[spec.row]
-
-    if route == "structured":
-        _, Vbar, zp_int = stable_lattice_reduction(g, 1, cert)
-        return _root_power(spec.central, zp_int) * row[grp.class_of[grp.index[Vbar]]]
-
-    zp_int = int(zp)
-    total = Cyclotomic.zero()
-    touched = False
-    for on_shell, Vbar in _fixed_lattices(g, zp_int, 1):
-        idx = grp.index.get(Vbar)
-        if idx is None:
-            raise OracleMismatch("an integral eigen matrix reduced to a non-unit")
-        touched |= on_shell
-        total = total + row[grp.class_of[idx]]
-    if touched:
-        raise Inconclusive("the lattice box scan did not stabilize")
-    return _root_power(spec.central, zp_int) * total
+    return _root_power(spec.central, zp_int) * row[grp.class_of[grp.index[Vbar]]]
 
 
 @dataclass(frozen=True)
@@ -166,7 +145,7 @@ def elliptic_quotient_classes(group) -> tuple:
     are left out.
     """
     meta = group.meta
-    if meta.get("kind") != "quaternion" or meta.get("k") != 1:
+    if meta.get("kind") != "quaternion":
         raise PreconditionError("expected a level-1 quaternion unit quotient")
     alg = meta["algebra"]
     out = []
@@ -213,7 +192,7 @@ def jl_match(q: int, cap_q: int = JL_Q_CAP) -> JLMatchResult:
     grp_g = group_gl(2, q, 1)
     table_g = character_table(grp_g)
     cuspidal_rows = cuspidal_characters(table_g)
-    grp_b = group_quaternion_quotient(q, 1)
+    grp_b = group_quaternion_quotient(q)
     table_b = character_table(grp_b)
     elliptic = elliptic_quotient_classes(grp_b)
 

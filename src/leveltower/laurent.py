@@ -42,8 +42,8 @@ class Laurent:
         return Laurent(field, {0: code})
 
     @staticmethod
-    def from_digits(field: FqField, digits, start: int = 0) -> "Laurent":
-        return Laurent(field, {start + i: c for i, c in enumerate(digits) if c})
+    def from_digits(field: FqField, digits) -> "Laurent":
+        return Laurent(field, dict(enumerate(digits)))
 
     # -- structure --------------------------------------------------------
 

@@ -382,12 +382,6 @@ class RingElem:
         """Re-normalize (drop stored zeros); idempotent by construction."""
         return RingElem(self.ring, {i: c for i, c in self.d.items() if c})
 
-    def coords(self) -> list[int]:
-        out = [0] * self.ring.rank
-        for i, c in self.d.items():
-            out[i] = c
-        return out
-
     def __repr__(self):
         if not self.d:
             return "0"
@@ -467,18 +461,6 @@ def poly_trim(f: list[RingElem]) -> list[RingElem]:
     return f
 
 
-def poly_add(f, g):
-    ring = (f or g)[0].ring
-    n = max(len(f), len(g))
-    z = ring.zero()
-    return poly_trim([(f[i] if i < len(f) else z) + (g[i] if i < len(g) else z)
-                      for i in range(n)])
-
-
-def poly_scale(c: RingElem, f):
-    return poly_trim([c * a for a in f])
-
-
 def poly_mul(f, g):
     f, g = poly_trim(f), poly_trim(g)
     if not f or not g:
@@ -492,25 +474,6 @@ def poly_mul(f, g):
             if not b.is_zero():
                 out[i + j] = out[i + j] + a * b
     return poly_trim(out)
-
-
-def poly_eval(f, x: RingElem) -> RingElem:
-    acc = x.ring.zero()
-    for c in reversed(f):
-        acc = acc * x + c
-    return acc
-
-
-def poly_compose(f, g):
-    """f(g(T)) as a coefficient list."""
-    if not f:
-        return []
-    ring = f[0].ring
-    acc = [f[-1]]
-    for c in reversed(f[:-1]):
-        acc = poly_mul(acc, g)
-        acc = poly_add(acc, [c])
-    return acc
 
 
 def poly_divide_exact(f, g) -> list[RingElem]:

@@ -11,8 +11,9 @@ form from any generating set or proves the span is not a free direct summand.
 Full flags are built, not searched for: a flag's top part B is a hyperplane
 label, B is isomorphic to (o/pi^m)^(n-1) through its generators, and the
 parts below B are the image of a full flag of (o/pi^m)^(n-1).  A built flag
-is a flag by construction, so it is the plain tuple of its labels; `Flag`
-checks the chains that come from elsewhere, step by step.
+is a flag by construction, so it is the plain tuple of its labels.  So is
+the flag `flag_of_point` reads off a value table: each cut is checked to be
+a label, and the cuts grow strictly.
 
 Both censuses are sized from their closed forms before anything is built
 (Honold and Landjev, Electron. J. Combin. 7 (2000)): q^((m-1)h(n-h)) [n h]_q
@@ -49,15 +50,6 @@ class DirectSummand:
     def chain(self) -> ChainRing:
         return _chain(self.q, self.m)
 
-    @staticmethod
-    def from_generators(n: int, q: int, m: int, gens) -> "DirectSummand":
-        ch = _chain(q, m)
-        got = ch.echelon(n, gens)
-        if got is None:
-            raise PreconditionError("generators do not span a free direct summand")
-        pivots, cols = got
-        return DirectSummand(n=n, q=q, m=m, pivots=pivots, cols=cols)
-
     def coords(self, v):
         """Coordinates of v on the generators, or None when v is not in the label.
 
@@ -77,23 +69,6 @@ class DirectSummand:
 
     def member(self, v) -> bool:
         return self.coords(v) is not None
-
-    def is_summand_of(self, other: "DirectSummand") -> bool:
-        """Whether self is a free direct summand of `other` (not just contained)."""
-        coords = [other.coords(col) for col in self.cols]
-        return None not in coords and self.chain.echelon(other.rank, coords) is not None
-
-    def elements(self):
-        ch = self.chain
-        out = set()
-        zero = tuple([0] * self.n)
-        for cs in product(range(ch.size), repeat=self.rank):
-            v = zero
-            for c, col in zip(cs, self.cols):
-                if c:
-                    v = ch.vadd(v, ch.vscale(c, col))
-            out.add(v)
-        return out
 
     def key(self):
         return (self.pivots, self.cols)
@@ -174,22 +149,6 @@ def enumerate_summands(n: int, q: int, m: int, h: int):
     return out
 
 
-def dual_summand(A: DirectSummand) -> DirectSummand:
-    """The annihilator under the standard dot pairing, rank n - h."""
-    ch = A.chain
-    gens = []
-    pivset = set(A.pivots)
-    for rho in range(A.n):
-        if rho in pivset:
-            continue
-        w = [0] * A.n
-        w[rho] = 1
-        for k, r in enumerate(A.pivots):
-            w[r] = ch.neg(A.cols[k][rho])
-        gens.append(tuple(w))
-    return DirectSummand.from_generators(A.n, A.q, A.m, gens)
-
-
 def strata_fixed_count(gbar, n: int, q: int, m: int, h: int) -> int:
     """Number of rank-h labels fixed by an invertible matrix over o/pi^m."""
     ch = _chain(q, m)
@@ -200,32 +159,6 @@ def strata_fixed_count(gbar, n: int, q: int, m: int, h: int) -> int:
         if all(A.member(ch.matvec(gbar, col)) for col in A.cols):
             count += 1
     return count
-
-
-@dataclass(frozen=True)
-class Flag:
-    """A chain of labels, strictly increasing rank, each a free direct
-    summand of the next (and of the ambient module)."""
-
-    parts: tuple  # DirectSummands, ascending rank
-
-    def __post_init__(self):
-        parts = self.parts
-        if not parts:
-            raise NotAFlag("empty chain")
-        for A in parts:
-            if not isinstance(A, DirectSummand):
-                raise NotAFlag("chain entries must be labels")
-        for A, B in zip(parts, parts[1:]):
-            if not A.rank < B.rank:
-                raise NotAFlag("ranks must strictly increase")
-            if not A.is_summand_of(B):
-                raise NotAFlag(
-                    f"rank-{A.rank} part is not a free direct summand of the rank-{B.rank} part")
-
-    @property
-    def signature(self):
-        return tuple(A.rank for A in self.parts)
 
 
 def enumerate_flags(n: int, q: int, m: int) -> list:
@@ -270,7 +203,7 @@ def enumerate_flags(n: int, q: int, m: int) -> list:
     return out
 
 
-def flag_of_point(values: dict, n: int, q: int, m: int) -> Flag:
+def flag_of_point(values: dict, n: int, q: int, m: int) -> tuple:
     """Flag of the lower-tier cuts of a value table on (pi^-m o/o)^n.
 
     Keys are coordinate tuples of chain-ring codes and must cover the whole
@@ -278,8 +211,10 @@ def flag_of_point(values: dict, n: int, q: int, m: int) -> Flag:
     vector's value is its tier tuple, and x is strictly below y when
     tiers(x) < tiers(y) lexicographically, the rank-k stand-in for
     |x| < |y|^r holding at every r > 0.  Each strict lower cut, together
-    with 0, must be a free direct summand or NotAFlag is raised; the flag
-    collects the cuts in ascending rank, the full module included.
+    with 0, must be a free direct summand or NotAFlag is raised; the flag is
+    the tuple of the cuts in ascending rank, the full module included.  The
+    cuts are labels and grow strictly, and a label inside a larger label is
+    a free direct summand of it, so the tuple is a flag.
     """
     ch = _chain(q, m)
     zero = tuple([0] * n)
@@ -306,8 +241,9 @@ def flag_of_point(values: dict, n: int, q: int, m: int) -> Flag:
                 f"the cut below tier {levels[cut - 1]} does not span a free direct summand")
         pivots, cols = got
         A = DirectSummand(n=n, q=q, m=m, pivots=pivots, cols=cols)
-        if len(A.elements()) != len(S) + 1:
+        # S and 0 lie in the free module A, so they fill it exactly when closed
+        if ch.size ** A.rank != len(S) + 1:
             raise NotAFlag(
                 f"the cut below tier {levels[cut - 1]} is not closed under the module operations")
         parts.append(A)
-    return Flag(tuple(parts))
+    return tuple(parts)

@@ -1,12 +1,17 @@
-"""Shared generators for the randomized counting suite."""
+"""Shared generators for the randomized counting suite, and the oracles the
+tests compare the package against: code that no command runs lives here."""
 
 import random
 
 from leveltower.certify import regular_elliptic_certify
+from leveltower.counting import _fixed_lattices
+from leveltower.cyclotomic import Cyclotomic
 from leveltower.errors import Inconclusive
 from leveltower.fq import FqField
+from leveltower.induced import _root_power
 from leveltower.laurent import Laurent
 from leveltower.matrices import charpoly, companion, det, mat_shift
+from leveltower.rings import poly_mul, poly_trim
 
 
 def random_unit_matrix(field, n, rng, prec=3):
@@ -57,3 +62,77 @@ def counting_suite(total=24, seed=1234):
             g = mat_shift(g, 1)
         out.append({"field": field, "b": b, "g": g, "m": m, "cert": cert})
     return out
+
+
+def brute_hc_character(spec, g):
+    """`induced.hc_character` by the lattice box scan of `_fixed_lattices`:
+    the sum of the inflated row over every box lattice that g fixes, with no
+    certificate-driven shortcut.  A lattice on the box's shell fails."""
+    n = len(g)
+    det_val = regular_elliptic_certify(charpoly(g)).det_val
+    if det_val % n:
+        return Cyclotomic.zero()
+    grp = spec.table.group
+    row = spec.table.values[spec.row]
+    total = Cyclotomic.zero()
+    for on_shell, Vbar in _fixed_lattices(g, det_val // n, 1):
+        assert not on_shell, "the lattice box scan did not stabilize"
+        total = total + row[grp.class_of[grp.index[Vbar]]]
+    return _root_power(spec.central, det_val // n) * total
+
+
+def is_flag(parts):
+    """Whether a chain of labels is a flag: ranks strictly increase and each
+    part is a free direct summand of the next, checked step by step."""
+    for A, B in zip(parts, parts[1:]):
+        coords = [B.coords(col) for col in A.cols]
+        if A.rank >= B.rank or None in coords or A.chain.echelon(B.rank, coords) is None:
+            return False
+    return bool(parts)
+
+
+def poly_add(f, g):
+    ring = (f or g)[0].ring
+    z = ring.zero()
+    return poly_trim([(f[i] if i < len(f) else z) + (g[i] if i < len(g) else z)
+                      for i in range(max(len(f), len(g)))])
+
+
+def poly_eval(f, x):
+    acc = x.ring.zero()
+    for c in reversed(f):
+        acc = acc * x + c
+    return acc
+
+
+def poly_compose(f, g):
+    """f(g(T)) as a coefficient list."""
+    acc = [f[-1]]
+    for c in reversed(f[:-1]):
+        acc = poly_add(poly_mul(acc, g), [c])
+    return acc
+
+
+def pi_power(module, k):
+    """[pi^k](T), [pi] composed with itself k times; degree q^(n*k)."""
+    out = [module.ring.zero(), module.ring.one()]
+    for _ in range(k):
+        out = poly_compose(module.pi_poly(), out)
+    return out
+
+
+def reduced_norm(alg, b):
+    """The determinant of left multiplication by b, descended to F_q((pi))."""
+    return alg.descend_scalar(det(alg.embed_matrix(b)))
+
+
+def scalar_pi(alg, k=1):
+    """The central element pi^k of the division algebra."""
+    return alg.elem([Laurent.pi(alg.big, k)] + [0] * (alg.n - 1))
+
+
+def root_of_unity(N, power=1):
+    """zeta_N^power as a cyclotomic number."""
+    v = [0] * (power % N + 1)
+    v[-1] = 1
+    return Cyclotomic(N, v)

@@ -44,7 +44,7 @@ def test_cuspidal_counts(q, count):
 
 def test_quaternion_quotient_q2():
     # order 2(q^2 - 1) = 6; the unit classes fold into a symmetric group shape
-    g = group_quaternion_quotient(2, 1)
+    g = group_quaternion_quotient(2)
     assert g.order == 6
     assert g.exponent == 6
     tab = character_table(g)
@@ -53,7 +53,7 @@ def test_quaternion_quotient_q2():
 
 
 def test_quaternion_quotient_q3_is_semidihedral():
-    g = group_quaternion_quotient(3, 1)
+    g = group_quaternion_quotient(3)
     assert g.order == 16
     assert g.exponent == 8
     orders = [g.element_order(i) for i in range(g.order)]
@@ -66,9 +66,9 @@ def test_quaternion_quotient_q3_is_semidihedral():
 
 @pytest.mark.parametrize("group", [
     lambda: group_gl(2, 2, 1), lambda: group_gl(2, 3, 1), lambda: group_gl(2, 4, 1),
-    lambda: group_quaternion_quotient(2, 1), lambda: group_quaternion_quotient(3, 1),
-    lambda: group_quaternion_quotient(4, 1), lambda: group_quaternion_quotient(2, 2),
-], ids=["gl-2", "gl-3", "gl-4", "quat-2", "quat-3", "quat-4", "quat-2-level-2"])
+    lambda: group_quaternion_quotient(2), lambda: group_quaternion_quotient(3),
+    lambda: group_quaternion_quotient(4), lambda: group_gl(2, 2, 2),
+], ids=["gl-2", "gl-3", "gl-4", "quat-2", "quat-3", "quat-4", "gl-2-level-2"])
 def test_tables_verify_with_integer_values(group):
     tab = character_table(group())
     assert tab.verify()
@@ -96,8 +96,8 @@ def test_verify_rejects_a_perturbed_value(change):
 
 
 @pytest.mark.parametrize("group", [lambda: group_gl(2, 3, 1),
-                                   lambda: group_quaternion_quotient(2, 2)],
-                         ids=["GL2(F3)", "quaternion-q2-level2"])
+                                   lambda: group_quaternion_quotient(3)],
+                         ids=["GL2(F3)", "quaternion-q3"])
 def test_inverse_table_is_an_involution_of_inverses(group):
     g = group()
     e, inv = g.identity_index, g.inverse

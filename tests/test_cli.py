@@ -369,6 +369,20 @@ def test_bad_element_tokens_exit_2(capsys, argv, message):
     assert err == message
 
 
+@pytest.mark.parametrize("n,u_spec,entry", [("2", "1", 1), ("2", "1,1", 1), ("3", "0;1", 2)])
+def test_u_spec_with_a_unit_constant_digit_exits_2(capsys, n, u_spec, entry):
+    # a middle coefficient with a unit constant digit used to pass make_module
+    # and fail later in ring_extend, with a message that named no input
+    code, out, err = run(capsys, "tower", "--q", "2", "--n", n, "--m", "1", "--u-spec", u_spec)
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: u-spec entry {entry} has the unit constant digit 1; "
+                   "middle coefficients must be multiples of pi\n")
+    code, out, _ = run(capsys, "tower", "--q", "2", "--n", "2", "--m", "1", "--u-spec", "0,1")
+    assert code == 0
+    assert json.loads(out)["results"]["level_check"]["ok"]
+
+
 @pytest.mark.parametrize("text,message", [
     ("2 2 x\n", "1: header entry 'x' is not an integer"),
     ("2 2 1\n0,a : 1\n", "2: code 'a' is not an integer"),
@@ -531,6 +545,20 @@ def test_count_certifies_b_once(capsys, monkeypatch):
 
     certify = division.regular_elliptic_certify
     monkeypatch.setattr(division, "regular_elliptic_certify", counted)
+    code, _, err = run(capsys, *COUNT_ARGV)
+    assert (code, err) == (0, "")
+    assert len(calls) == 1
+
+
+def test_count_computes_the_reduced_charpoly_once(capsys, monkeypatch):
+    calls = []
+    charpoly = division.DivisionAlgebra.reduced_charpoly
+
+    def counted(alg, b):
+        calls.append(b)
+        return charpoly(alg, b)
+
+    monkeypatch.setattr(division.DivisionAlgebra, "reduced_charpoly", counted)
     code, _, err = run(capsys, *COUNT_ARGV)
     assert (code, err) == (0, "")
     assert len(calls) == 1

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from conftest import pi_power, poly_eval
 
 from leveltower import formal
 from leveltower.errors import CapExceeded, PreconditionError, RankCapExceeded
@@ -14,7 +15,7 @@ from leveltower.formal import (
     make_module,
 )
 from leveltower.groups import group_gl
-from leveltower.rings import poly_eval, poly_trim
+from leveltower.rings import poly_trim
 
 
 def test_pi_poly_shape():
@@ -29,7 +30,7 @@ def test_pi_poly_shape():
 @pytest.mark.parametrize("n,q,m", [(1, 2, 3), (2, 2, 2), (2, 3, 1), (3, 2, 1)])
 def test_pi_power_degree_and_derivative(n, q, m):
     mod = make_module(n, q, prec=m + 1)
-    poly = poly_trim(mod.pi_power(m))
+    poly = poly_trim(pi_power(mod, m))
     assert len(poly) - 1 == q ** (n * m)
     pi_m = mod.ring.one()
     for _ in range(m):
@@ -114,19 +115,6 @@ def test_u_spec_value_form():
     assert tower.rank_over_base == 6
     assert tower.u_spec_label == "val:0,1"
     assert check_level(tower.structure)["ok"]
-
-
-def test_act_matches_alpha_polynomial():
-    tower = build_tower(2, 2, 1)
-    mod = tower.module
-    phi = tower.structure
-    from leveltower.rings import poly_eval
-
-    digits = [1, 1]
-    pol = mod.alpha_mult(digits)
-    for v in list(phi.values)[:6]:
-        x = phi.values[v]
-        assert mod.act(digits, x) == poly_eval(pol, x)
 
 
 @pytest.mark.parametrize("q,density,cases", [(2, 0.4, 200), (4, 0.03, 20)])

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import random_unit_matrix
+from conftest import random_unit_matrix, root_of_unity
 
 from leveltower import chain
 from leveltower.chain import ChainRing, gl_elements
@@ -30,10 +30,10 @@ def test_field_arithmetic_f4():
     f4 = FqField(2, 2)
     g = f4.generator
     # generator has multiplicative order q - 1
-    assert f4.element_order(g) == 3
+    assert f4.pow(g, 1) != 1 and f4.pow(g, 2) != 1
     x = f4.pow(g, 3)
     assert x == 1
-    for a in f4.elements():
+    for a in range(f4.q):
         assert f4.add(a, f4.neg(a)) == 0
         if a:
             assert f4.mul(a, f4.inv(a)) == 1
@@ -96,7 +96,7 @@ def test_field_frobenius_fixes_prime_subfield():
 
 
 def test_cyclotomic_roots_and_conjugation():
-    z = Cyclotomic.root_of_unity(5)
+    z = root_of_unity(5)
     acc = Cyclotomic.zero(5)
     p = Cyclotomic.from_rational(1, 5)
     for _ in range(5):
@@ -108,19 +108,19 @@ def test_cyclotomic_roots_and_conjugation():
 
 
 def test_cyclotomic_mixed_conductors():
-    a = Cyclotomic.root_of_unity(3)
-    b = Cyclotomic.root_of_unity(4)
+    a = root_of_unity(3)
+    b = root_of_unity(4)
     prod = a * b
     assert prod * prod.conjugate() == Cyclotomic.from_rational(1)
     assert (a + b) - b == a.lift(12)
 
 
 def test_cyclotomic_hash_agrees_across_lifts():
-    z = Cyclotomic.root_of_unity(4)
+    z = root_of_unity(4)
     assert z == z.lift(8) and hash(z) == hash(z.lift(8))
     assert len({z, z.lift(8)}) == 1
     # zeta_6 = 1 + zeta_3 although neither is a lift of the other
-    assert len({Cyclotomic.root_of_unity(6), 1 + Cyclotomic.root_of_unity(3)}) == 1
+    assert len({root_of_unity(6), 1 + root_of_unity(3)}) == 1
     rng = random.Random(3)
     for _ in range(200):
         N = rng.choice([1, 2, 3, 4, 5, 6, 8, 9, 12])
@@ -131,7 +131,7 @@ def test_cyclotomic_hash_agrees_across_lifts():
 
 
 def test_cyclotomic_integer_coordinates_stay_integers():
-    z = Cyclotomic.root_of_unity(12)
+    z = root_of_unity(12)
     w = (z * z.conjugate() + z - 3).lift(24)
     assert all(type(c) is int for c in w.coords)
 

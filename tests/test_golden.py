@@ -1,8 +1,9 @@
 """Default reports compared byte for byte with the committed files in tests/golden/.
 
-Each file is the stdout of `leveltower <argv>` for the argv named below,
-which exits 0.  A change to one of these files is a change to the report
-bytes and is named in CHANGES.md.
+Each `.out` file is the stdout of `leveltower <argv>` for the argv named
+below, which exits 0; a `.table` file is a value table that an argv reads.
+A change to one of these files is a change to the report bytes and is named
+in CHANGES.md.
 """
 
 from pathlib import Path
@@ -31,6 +32,8 @@ CASES = {
     "selftest": ["selftest"],
     "strata_csv": ["strata", "--q", "2", "--n", "3", "--m", "1", "--format", "csv"],
     "flags_text": ["flags", "--q", "2", "--n", "2", "--m", "1", "--format", "text"],
+    "flag_of_point_2_2_2": ["flag-of-point", "--table",
+                            str(GOLDEN / "flag_of_point_2_2_2.table")],
 }
 
 

@@ -18,8 +18,7 @@ def test_gl_closure_is_the_lexicographic_unit_scan(n, q, m):
 
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_quaternion_quotient_orders(q):
-    assert group_quaternion_quotient(q, 1).order == 2 * (q * q - 1)
-    assert group_quaternion_quotient(q, 2).order == 2 * q * q * (q * q - 1)
+    assert group_quaternion_quotient(q).order == 2 * (q * q - 1)
 
 
 def _classes_by_full_scan(g):
@@ -34,8 +33,8 @@ def _classes_by_full_scan(g):
 
 
 @pytest.mark.parametrize("group", [lambda: group_gl(2, 3, 1), lambda: group_gl(2, 4, 1),
-                                   lambda: group_quaternion_quotient(2, 2)],
-                         ids=["GL2(F3)", "GL2(F4)", "quaternion-q2-level2"])
+                                   lambda: group_gl(2, 2, 2), lambda: group_quaternion_quotient(3)],
+                         ids=["GL2(F3)", "GL2(F4)", "GL2(o/pi^2)-q2", "quaternion-q3"])
 def test_generator_orbits_are_the_conjugacy_classes(group):
     g = group()
     assert g.classes == _classes_by_full_scan(g)
@@ -46,8 +45,8 @@ def test_oversized_quaternion_quotient_is_refused_before_any_product(monkeypatch
         raise AssertionError("the division algebra was built")
 
     monkeypatch.setattr(groups, "DivisionAlgebra", unbuilt)
-    with pytest.raises(CapExceeded, match="130560"):
-        group_quaternion_quotient(16, 2)
+    with pytest.raises(CapExceeded, match="131070"):
+        group_quaternion_quotient(256)
 
 
 def _cyclic_six(a, b):

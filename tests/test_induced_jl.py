@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import counting_suite, random_unit_matrix
+from conftest import brute_hc_character, counting_suite, random_unit_matrix, root_of_unity
 
 from leveltower import counting
 from leveltower.chartab import character_table, cuspidal_characters
@@ -69,13 +69,13 @@ def test_central_twist_multiplies_by_root_of_unity():
     b = mat_shift(companion(field, [Laurent.const(field, c) for c in (1, 0, 1)]), 1)
     tab = character_table(group_gl(2, 3, 1))
     row = tab.degrees.index(1)
-    i_unit = Cyclotomic.root_of_unity(4)
+    i_unit = root_of_unity(4)
     base = hc_character(InducedCharSpec(tab, row), b)
     assert not base.is_zero()
     twisted = InducedCharSpec(tab, row, central=i_unit)
     got = hc_character(twisted, b)
     assert got == i_unit * base
-    assert hc_character(twisted, b, route="brute") == got
+    assert brute_hc_character(twisted, b) == got
 
 
 def _inflated_spec(q, row=None):
@@ -92,7 +92,7 @@ def test_inflated_spec_reads_residual_class():
     val = hc_character(spec, b)
     # the residual class has order 3 and the q=2 cuspidal row is the sign row
     assert val == Cyclotomic.from_rational(1)
-    assert hc_character(spec, b, route="brute") == val
+    assert brute_hc_character(spec, b) == val
 
 
 def test_inflated_spec_conjugation_invariant():
@@ -108,7 +108,7 @@ def test_inflated_spec_conjugation_invariant():
         winv = [[e.scale(di) for e in row] for row in adjugate(w)]
         conj = mat_mul(mat_mul(w, b), winv)
         assert hc_character(spec, conj) == base
-        assert hc_character(spec, conj, route="brute") == base
+        assert brute_hc_character(spec, conj) == base
 
 
 def test_inflated_spec_vanishes_at_half_integral_valuation():
@@ -117,7 +117,7 @@ def test_inflated_spec_vanishes_at_half_integral_valuation():
     b = companion(field, [Laurent.pi(field, 1), Laurent.zero(field),
                           Laurent.const(field, 1)])
     assert hc_character(spec, b).is_zero()
-    assert hc_character(spec, b, route="brute").is_zero()
+    assert brute_hc_character(spec, b).is_zero()
 
 
 def test_hc_character_brute_makes_no_adjugate_call(monkeypatch):
@@ -137,7 +137,7 @@ def test_hc_character_brute_makes_no_adjugate_call(monkeypatch):
         winv = [[e.scale(field.inv(det(w).coeff(0))) for e in row] for row in adjugate(w)]
         cases += [(spec, b), (spec, mat_mul(mat_mul(w, b), winv))]
     for spec, b in cases:
-        brute = hc_character(spec, b, route="brute")
+        brute = brute_hc_character(spec, b)
         assert calls == []
         assert hc_character(spec, b) == brute
         assert calls, "the structured route still takes the adjugate step"
@@ -145,14 +145,14 @@ def test_hc_character_brute_makes_no_adjugate_call(monkeypatch):
     field = FqField(2, 1)
     half = companion(field, [Laurent.pi(field, 1), Laurent.zero(field),
                              Laurent.const(field, 1)])
-    assert hc_character(_inflated_spec(2)[1], half, route="brute").is_zero()
+    assert brute_hc_character(_inflated_spec(2)[1], half).is_zero()
     assert calls == []
 
 
 def test_elliptic_quotient_class_census():
     for q, unr, ram in [(2, 1, 1), (3, 3, 2)]:
         from leveltower.groups import group_quaternion_quotient
-        grp = group_quaternion_quotient(q, 1)
+        grp = group_quaternion_quotient(q)
         classes = elliptic_quotient_classes(grp)
         kinds = [rec.kind for rec in classes]
         assert kinds.count("unit") == unr == q * (q - 1) // 2
@@ -190,7 +190,7 @@ def test_spec_validation():
     from leveltower.groups import group_quaternion_quotient
     tab = character_table(group_gl(2, 2, 1))
     with pytest.raises(PreconditionError):
-        InducedCharSpec(character_table(group_quaternion_quotient(2, 1)), 0)
+        InducedCharSpec(character_table(group_quaternion_quotient(2)), 0)
     with pytest.raises(PreconditionError):
         InducedCharSpec(tab, len(tab.degrees))
     with pytest.raises(PreconditionError):

@@ -2,13 +2,14 @@
 
 Every top-level function or class and every non-dunder method defined in
 src/leveltower/*.py must be named, as a whole word, somewhere in src/ or
-tests/ outside its own definition, its import lines and `__all__`.  The
-console-script entry point `main` is exempt.  Every name a module in src/ or
-tests/ imports is read in that module or listed in its `__all__`
-(`__future__` imports are exempt).  Every field a class in src/ stores is
-read in src/ or tests/.  README's module map lists
-exactly the package's modules, one module owns the permutation
-expansion, and every function perfbench traces is found in the package.
+perfbench/ outside its own definition, its import lines and `__all__`: code
+that only tests reach belongs in the tests.  The console-script entry point
+`main` is exempt.  Every name a module in src/ or tests/ imports is read in
+that module or listed in its `__all__` (`__future__` imports are exempt).
+Every field a class in src/ stores is read in src/ or tests/.  README's
+module map lists exactly the package's modules, one module owns the
+permutation expansion, and every function perfbench traces is found in the
+package.
 """
 
 import ast
@@ -52,7 +53,9 @@ def _definitions(path, tree):
 
 
 def test_every_definition_is_referenced():
-    sources = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    # names match as words, so a method escapes when any other definition
+    # of the same name is referenced
+    sources = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
     where, definitions = {}, []   # word -> [(path, line number)]
     for path in sources:
         text = path.read_text(encoding="utf-8")

@@ -55,7 +55,7 @@ def test_normal_form_idempotent(ridx):
         nf1 = x.nf()
         nf2 = nf1.nf()
         assert nf1 == nf2
-        assert nf1.coords() == nf2.coords()
+        assert nf1.d == nf2.d
         assert x == nf1
 
 

@@ -3,6 +3,7 @@
 import itertools
 
 import pytest
+from conftest import is_flag
 
 from leveltower.certify import regular_elliptic_certify
 from leveltower import strata
@@ -12,8 +13,6 @@ from leveltower.fq import FqField
 from leveltower.laurent import Laurent
 from leveltower.matrices import charpoly, companion, mat_reduce_mod
 from leveltower.strata import (
-    Flag,
-    dual_summand,
     enumerate_flags,
     enumerate_summands,
     flag_of_point,
@@ -90,13 +89,6 @@ def test_label_census_is_capped_before_it_is_built(monkeypatch):
             enumerate_summands(n, 2, 1, 1)
 
 
-def test_dual_summand_involution_and_rank():
-    for A in enumerate_summands(3, 2, 2, 1):
-        B = dual_summand(A)
-        assert len(B.pivots) == 2
-        assert dual_summand(B).key() == A.key()
-
-
 def _certified_unit_companions():
     """Certified regular elliptic matrices with unit determinant, q in {2,3}."""
     f2, f3 = FqField(2, 1), FqField(3, 1)
@@ -168,7 +160,7 @@ def pairwise_flag_keys(n, q, m):
     chains = [(A,) for A in enumerate_summands(n, q, m, 1)]
     for h in range(2, n):
         chains = [c + (B,) for c in chains for B in enumerate_summands(n, q, m, h)
-                  if c[-1].is_summand_of(B)]
+                  if is_flag((c[-1], B))]
     return {tuple(A.key() for A in c) for c in chains}
 
 
@@ -182,9 +174,10 @@ def test_built_flags_equal_pairwise_search(n, q, m):
 
 @pytest.mark.parametrize("n,q,m", [(3, 2, 2), (3, 3, 1), (4, 2, 1)])
 def test_built_flags_pass_the_step_check(n, q, m):
-    # enumerate_flags proves its chains flags by construction; Flag checks each step
+    # enumerate_flags proves its chains flags by construction; is_flag checks each step
     for chain in enumerate_flags(n, q, m):
-        assert Flag(chain).signature == tuple(range(1, n))
+        assert is_flag(chain)
+        assert tuple(A.rank for A in chain) == tuple(range(1, n))
 
 
 def test_flag_census_is_capped_before_it_is_built(monkeypatch):
@@ -202,15 +195,16 @@ def test_flag_census_is_capped_before_it_is_built(monkeypatch):
 
 
 def test_flag_checks_every_step_after_enumeration():
-    # a chain built by hand from the label objects enumerate_flags carries
-    # is checked in full
+    # a label inside a larger label is a free direct summand of it, which is
+    # why flag_of_point needs no step check: over the label objects
+    # enumerate_flags carries, the step check accepts exactly the pairs where
+    # the line lies in the plane
     enumerate_flags(3, 2, 2)
     lines, planes = enumerate_summands(3, 2, 2, 1), enumerate_summands(3, 2, 2, 2)
-    bad = [(A, B) for A in lines for B in planes if not A.is_summand_of(B)]
-    assert bad
-    for A, B in bad:
-        with pytest.raises(NotAFlag, match="not a free direct summand"):
-            Flag((A, B))
+    verdicts = [(is_flag((A, B)), all(B.member(col) for col in A.cols))
+                for A in lines for B in planes]
+    assert {v for v, _ in verdicts} == {True, False}
+    assert all(step == inside for step, inside in verdicts)
 
 
 def test_flags_need_two_ranks():
@@ -227,15 +221,16 @@ def test_flag_of_point_recovers_a_flag():
         (0, 0): (0,),
     }
     flag = flag_of_point(values, 2, 2, 1)
-    assert flag.signature == (1, 2)
-    assert flag.parts[0].member((0, 1))
-    assert not flag.parts[0].member((1, 0))
+    assert is_flag(flag)
+    assert tuple(A.rank for A in flag) == (1, 2)
+    assert flag[0].member((0, 1))
+    assert not flag[0].member((1, 0))
 
 
 def test_flag_of_point_trivial_single_tier():
     values = {v: (1,) for v in itertools.product(range(2), repeat=2) if any(v)}
     flag = flag_of_point(values, 2, 2, 1)
-    assert flag.signature == (2,)
+    assert tuple(A.rank for A in flag) == (2,)
 
 
 def test_flag_of_point_rejects_unclosed_cut():
@@ -256,7 +251,8 @@ def test_flag_of_point_level_two_cuts():
     vectors = [(a, b) for a in range(4) for b in range(4) if (a, b) != (0, 0)]
     good = {v: ((1,) if v in low else (2,)) for v in vectors}
     flag = flag_of_point(good, 2, 2, 2)
-    assert flag.signature == (1, 2)
+    assert is_flag(flag)
+    assert tuple(A.rank for A in flag) == (1, 2)
     bad = dict(good)
     bad[(2, 0)] = (2,)
     with pytest.raises(NotAFlag):
