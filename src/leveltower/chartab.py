@@ -79,17 +79,15 @@ class CharacterTable:
     """
 
     __slots__ = ("group", "class_reps", "class_sizes", "degrees", "values",
-                 "conductor", "prime")
+                 "conductor")
 
-    def __init__(self, group, class_reps, class_sizes, degrees, values,
-                 conductor, prime):
+    def __init__(self, group, class_reps, class_sizes, degrees, values, conductor):
         self.group = group
         self.class_reps = tuple(class_reps)
         self.class_sizes = tuple(class_sizes)
         self.degrees = tuple(degrees)
         self.values = tuple(tuple(row) for row in values)
         self.conductor = conductor
-        self.prime = prime
 
     @property
     def n_classes(self) -> int:
@@ -252,7 +250,7 @@ def character_table(group: FiniteGroup) -> CharacterTable:
                            sizes,
                            [c[0] for c in chars],
                            [c[1] for c in chars],
-                           e, p)
+                           e)
     table.verify()
     return table
 

@@ -11,18 +11,20 @@ pi^Z K_0 of K_m, is h^{-1} b h g in pi^Z K_m, which splits into
   * ybar^{-1} Vbar ybar = ubar^{-1} in GL_n(o/pi^m) (the frame condition).
 
 Since det V = pi^{-nz'} det b is a unit, the lattice condition is that V is
-integral.  `count_brute` scans one box of triangular lattice bases, sized
-from m and the elementary divisors of b, tests each by back-substitution
-(`_fixed_lattices`), and reports whether the count was already stable one
-shell earlier.  Its frame count (`_frame_count`) solves the frame condition
-as one F_q-linear kernel over o/pi^m and counts the solutions that are
-units mod pi; it lists only the residue units GL_n(F_q), never
-GL_n(o/pi^m).
+integral.  `count_brute` takes one box of triangular lattice bases, sized
+from m and the elementary divisors of b, and finds the box lattices that
+pi^{-z'} b fixes by a descent over its stable lattices, from the largest one
+inside o^n down through the invariant subspaces mod pi
+(`_fixed_lattices`); the work grows with the lattices found, not with the
+box.  It reports whether the count was already stable one shell earlier.
+Its frame count (`_frame_count`) solves the frame condition as one
+F_q-linear kernel over o/pi^m and counts the solutions that are units mod
+pi; it lists only the residue units GL_n(F_q), never GL_n(o/pi^m).
 `count_structured` uses a certificate for b: the order o[pi^{-z'} b] is
 then maximal, so at most one lattice class survives, tested once by the
 adjugate formula (`_lattice_eigen_matrix`), and the frame count is a
 centralizer order.  It takes the same steps at every rank n >= 1.  Both
-return a `CountResult` holding the count, z' and the stability flag.  The
+return a `CountResult` holding the count and the stability flag.  The
 two routes share nothing past the membership split above;
 `division.total_fixed_points` runs both on every count and raises when they
 disagree, and the test suite compares them on randomized instances.
@@ -32,13 +34,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from math import prod
 
 from .certify import EllipticCertificate, regular_elliptic_certify
 from .chain import ChainRing, gl_elements
 from .errors import CapExceeded, PreconditionError
-from .fq import FqField
 from .laurent import Laurent
 from .matrices import (
     adjugate,
@@ -52,7 +51,11 @@ from .matrices import (
     smith_exponents,
 )
 
-BRUTE_LATTICE_CAP = 400_000
+# Lattices the brute route's descent may visit before it refuses.  On a
+# 2-vCPU VM a visit at n = 3 takes 1.5 ms (unipotent b) to 5 ms (scalar b,
+# for which every subspace is invariant), so a refused run stops within
+# about 25 s.  A certified elliptic b visits one lattice.
+BRUTE_LATTICE_CAP = 5_000
 
 
 def normalizer_split(g):
@@ -91,55 +94,124 @@ def _z_prime(b):
 @dataclass
 class CountResult:
     count: int
-    z_prime: Fraction
     stable: bool = True
 
 
-def _lattice_bases(field: FqField, n: int, bound: int, cap: int):
-    """Normalized triangular lattice bases with diagonal exponents <= bound.
+def _triangular_inverse(H):
+    """H^{-1} for an upper triangular H with diagonal exactly pi^(d_i).
 
-    Yields (diag_exponents, H).  Normalization: minimal valuation over all
-    entries is 0, picking one representative per pi^Z class.  An entry with
-    code c has valuation 0 exactly when c is not divisible by q, so the test
-    runs on the codes before H is built.  Every candidate counts against the
-    cap, and the box is refused before the scan: row i has n - 1 - i entries
-    above the diagonal with q^(d_i) codes each.
+    Back-substitution column by column, as in `_lattice_eigen_backsolve`:
+    dividing by pi^(d_i) is an exact shift, so no adjugate is formed.
     """
-    q = field.q
-    total = prod(sum(q ** (d * (n - 1 - i)) for d in range(bound + 1)) for i in range(n))
-    if total > cap:
-        raise CapExceeded(f"lattice box of {total} candidates exceeds cap {cap}")
-    positions = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for diag in product(range(bound + 1), repeat=n):
-        rows = [[Laurent.pi(field, diag[i]) if i == j else Laurent.zero(field)
-                 for j in range(n)] for i in range(n)]
-        for combo in product(*(range(q ** diag[i]) for i, _ in positions)):
-            if min(diag) and all(code % q == 0 for code in combo):
-                continue
-            for (i, j), code in zip(positions, combo):
-                digs = []
-                while code:
-                    digs.append(code % q)
-                    code //= q
-                rows[i][j] = Laurent.from_digits(field, digs)
-            yield diag, tuple(tuple(r) for r in rows)
+    n = len(H)
+    field = H[0][0].field
+    X = [[Laurent.zero(field)] * n for _ in range(n)]
+    for k in range(n):
+        for i in range(k, -1, -1):
+            acc = Laurent.one(field) if i == k else Laurent.zero(field)
+            for j in range(i + 1, k + 1):
+                acc = acc - H[i][j] * X[j][k]
+            X[i][k] = acc.shift(-H[i][i].valuation())
+    return X
+
+
+def _top_stable_lattice(g1):
+    """The hnf basis of L_max, the intersection of g1^(-k) o^n over k < n:
+    the largest g1-stable lattice inside o^n, for g1 with integral
+    characteristic polynomial.
+
+    Its dual lattice is o[g1^T] o^n, grown from o^n by adding g1^T times the
+    current basis until the hnf form stops changing.  A lattice with basis M
+    has dual basis (M^T)^{-1}, whose columns are the rows of M^{-1}.
+    """
+    gT = tuple(zip(*g1))
+    M = mat_identity(g1[0][0].field, len(g1))
+    while True:
+        grown = hnf(list(zip(*M)) + list(zip(*mat_mul(gT, M))))
+        if grown == M:
+            return hnf([tuple(row) for row in _triangular_inverse(M)])
+        M = grown
+
+
+def _invariant_subspaces(res: ChainRing, Vbar, n: int):
+    """The nonzero proper Vbar-invariant subspaces of F_q^n, each as the
+    columns of its reduced echelon basis.
+
+    Each is a sum of cyclic spans F_q[Vbar] v, which v, Vbar v, ...,
+    Vbar^(n-1) v span; the sums are closed one cyclic span at a time.
+    """
+    def canonical(gens):
+        return res.echelon(n, gens)[1]
+
+    cyclic = set()
+    for v in res.all_vectors(n):
+        if any(v):
+            orbit = [v]
+            for _ in range(n - 1):
+                orbit.append(res.matvec(Vbar, orbit[-1]))
+            cyclic.add(canonical(orbit))
+    spaces, frontier = set(cyclic), cyclic
+    while frontier:
+        frontier = {canonical(U + C) for U in frontier for C in cyclic} - spaces
+        spaces |= frontier
+    return [U for U in spaces if len(U) < n]
 
 
 def _fixed_lattices(b, z_prime: int, m: int):
-    """(on_shell, V mod pi^m) for every lattice of the box whose V passes the
-    back-substitution test.
+    """(on_shell, V mod pi^m) for every lattice of the box that
+    g1 = pi^{-z'} b fixes, found by a descent over the g1-stable lattices.
 
-    The box holds the normalized lattices with diagonal exponents at most
-    m + (spread of the elementary divisor exponents of b) + 2; `on_shell`
-    marks a lattice with an exponent at that bound, one that a box smaller
-    by one would have missed.  `count_brute` scans this.
+    The box holds the normalized lattices (inside o^n, not inside pi o^n)
+    with diagonal exponents at most m + (spread of the elementary divisor
+    exponents of b) + 2; `on_shell` marks a lattice with an exponent at that
+    bound, one that a box smaller by one would have missed.
+
+    A g1-stable lattice forces an integral characteristic polynomial, so
+    without one nothing is fixed.  Every stable lattice inside o^n lies in
+    L_max (`_top_stable_lattice`).  A step goes from a stable L with basis H
+    to the stable L' with pi L < L' < L, namely H (lift(U) + pi o^n) for
+    each nonzero proper (V mod pi)-invariant subspace U.  A stable L' < L is
+    reached by the path L_(i+1) = L' + pi L_i, each lattice a child of the
+    one before.  Both ways of leaving the box, a diagonal exponent above the
+    bound and containment in pi o^n, pass from a lattice to its sublattices,
+    so a child that leaves the box is pruned with everything below it.
+    Lattices are deduplicated by hnf form, and every one visited counts
+    against `BRUTE_LATTICE_CAP`.
     """
+    field = b[0][0].field
+    n = len(b)
+    g1 = mat_shift(b, -z_prime)
+    if any(c.valuation() < 0 for c in charpoly(g1)):
+        return
     exps = smith_exponents(b)
     bound = m + (exps[-1] - exps[0]) + 2
-    for diag, H in _lattice_bases(b[0][0].field, len(b), bound, BRUTE_LATTICE_CAP):
+    res = ChainRing(field, 1)
+    zero, pi = Laurent.zero(field), Laurent.pi(field)
+    seen, stack = set(), []
+
+    def visit(H):
+        if (H not in seen and max(H[i][i].valuation() for i in range(n)) <= bound
+                and min(x.valuation() for row in H for x in row) == 0):
+            seen.add(H)
+            if len(seen) > BRUTE_LATTICE_CAP:
+                raise CapExceeded(f"stable lattice descent visits more than "
+                                  f"{BRUTE_LATTICE_CAP} lattices")
+            stack.append(H)
+
+    visit(_top_stable_lattice(g1))
+    while stack:
+        H = stack.pop()
         V = _lattice_eigen_backsolve(H, b, z_prime)
-        if V is not None:
-            yield max(diag) >= bound, mat_reduce_mod(V, m)
+        assert V is not None, "every lattice of the descent is g1-stable"
+        yield max(H[i][i].valuation() for i in range(n)) >= bound, mat_reduce_mod(V, m)
+        for U in _invariant_subspaces(res, mat_reduce_mod(V, 1), n):
+            # a basis of lift(U) + pi o^n: U's echelon columns, and pi e_r
+            # for each row r that is no pivot of U
+            pivots = {next(r for r, x in enumerate(u) if x) for u in U}
+            cols = [tuple(Laurent.const(field, x) for x in u) for u in U]
+            cols += [tuple(pi if i == r else zero for i in range(n))
+                     for r in range(n) if r not in pivots]
+            visit(hnf(list(zip(*mat_mul(H, tuple(zip(*cols)))))))
 
 
 def _lattice_eigen_matrix(H, b, z_prime: int):
@@ -235,24 +307,24 @@ def _frame_count(ch: ChainRing, n: int, Vbar, target) -> int:
 
 
 def count_brute(b, g, m: int) -> CountResult:
-    """Box-scan count of fixed cosets, with a shell-stability flag.
+    """Brute count of fixed cosets, with a shell-stability flag.
 
-    The scan covers the box of `_fixed_lattices`; `stable` reports that no
-    lattice with a nonzero frame count lies on its outer shell, i.e. the same
-    count would have been found with a box smaller by one.
+    The lattices are those of the box of `_fixed_lattices`; `stable` reports
+    that no lattice with a nonzero frame count lies on its outer shell, i.e.
+    the same count would have been found with a box smaller by one.
     """
     n = len(b)
     ch, target = _frame_target(g, m)
     zp = _z_prime(b)
     if zp.denominator != 1:
-        return CountResult(count=0, z_prime=zp)
+        return CountResult(count=0)
     total = 0
     touched_shell = False
     for on_shell, Vbar in _fixed_lattices(b, int(zp), m):
         fc = _frame_count(ch, n, Vbar, target)
         total += fc
         touched_shell |= on_shell and fc > 0
-    return CountResult(count=total, z_prime=zp, stable=not touched_shell)
+    return CountResult(count=total, stable=not touched_shell)
 
 
 def _cyclic_basis(ch: ChainRing, M, n: int):
@@ -323,16 +395,16 @@ def count_structured(b, g, m: int,
     zp = Fraction(cert.det_val, n)
     if zp.denominator != 1:
         # no lattice satisfies the eigen condition
-        return CountResult(count=0, z_prime=zp)
+        return CountResult(count=0)
 
     _, Vbar, _ = stable_lattice_reduction(b, m, cert)
     if ch.charpoly(Vbar) != ch.charpoly(target):
-        return CountResult(count=0, z_prime=zp)
+        return CountResult(count=0)
     Pt = _cyclic_basis(ch, target, n)
     if Pt is None:  # not conjugate to a maximal-order generator
-        return CountResult(count=0, z_prime=zp)
+        return CountResult(count=0)
     Pv = _cyclic_basis(ch, Vbar, n)
     assert Pv is not None, "a maximal-order generator is cyclic"
     y0 = ch.matmul(Pv, ch.mat_inv(Pt))
     assert ch.matmul(Vbar, y0) == ch.matmul(y0, target), "conjugator check"
-    return CountResult(count=unit_group_order_unramified(n, field.q, m), z_prime=zp)
+    return CountResult(count=unit_group_order_unramified(n, field.q, m))

@@ -236,13 +236,12 @@ class QuadElem:
 
 
 class FixedLine:
-    """A b-fixed line on the projective line: eigenvector and eigenvalue."""
+    """A b-fixed line on the projective line: its eigenvector."""
 
-    __slots__ = ("vector", "eigenvalue", "simple")
+    __slots__ = ("vector", "simple")
 
-    def __init__(self, vector, eigenvalue, simple):
+    def __init__(self, vector, simple):
         self.vector = vector
-        self.eigenvalue = eigenvalue
         self.simple = simple
 
     def __repr__(self):
@@ -295,7 +294,7 @@ def projective_fixed_points(alg: DivisionAlgebra, b: DElem, pol,
             raise OracleMismatch("eigenvector equation failed in the quadratic extension")
         if vec[0].is_zero() and vec[1].is_zero():
             raise OracleMismatch("degenerate eigenvector")
-        lines.append(FixedLine(vec, tv, True))
+        lines.append(FixedLine(vec, True))
     # both lines differ by t - t_conj = charpoly'(t); its norm is -disc != 0
     gap = (t - t_conj).norm()
     if gap.is_zero():

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import product
+from operator import xor
 
 from .errors import CapExceeded, PreconditionError
 
@@ -258,8 +259,22 @@ class FqField:
         # exp/log from a primitive element
         gen = self._find_generator()
         exp = [1] * (q - 1)
-        for i in range(1, q - 1):
-            exp[i] = self._raw_mul(exp[i - 1], gen)
+        if self.f == 1:
+            for i in range(1, q - 1):
+                exp[i] = exp[i - 1] * gen % p
+        else:
+            # multiplication by gen is one F_p-linear map on digit vectors:
+            # the image of a code is the sum of the images of its low and
+            # high halves of digits, each read from a table spanned by the
+            # images gen * x^k mod the modulus
+            images = [self._raw_mul(gen, p ** k) for k in range(self.f)]
+            c = (self.f + 1) // 2
+            half = p ** c
+            low, high = self._span_table(images[:c]), self._span_table(images[c:])
+            add = xor if p == 2 else self.add
+            for i in range(1, q - 1):
+                a = exp[i - 1]
+                exp[i] = add(low[a % half], high[a // half])
         log = [0] * q
         for i, v in enumerate(exp):
             log[v] = i
@@ -268,9 +283,19 @@ class FqField:
 
     # before the exp/log tables exist: polynomials over F_p mod the modulus
 
+    def _span_table(self, images) -> list:
+        """[sum of d_k * images[k] over the base-p digits d_k of v, for v <
+        p^len(images)], by addition alone."""
+        table = [0]
+        for image in images:
+            multiples = [0]
+            for _ in range(self.p - 1):
+                multiples.append(self.add(multiples[-1], image))
+            table = [self.add(t, mult) for mult in multiples for t in table]
+        return table
+
     def _raw_mul(self, a: int, b: int) -> int:
-        if self.f == 1:
-            return a * b % self.p
+        """a * b for f > 1, as polynomials over F_p mod the modulus."""
         prod = fp_mul(self._prime, self._digits(a), self._digits(b))
         return self._undigits(fp_divmod(self._prime, prod, self.modulus)[1])
 

@@ -2,15 +2,24 @@
 tests compare the package against: code that no command runs lives here."""
 
 import random
+from itertools import product
+from math import prod
 
 from leveltower.certify import regular_elliptic_certify
-from leveltower.counting import _fixed_lattices
+from leveltower.counting import _fixed_lattices, _lattice_eigen_backsolve
 from leveltower.cyclotomic import Cyclotomic
-from leveltower.errors import Inconclusive
+from leveltower.errors import CapExceeded, Inconclusive
 from leveltower.fq import FqField
 from leveltower.induced import _root_power
 from leveltower.laurent import Laurent
-from leveltower.matrices import charpoly, companion, det, mat_shift
+from leveltower.matrices import (
+    charpoly,
+    companion,
+    det,
+    mat_reduce_mod,
+    mat_shift,
+    smith_exponents,
+)
 from leveltower.rings import poly_mul, poly_trim
 
 
@@ -64,10 +73,56 @@ def counting_suite(total=24, seed=1234):
     return out
 
 
+BOX_CAP = 400_000
+
+
+def lattice_bases(field, n, bound, cap=BOX_CAP):
+    """Normalized triangular lattice bases with diagonal exponents <= bound.
+
+    Yields (diag_exponents, H).  Normalization: minimal valuation over all
+    entries is 0, picking one representative per pi^Z class.  An entry with
+    code c has valuation 0 exactly when c is not divisible by q, so the test
+    runs on the codes before H is built.  Every candidate counts against the
+    cap, and the box is refused before the scan: row i has n - 1 - i entries
+    above the diagonal with q^(d_i) codes each.
+    """
+    q = field.q
+    total = prod(sum(q ** (d * (n - 1 - i)) for d in range(bound + 1)) for i in range(n))
+    if total > cap:
+        raise CapExceeded(f"lattice box of {total} candidates exceeds cap {cap}")
+    positions = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for diag in product(range(bound + 1), repeat=n):
+        rows = [[Laurent.pi(field, diag[i]) if i == j else Laurent.zero(field)
+                 for j in range(n)] for i in range(n)]
+        for combo in product(*(range(q ** diag[i]) for i, _ in positions)):
+            if min(diag) and all(code % q == 0 for code in combo):
+                continue
+            for (i, j), code in zip(positions, combo):
+                digs = []
+                while code:
+                    digs.append(code % q)
+                    code //= q
+                rows[i][j] = Laurent.from_digits(field, digs)
+            yield diag, tuple(tuple(r) for r in rows)
+
+
+def box_fixed_lattices(b, z_prime, m):
+    """`counting._fixed_lattices` by scanning its whole box: (on_shell,
+    V mod pi^m) for every box lattice whose V passes the back-substitution
+    test."""
+    exps = smith_exponents(b)
+    bound = m + (exps[-1] - exps[0]) + 2
+    for diag, H in lattice_bases(b[0][0].field, len(b), bound):
+        V = _lattice_eigen_backsolve(H, b, z_prime)
+        if V is not None:
+            yield max(diag) >= bound, mat_reduce_mod(V, m)
+
+
 def brute_hc_character(spec, g):
-    """`induced.hc_character` by the lattice box scan of `_fixed_lattices`:
-    the sum of the inflated row over every box lattice that g fixes, with no
-    certificate-driven shortcut.  A lattice on the box's shell fails."""
+    """`induced.hc_character` by the stable-lattice descent of
+    `_fixed_lattices`: the sum of the inflated row over every box lattice
+    that g fixes, with no certificate-driven shortcut.  A lattice on the
+    box's shell fails."""
     n = len(g)
     det_val = regular_elliptic_certify(charpoly(g)).det_val
     if det_val % n:
@@ -76,7 +131,7 @@ def brute_hc_character(spec, g):
     row = spec.table.values[spec.row]
     total = Cyclotomic.zero()
     for on_shell, Vbar in _fixed_lattices(g, det_val // n, 1):
-        assert not on_shell, "the lattice box scan did not stabilize"
+        assert not on_shell, "the lattice box did not stabilize"
         total = total + row[grp.class_of[grp.index[Vbar]]]
     return _root_power(spec.central, det_val // n) * total
 

@@ -84,7 +84,7 @@ def _perturbed(tab, change):
                 if v != v.conjugate())
     values[i][l] = change(values[i][l])
     return CharacterTable(tab.group, tab.class_reps, tab.class_sizes, tab.degrees,
-                          values, tab.conductor, tab.prime)
+                          values, tab.conductor)
 
 
 @pytest.mark.parametrize("change", [lambda v: v + 1, lambda v: v.conjugate()],

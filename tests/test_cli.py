@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from leveltower import cli, division, rings, serialize, strata
+from leveltower import cli, counting, division, rings, serialize, strata
 from leveltower.errors import (
     CapExceeded,
     NotAFlag,
@@ -594,12 +594,26 @@ def test_count_past_the_old_unit_scan_cap(capsys, q, n, m, g):
     assert res["per_fiber"] in (0, (q ** n - 1) * q ** (n * (m - 1)))
 
 
-def test_count_refuses_an_oversized_lattice_box_before_scanning(capsys):
-    # (2,3,3) has a brute box bound of 5: 1365 * 63 * 6 candidates
-    code, out, err = run(capsys, "count", "--q", "2", "--n", "3", "--m", "3",
-                         "--b", "x:3", "--g", "companion:T^3+T+1")
+@pytest.mark.parametrize("q,n,m,g", [(2, 3, 3, "companion:T^3+T+1"),
+                                     (2, 4, 1, "companion:T^4+T+1")])
+def test_count_past_the_old_lattice_box_cap(capsys, q, n, m, g):
+    # the brute box held 515,970 and 2,983,500 candidates here, over the old
+    # 400k cap; the stable-lattice descent visits one lattice
+    code, out, err = run(capsys, "count", "--q", str(q), "--n", str(n), "--m", str(m),
+                         "--b", "x:3", "--g", g)
+    assert (code, err) == (0, "")
+    res = json.loads(out)["results"]
+    assert res["agreement"] is True
+    assert res["bruteforce"]["stable"] is True
+    assert res["structured"]["per_fiber"] == res["bruteforce"]["per_fiber"]
+
+
+def test_count_refuses_past_the_lattice_visit_cap(capsys, monkeypatch):
+    monkeypatch.setattr(counting, "BRUTE_LATTICE_CAP", 0)
+    code, out, err = run(capsys, *COUNT_ARGV)
     assert (code, out) == (3, "")
-    assert err == "error: lattice box of 515970 candidates exceeds cap 400000\n"
+    assert err == "error: stable lattice descent visits more than 0 lattices\n"
+
 
 def test_jl_cap_exit(capsys):
     code, out, err = run(capsys, "jl", "--q", "5")

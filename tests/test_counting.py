@@ -1,19 +1,21 @@
-"""Fixed-coset counting: structured route against the box-scan oracle."""
+"""Fixed-coset counting: the structured route against the brute route, and the
+brute route's stable-lattice descent against a scan of its whole box."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import prod
 
 import pytest
 
-from conftest import counting_suite
+from conftest import box_fixed_lattices, counting_suite, lattice_bases
 
 from leveltower import chain, cli, counting
 from leveltower.chain import ChainRing, gl_elements
 from leveltower.counting import (
+    _fixed_lattices,
     _frame_count,
-    _lattice_bases,
     _lattice_eigen_backsolve,
     _lattice_eigen_matrix,
     count_brute,
@@ -31,6 +33,7 @@ from leveltower.matrices import (
     det,
     mat_identity,
     mat_shift,
+    smith_exponents,
 )
 
 
@@ -82,7 +85,7 @@ def test_ramified_element_count_vanishes():
     s = count_structured(b, g, 1)
     bf = count_brute(b, g, 1)
     assert s.count == bf.count == 0
-    assert s.z_prime == Fraction(1, 2)
+    assert counting._z_prime(b) == Fraction(1, 2)
     assert bf.stable
 
 
@@ -157,7 +160,7 @@ def test_lattice_bases_yield_exactly_the_normalized_candidates(q, n, bound):
     # the unnormalized candidates are pi times the candidates of the box bound - 1
     field = FqField(q, 1)
     total = _box_size(q, n, bound)
-    bases = list(_lattice_bases(field, n, bound, total))
+    bases = list(lattice_bases(field, n, bound, total))
     assert len(bases) == total - _box_size(q, n, bound - 1)
     assert len({H for _, H in bases}) == len(bases)
     for diag, H in bases:
@@ -165,14 +168,14 @@ def test_lattice_bases_yield_exactly_the_normalized_candidates(q, n, bound):
         assert all(H[i][j].is_zero() for i in range(n) for j in range(i))
         assert min(x.valuation() for row in H for x in row) == 0
     with pytest.raises(CapExceeded):
-        list(_lattice_bases(field, n, bound, total - 1))
+        list(lattice_bases(field, n, bound, total - 1))
 
 
 def _assert_lattice_tests_agree(field, n, b, bound):
     """Back-substitution and adjugate agree on every basis, for b, pi*b, pi^2*b."""
     z0 = det(b).valuation() // n
     integral = 0
-    for _, H in _lattice_bases(field, n, bound, counting.BRUTE_LATTICE_CAP):
+    for _, H in lattice_bases(field, n, bound):
         for k in range(3):
             bk = mat_shift(b, k)
             fast = _lattice_eigen_backsolve(H, bk, z0 + k)
@@ -182,13 +185,16 @@ def _assert_lattice_tests_agree(field, n, b, bound):
     return integral
 
 
+def _unipotent_rank_three():
+    field = FqField(2, 1)
+    one, zero = Laurent.one(field), Laurent.zero(field)
+    return ((one, one, zero), (zero, one, one), (zero, zero, one))
+
+
 def test_backsolve_matches_adjugate_rank_three_box():
     # a unipotent b fixes hundreds of lattices in the box, so off-diagonal H
     # entries meet z' > 0; an elliptic b fixes one class and would not
-    field = FqField(2, 1)
-    one, zero = Laurent.one(field), Laurent.zero(field)
-    b = ((one, one, zero), (zero, one, one), (zero, zero, one))
-    assert _assert_lattice_tests_agree(field, 3, b, 3) > 100
+    assert _assert_lattice_tests_agree(FqField(2, 1), 3, _unipotent_rank_three(), 3) > 100
 
 
 def test_backsolve_matches_adjugate_on_counting_suite():
@@ -196,6 +202,68 @@ def test_backsolve_matches_adjugate_on_counting_suite():
     for inst in counting_suite():
         integral += _assert_lattice_tests_agree(inst["field"], 2, inst["b"], 3)
     assert integral > 0
+
+
+def _descent_matches_box(b, m):
+    """The descent and the box scan find the same (on_shell, Vbar) multiset;
+    returns how many lattices they found."""
+    z = det(b).valuation() // len(b)
+    found = Counter(_fixed_lattices(b, z, m))
+    assert found == Counter(box_fixed_lattices(b, z, m)), (b, m)
+    return sum(found.values())
+
+
+def test_descent_matches_the_box_on_counting_suite():
+    checked = 0
+    for inst in counting_suite():
+        if det(inst["b"]).valuation() % 2:
+            continue  # z' is not an integer, so no lattice is tested
+        for m, k in product((1, 2), (0, 1)):
+            assert _descent_matches_box(mat_shift(inst["b"], k), m) == 1
+            checked += 1
+    assert checked >= 60
+
+
+def test_descent_matches_the_box_on_rank_three_elements():
+    # the unipotent b's invariant subspaces mod pi form a chain; 1 + pi*C
+    # has a scalar residue, so its planes mod pi are no cyclic span and the
+    # descent reaches them only as sums
+    assert _descent_matches_box(_unipotent_rank_three(), 1) == 155
+    field = FqField(2, 1)
+    C = companion(field, _codes(field, 1, 1, 0, 1))
+    b = tuple(tuple(x.shift(1) + (Laurent.one(field) if i == j else Laurent.zero(field))
+                    for j, x in enumerate(row)) for i, row in enumerate(C))
+    assert _descent_matches_box(b, 1) == 29
+
+
+def _random_integral(rng, field, n, spread):
+    """A random integral n x n b with v(det b) divisible by n, entries of
+    degree < 2 in pi, whose elementary divisor exponents spread by at most
+    `spread`."""
+    while True:
+        b = tuple(tuple(Laurent.from_digits(field, [rng.randrange(field.q) for _ in range(2)])
+                        for _ in range(n)) for _ in range(n))
+        d = det(b)
+        if d.is_zero() or d.valuation() % n:
+            continue
+        exps = smith_exponents(b)
+        if exps[-1] - exps[0] <= spread:
+            return b
+
+
+def test_descent_matches_the_box_on_random_integral_elements():
+    # mostly not elliptic: scalar, split and unipotent residues fix many
+    # lattices, and a non-integral characteristic polynomial fixes none
+    rng = random.Random(24)
+    found = []
+    for case in range(100):
+        if case % 20 == 19:
+            b, m = _random_integral(rng, FqField(2, 1), 3, 0), 1
+        else:
+            b = _random_integral(rng, FqField(rng.choice((2, 3)), 1), 2, 2)
+            m = rng.choice((1, 2))
+        found.append(_descent_matches_box(b, m))
+    assert 0 in found and max(found) >= 10
 
 
 def test_count_brute_makes_no_adjugate_call(monkeypatch):

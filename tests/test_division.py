@@ -91,8 +91,8 @@ def test_projective_fixed_points_two_simple_lines(q):
         lines = projective_fixed_points(alg, b, pol, cert)
         assert len(lines) == 2
         assert all(line.simple for line in lines)
-        evs = [line.eigenvalue for line in lines]
-        assert evs[0] != evs[1]
+        (a, b), (c, d) = (line.vector for line in lines)
+        assert not (a * d - b * c).is_zero(), "the two fixed lines coincide"
 
 
 def test_total_is_rank_times_fiber():

@@ -11,7 +11,15 @@ from leveltower import chain
 from leveltower.chain import ChainRing, gl_elements
 from leveltower.cyclotomic import Cyclotomic
 from leveltower.errors import CapExceeded, PreconditionError
-from leveltower.fq import FqField, _poly_irreducible, factor, monic_polys, split_prime_power
+from leveltower.fq import (
+    FqField,
+    _poly_irreducible,
+    factor,
+    fp_divmod,
+    fp_mul,
+    monic_polys,
+    split_prime_power,
+)
 from leveltower.laurent import Laurent
 from leveltower.matrices import (
     adjugate,
@@ -87,6 +95,41 @@ def test_rabin_test_agrees_with_factor(q, irreducible_counts):
             assert _poly_irreducible(field, g) == (parts == [(g, 1)]), g
             found += parts == [(g, 1)]
         assert found == expected, deg
+
+
+def _generic_exp_table(F):
+    """The exp table by q - 2 generic products with the generator: integers
+    mod p, or polynomials over F_p mod the modulus."""
+    exp = [1]
+    for _ in range(F.q - 2):
+        if F.f == 1:
+            exp.append(exp[-1] * F.generator % F.p)
+        else:
+            prod = fp_mul(F._prime, F._digits(exp[-1]), F._digits(F.generator))
+            exp.append(F._undigits(fp_divmod(F._prime, prod, F.modulus)[1]))
+    return exp
+
+
+def test_exp_tables_match_the_generic_product_loop():
+    checked = 0
+    for q in range(2, 730):
+        try:
+            F = FqField(*split_prime_power(q))
+        except PreconditionError:
+            continue
+        exp = _generic_exp_table(F)
+        assert F._exp == exp, q
+        assert all(F._log[v] == i for i, v in enumerate(exp)), q
+        checked += F.f > 1
+    assert checked == 23
+
+
+def test_exp_table_of_the_largest_field():
+    F = FqField(2, 16)
+    assert sorted(F._exp) == list(range(1, F.q))
+    for i in random.Random(16).sample(range(F.q - 1), 40):
+        assert F._exp[i] == F._raw_pow(F.generator, i)
+        assert F._log[F._exp[i]] == i
 
 
 def test_field_frobenius_fixes_prime_subfield():

@@ -21,6 +21,8 @@ CASES = {
                      "--g", "companion:T^2+T+1"],
     "count_2_3_1": ["count", "--q", "2", "--n", "3", "--m", "1", "--b", "x:3",
                     "--g", "companion:T^3+T+1"],
+    "count_2_3_3": ["count", "--q", "2", "--n", "3", "--m", "3", "--b", "x:3",
+                    "--g", "companion:T^3+T+1"],
     "count_3_2_3": ["count", "--q", "3", "--n", "2", "--m", "3", "--b", "x:3",
                     "--g", "companion:T^2+T+2+P"],
     "strata_2_5_2": ["strata", "--q", "2", "--n", "5", "--m", "2"],

@@ -6,7 +6,7 @@ perfbench/ outside its own definition, its import lines and `__all__`: code
 that only tests reach belongs in the tests.  The console-script entry point
 `main` is exempt.  Every name a module in src/ or tests/ imports is read in
 that module or listed in its `__all__` (`__future__` imports are exempt).
-Every field a class in src/ stores is read in src/ or tests/.  README's
+Every field a class in src/ stores is read in src/ or perfbench/.  README's
 module map lists exactly the package's modules, one module owns the
 permutation expansion, and every function perfbench traces is found in the
 package.
@@ -139,7 +139,7 @@ def _read_names(tree):
 def test_every_stored_field_is_read():
     # matched by name, like the definition check: a field escapes when any
     # other class has an attribute of the same name that is read
-    sources = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    sources = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
     trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sources}
     read = set().union(*map(_read_names, trees.values()))
     unread = [f"{path.name}:{cls.lineno} {cls.name}.{name}"
