@@ -407,12 +407,12 @@ def load_value_table(path: str):
 
 
 def cmd_flag_of_point(cfg: RunConfig, path: str) -> dict:
-    from .strata import flag_of_point
+    from .strata import describe, flag_of_point
     (n, q, m), values = load_value_table(path)
     parts = flag_of_point(values, n, q, m)
     return {"n": n, "q": q, "m": m,
-            "signature": [A.rank for A in parts],
-            "parts": [A.describe() for A in parts]}
+            "signature": [len(pivots) for pivots, _ in parts],
+            "parts": [describe(A) for A in parts]}
 
 
 def cmd_jl(cfg: RunConfig) -> dict:

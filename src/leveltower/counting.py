@@ -16,7 +16,10 @@ from m and the elementary divisors of b, and finds the box lattices that
 pi^{-z'} b fixes by a descent over its stable lattices, from the largest one
 inside o^n down through the invariant subspaces mod pi
 (`_fixed_lattices`); the work grows with the lattices found, not with the
-box.  It reports whether the count was already stable one shell earlier.
+box.  Each visited lattice is stable, so its V, formed with the
+back-substituted inverse `_triangular_inverse(H)`, is integral by
+construction and only asserted to be.  It reports whether the count was
+already stable one shell earlier.
 Its frame count (`_frame_count`) solves the frame condition as one
 F_q-linear kernel over o/pi^m and counts the solutions that are units mod
 pi; it lists only the residue units GL_n(F_q), never GL_n(o/pi^m).
@@ -100,8 +103,8 @@ class CountResult:
 def _triangular_inverse(H):
     """H^{-1} for an upper triangular H with diagonal exactly pi^(d_i).
 
-    Back-substitution column by column, as in `_lattice_eigen_backsolve`:
-    dividing by pi^(d_i) is an exact shift, so no adjugate is formed.
+    Back-substitution column by column: dividing by pi^(d_i) is an exact
+    shift, so no adjugate is formed.
     """
     n = len(H)
     field = H[0][0].field
@@ -201,8 +204,9 @@ def _fixed_lattices(b, z_prime: int, m: int):
     visit(_top_stable_lattice(g1))
     while stack:
         H = stack.pop()
-        V = _lattice_eigen_backsolve(H, b, z_prime)
-        assert V is not None, "every lattice of the descent is g1-stable"
+        V = mat_mul(mat_mul(_triangular_inverse(H), g1), H)
+        assert all(x.valuation() >= 0 for row in V for x in row), \
+            "every lattice of the descent is g1-stable"
         yield max(H[i][i].valuation() for i in range(n)) >= bound, mat_reduce_mod(V, m)
         for U in _invariant_subspaces(res, mat_reduce_mod(V, 1), n):
             # a basis of lift(U) + pi o^n: U's echelon columns, and pi e_r
@@ -221,8 +225,7 @@ def _lattice_eigen_matrix(H, b, z_prime: int):
     H^{-1} = pi^{-s} adj(H); everything stays exact.  With z' = v(det b)/n,
     det V = pi^{-nz'} det b is a unit, so integrality alone puts V in
     GL_n(o).  Only `stable_lattice_reduction` (one lattice per run) uses
-    this; the brute routes test each scanned lattice with
-    `_lattice_eigen_backsolve` instead.
+    this; the brute route forms V with `_triangular_inverse` instead.
     """
     s = sum(H[i][i].valuation() for i in range(len(H)))
     A = mat_mul(mat_mul(adjugate(H), b), H)
@@ -232,40 +235,6 @@ def _lattice_eigen_matrix(H, b, z_prime: int):
             if not x.is_zero() and x.valuation() + shift < 0:
                 return None
     return mat_shift(A, shift)
-
-
-def _lattice_eigen_backsolve(H, b, z_prime: int):
-    """The same V as `_lattice_eigen_matrix`, by back-substitution; the brute test.
-
-    H is upper triangular with diagonal exactly pi^(d_i), so H V = pi^{-z'} b H
-    is solved from the bottom row up:
-
-        V[i][k] = (pi^{-z'} (b H)[i][k] - sum_{j>i} H[i][j] V[j][k]) pi^{-d_i},
-
-    where dividing by pi^(d_i) is an exact shift.  Row i of b H is formed only
-    when row i is reached, and the solve stops at the first entry with
-    negative valuation.  Integrality is the whole test: det V is a unit as
-    z' = v(det b)/n.
-    """
-    n = len(H)
-    V = [None] * n
-    for i in range(n - 1, -1, -1):
-        d = H[i][i].valuation()
-        above = [(j, H[i][j]) for j in range(i + 1, n) if not H[i][j].is_zero()]
-        row = []
-        for k in range(n):
-            acc = b[i][0] * H[0][k]
-            for t in range(1, k + 1):
-                acc = acc + b[i][t] * H[t][k]
-            acc = acc.shift(-z_prime)
-            for j, h in above:
-                acc = acc - h * V[j][k]
-            x = acc.shift(-d)
-            if not x.is_zero() and x.valuation() < 0:
-                return None
-            row.append(x)
-        V[i] = tuple(row)
-    return tuple(V)
 
 
 def _frame_count(ch: ChainRing, n: int, Vbar, target) -> int:

@@ -15,7 +15,9 @@ F_q((pi)); the determinant is the reduced norm.
 The fixed lines of a regular element acting on the projective line are
 computed inside the quadratic extension F_{q^2}((pi))[T]/(charpoly), which
 covers both the unramified case (where the extension splits) and the
-ramified separable case (where it is a field).
+ramified separable case (where it is a field).  Each line is returned as
+its eigenvector, a pair of coordinates; both are simple fixed points
+because the certified discriminant is nonzero.
 
 `total_fixed_points` certifies b once and runs both routes of `counting` on
 the companion matrix of its reduced characteristic polynomial; a
@@ -35,7 +37,6 @@ __all__ = [
     "DivisionAlgebra",
     "DElem",
     "QuadElem",
-    "FixedLine",
     "projective_fixed_points",
     "total_fixed_points",
     "TotalFixedReport",
@@ -235,28 +236,17 @@ class QuadElem:
         return f"({self.c0!r}) + ({self.c1!r})*T"
 
 
-class FixedLine:
-    """A b-fixed line on the projective line: its eigenvector."""
-
-    __slots__ = ("vector", "simple")
-
-    def __init__(self, vector, simple):
-        self.vector = vector
-        self.simple = simple
-
-    def __repr__(self):
-        return f"FixedLine(vector={self.vector!r}, simple={self.simple})"
-
-
 def projective_fixed_points(alg: DivisionAlgebra, b: DElem, pol,
                             cert: EllipticCertificate):
-    """The fixed lines of b acting on the projective line, with simplicity flags.
+    """The fixed lines of b acting on the projective line, as eigenvectors.
 
     `pol` is b's reduced characteristic polynomial and `cert` its
     certificate.  Requires n = 2, a regular (irreducible characteristic
-    polynomial) element, and separability.  Returns exactly two lines over
-    the quadratic extension F_{q^2}((pi))[T]/(charpoly); each is flagged
-    simple because the certified discriminant is nonzero.
+    polynomial) element, and separability.  Returns exactly two eigenvectors,
+    each a pair of QuadElem coordinates over the quadratic extension
+    F_{q^2}((pi))[T]/(charpoly).  Both lines are simple fixed points: the
+    certified discriminant is nonzero, which is checked as a nonzero gap
+    between the two eigenvalues.
     """
     if alg.n != 2:
         raise PreconditionError("fixed-line extraction is implemented for n = 2")
@@ -294,7 +284,7 @@ def projective_fixed_points(alg: DivisionAlgebra, b: DElem, pol,
             raise OracleMismatch("eigenvector equation failed in the quadratic extension")
         if vec[0].is_zero() and vec[1].is_zero():
             raise OracleMismatch("degenerate eigenvector")
-        lines.append(FixedLine(vec, True))
+        lines.append(vec)
     # both lines differ by t - t_conj = charpoly'(t); its norm is -disc != 0
     gap = (t - t_conj).norm()
     if gap.is_zero():
@@ -360,7 +350,5 @@ def total_fixed_points(alg: DivisionAlgebra, b: DElem, g, m: int) -> TotalFixedR
         if line_count != alg.n:
             raise OracleMismatch(
                 f"expected {alg.n} fixed lines, found {line_count}")
-        if not all(ln.simple for ln in lines):
-            raise OracleMismatch("a fixed line is not simple")
     return TotalFixedReport(n=alg.n, structured=structured, brute=brute,
                             line_count=line_count, certificate=cert)

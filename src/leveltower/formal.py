@@ -57,7 +57,7 @@ class FormalOModule:
         self.q = q
         self.scalar_field = FqField(p, f)
         self._embed = self.scalar_field.embedding(ring.field)
-        self.u_values = [v if isinstance(v, RingElem) else ring.from_int(v) for v in u_values]
+        self.u_values = u_values
 
     def scalar(self, c: int) -> RingElem:
         """The ring element acting as the F_q-scalar with code c."""

@@ -80,9 +80,6 @@ class CoeffRing:
     def from_field(self, code: int) -> "RingElem":
         return RingElem(self, {0: code} if code else {})
 
-    def from_int(self, n: int) -> "RingElem":
-        return self.from_field(self.field.from_int(n))
-
     def _gen(self, pos: int) -> "RingElem":
         if self._bounds[pos] == 1:
             return self.zero()
@@ -268,8 +265,6 @@ class RingElem:
         self.d = d
 
     def _check(self, other) -> "RingElem":
-        if isinstance(other, int):
-            return self.ring.from_int(other)
         if not isinstance(other, RingElem) or other.ring is not self.ring:
             raise PreconditionError("operands live in different rings")
         return other
@@ -286,8 +281,6 @@ class RingElem:
                 del out[i]
         return RingElem(self.ring, out)
 
-    __radd__ = __add__
-
     def __neg__(self):
         fneg = self.ring.field.neg
         return RingElem(self.ring, {i: fneg(c) for i, c in self.d.items()})
@@ -295,14 +288,9 @@ class RingElem:
     def __sub__(self, other):
         return self + (-self._check(other))
 
-    def __rsub__(self, other):
-        return self._check(other) - self
-
     def __mul__(self, other):
         other = self._check(other)
         return RingElem(self.ring, self.ring._mul_dicts(self.d, other.d))
-
-    __rmul__ = __mul__
 
     def __pow__(self, e: int):
         if e < 0:
@@ -317,8 +305,6 @@ class RingElem:
         return r
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.ring.from_int(other)
         if not isinstance(other, RingElem) or other.ring is not self.ring:
             return NotImplemented
         return self.d == other.d
@@ -408,7 +394,7 @@ def ring_extend(ring: CoeffRing, poly, name: str | None = None) -> tuple[CoeffRi
     lower coefficient must be nilpotent, which keeps the extension local and
     guarantees the new generator is nilpotent.
     """
-    coeffs = [c if isinstance(c, RingElem) else ring.from_int(c) for c in poly]
+    coeffs = list(poly)
     while coeffs and coeffs[-1].is_zero():
         coeffs.pop()
     if len(coeffs) < 2:

@@ -1,12 +1,19 @@
 """Boundary labels: free direct summands of (o/pi^m)^n, their enumeration,
 the induced action of invertible matrices, and flags of nested labels.
 
-A label of corank type h is a free rank-h direct summand A of (o/pi^m)^n.
-Canonical form: the unique generating matrix in reduced column echelon form
-with unit pivots scaled to 1, pivot rows increasing, other columns zero at
-pivot rows, and every entry lying strictly above a column's pivot row a
-non-unit.  `ChainRing.echelon`, greedy unit-pivot reduction, reaches this
-form from any generating set or proves the span is not a free direct summand.
+A label of corank type h is a free rank-h direct summand A of (o/pi^m)^n,
+held as its canonical form, the pair (pivots, cols) that
+`ChainRing.echelon` returns: the unique generating matrix in reduced column
+echelon form with unit pivots scaled to 1, pivot rows increasing, other
+columns zero at pivot rows, and every entry lying strictly above a column's
+pivot row a non-unit.  `echelon`, greedy unit-pivot reduction, reaches this
+form from any generating set or proves the span is not a free direct
+summand, so two generating sets span one label exactly when their echelon
+forms are equal.  A label's rank is the length of its pivots.
+
+An invertible g fixes A exactly when g's images of A's generators have
+A's echelon form: gA is a free direct summand of the same rank, and equal
+canonical forms are equal spans.
 
 Full flags are built, not searched for: a flag's top part B is a hyperplane
 label, B is isomorphic to (o/pi^m)^(n-1) through its generators, and the
@@ -23,63 +30,21 @@ LABEL_CAP or FLAG_CAP is refused with CapExceeded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations, product
 
 from .chain import ChainRing
 from .errors import CapExceeded, NotAFlag, OracleMismatch, PreconditionError
 from .fq import FqField, split_prime_power
 
-
-@dataclass(frozen=True)
-class DirectSummand:
-    """A free direct summand in canonical echelon form."""
-
-    n: int
-    q: int
-    m: int
-    pivots: tuple
-    cols: tuple   # cols[k][i], generator k coordinate i
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-    @cached_property
-    def chain(self) -> ChainRing:
-        return _chain(self.q, self.m)
-
-    def coords(self, v):
-        """Coordinates of v on the generators, or None when v is not in the label.
-
-        Each generator is 1 at its own pivot row and 0 at the others', so the
-        coordinate on generator k is what is left of v at its pivot row.
-        """
-        ch = self.chain
-        w = list(v)
-        cs = []
-        for r, col in zip(self.pivots, self.cols):
-            c = w[r]
-            cs.append(c)
-            if c:
-                for i in range(self.n):
-                    w[i] = ch.sub(w[i], ch.mul(c, col[i]))
-        return None if any(w) else tuple(cs)
-
-    def member(self, v) -> bool:
-        return self.coords(v) is not None
-
-    def key(self):
-        return (self.pivots, self.cols)
-
-    def describe(self) -> str:
-        gens = ["(" + ",".join(str(x) for x in col) + ")" for col in self.cols]
-        return f"rank {self.rank} label <" + ", ".join(gens) + ">"
-
-
 LABEL_CAP = 200_000     # labels of one rank, per enumeration
 FLAG_CAP = 1_500_000    # full flags, per enumeration
+
+
+def describe(label) -> str:
+    """`rank h label <(generator), ...>`, as `flag-of-point` reports a part."""
+    pivots, cols = label
+    gens = ["(" + ",".join(str(x) for x in col) + ")" for col in cols]
+    return f"rank {len(pivots)} label <" + ", ".join(gens) + ">"
 
 
 def _chain(q: int, m: int) -> ChainRing:
@@ -143,8 +108,7 @@ def enumerate_summands(n: int, q: int, m: int, h: int):
                 cols[k][r] = 1
             for (k, i), v in zip(slots, vals):
                 cols[k][i] = v
-            out.append(DirectSummand(n=n, q=q, m=m, pivots=tuple(pivots),
-                                     cols=tuple(tuple(c) for c in cols)))
+            out.append((pivots, tuple(tuple(c) for c in cols)))
     _enum_cache[key] = out
     return out
 
@@ -154,11 +118,8 @@ def strata_fixed_count(gbar, n: int, q: int, m: int, h: int) -> int:
     ch = _chain(q, m)
     if not ch.is_unit(ch.det(gbar)):
         raise PreconditionError("matrix is not invertible mod pi^m")
-    count = 0
-    for A in enumerate_summands(n, q, m, h):
-        if all(A.member(ch.matvec(gbar, col)) for col in A.cols):
-            count += 1
-    return count
+    return sum(ch.echelon(n, [ch.matvec(gbar, col) for col in A[1]]) == A
+               for A in enumerate_summands(n, q, m, h))
 
 
 def enumerate_flags(n: int, q: int, m: int) -> list:
@@ -171,7 +132,8 @@ def enumerate_flags(n: int, q: int, m: int) -> list:
     and that proves every chain a flag: the carry is injective and linear,
     so the carried parts nest inside B, and a free direct summand of the
     ambient module that lies inside B is a free direct summand of B.  The
-    parts are the label objects `enumerate_summands` holds.
+    parts are the label tuples `enumerate_summands` holds, shared between
+    flags.
     """
     if n < 2:
         raise PreconditionError("empty rank signature")
@@ -183,22 +145,20 @@ def enumerate_flags(n: int, q: int, m: int) -> list:
     if n == 2:
         return [(B,) for B in top]
     ch = _chain(q, m)
-    labels = {A.key(): A for h in range(1, n - 1) for A in enumerate_summands(n, q, m, h)}
+    labels = {A: A for h in range(1, n - 1) for A in enumerate_summands(n, q, m, h)}
     smaller = [A for h in range(1, n - 1) for A in enumerate_summands(n - 1, q, m, h)]
-    # The flags below are carried by position in `smaller`: hashing a frozen
-    # label hashes every coordinate of it.
-    position = {id(A): i for i, A in enumerate(smaller)}
-    below = [[position[id(A)] for A in parts] for parts in enumerate_flags(n - 1, q, m)]
+    position = {A: i for i, A in enumerate(smaller)}
+    below = [[position[A] for A in parts] for parts in enumerate_flags(n - 1, q, m)]
     out = []
     for B in top:
-        basis = tuple(zip(*B.cols))   # basis[i][k] = B.cols[k][i]
+        basis = tuple(zip(*B[1]))   # basis[i][k] = B's generator k at coordinate i
         image = []
-        for A in smaller:
-            got = ch.echelon(n, [ch.matvec(basis, col) for col in A.cols])
-            if got not in labels:
-                raise OracleMismatch(f"a rank-{A.rank} label carried into a hyperplane "
-                                     f"is not a label of rank {A.rank}")
-            image.append(labels[got])
+        for pivots, small_cols in smaller:
+            got = labels.get(ch.echelon(n, [ch.matvec(basis, col) for col in small_cols]))
+            if got is None:
+                raise OracleMismatch(f"a rank-{len(pivots)} label carried into a hyperplane "
+                                     f"is not a label of rank {len(pivots)}")
+            image.append(got)
         out.extend((*map(image.__getitem__, parts), B) for parts in below)
     return out
 
@@ -239,11 +199,10 @@ def flag_of_point(values: dict, n: int, q: int, m: int) -> tuple:
         if got is None:
             raise NotAFlag(
                 f"the cut below tier {levels[cut - 1]} does not span a free direct summand")
-        pivots, cols = got
-        A = DirectSummand(n=n, q=q, m=m, pivots=pivots, cols=cols)
-        # S and 0 lie in the free module A, so they fill it exactly when closed
-        if ch.size ** A.rank != len(S) + 1:
+        # S and 0 lie in the free module `got` spans, so they fill it exactly
+        # when closed
+        if ch.size ** len(got[0]) != len(S) + 1:
             raise NotAFlag(
                 f"the cut below tier {levels[cut - 1]} is not closed under the module operations")
-        parts.append(A)
+        parts.append(got)
     return tuple(parts)

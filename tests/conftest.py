@@ -6,7 +6,7 @@ from itertools import product
 from math import prod
 
 from leveltower.certify import regular_elliptic_certify
-from leveltower.counting import _fixed_lattices, _lattice_eigen_backsolve
+from leveltower.counting import _fixed_lattices, _triangular_inverse
 from leveltower.cyclotomic import Cyclotomic
 from leveltower.errors import CapExceeded, Inconclusive
 from leveltower.fq import FqField
@@ -16,11 +16,13 @@ from leveltower.matrices import (
     charpoly,
     companion,
     det,
+    mat_mul,
     mat_reduce_mod,
     mat_shift,
     smith_exponents,
 )
 from leveltower.rings import poly_mul, poly_trim
+from leveltower.strata import _chain as chain_ring
 
 
 def random_unit_matrix(field, n, rng, prec=3):
@@ -106,14 +108,30 @@ def lattice_bases(field, n, bound, cap=BOX_CAP):
             yield diag, tuple(tuple(r) for r in rows)
 
 
+def triangular_eigen_matrix(H, g1):
+    """V = H^{-1} g1 H, with H^{-1} from `counting._triangular_inverse`, if
+    integral, else None.  Row i of H^{-1} is zero left of i, so the rows of
+    V are formed bottom up, each from the rows of g1 H at and below it, and
+    the first non-integral one ends the test."""
+    n = len(H)
+    inverse = _triangular_inverse(H)
+    g1H, V = [None] * n, [None] * n
+    for i in reversed(range(n)):
+        g1H[i] = mat_mul((g1[i],), H)[0]
+        V[i] = mat_mul((inverse[i][i:],), g1H[i:])[0]
+        if any(x.valuation() < 0 for x in V[i]):
+            return None
+    return tuple(V)
+
+
 def box_fixed_lattices(b, z_prime, m):
     """`counting._fixed_lattices` by scanning its whole box: (on_shell,
-    V mod pi^m) for every box lattice whose V passes the back-substitution
-    test."""
+    V mod pi^m) for every box lattice whose V is integral."""
     exps = smith_exponents(b)
     bound = m + (exps[-1] - exps[0]) + 2
+    g1 = mat_shift(b, -z_prime)
     for diag, H in lattice_bases(b[0][0].field, len(b), bound):
-        V = _lattice_eigen_backsolve(H, b, z_prime)
+        V = triangular_eigen_matrix(H, g1)
         if V is not None:
             yield max(diag) >= bound, mat_reduce_mod(V, m)
 
@@ -136,14 +154,42 @@ def brute_hc_character(spec, g):
     return _root_power(spec.central, det_val // n) * total
 
 
-def is_flag(parts):
-    """Whether a chain of labels is a flag: ranks strictly increase and each
-    part is a free direct summand of the next, checked step by step."""
+def label_coords(ch, label, v):
+    """Coordinates of v on the generators of a `strata` label (pivots, cols),
+    or None when v is not in the label.
+
+    Each generator is 1 at its own pivot row and 0 at the others', so the
+    coordinate on generator k is what is left of v at its pivot row.
+    """
+    w = list(v)
+    cs = []
+    for r, col in zip(*label):
+        c = w[r]
+        cs.append(c)
+        if c:
+            for i in range(len(w)):
+                w[i] = ch.sub(w[i], ch.mul(c, col[i]))
+    return None if any(w) else tuple(cs)
+
+
+def is_flag(parts, q, m):
+    """Whether a chain of labels over o/pi^m, residue field F_q, is a flag:
+    ranks strictly increase and each part is a free direct summand of the
+    next, checked step by step."""
+    ch = chain_ring(q, m)
     for A, B in zip(parts, parts[1:]):
-        coords = [B.coords(col) for col in A.cols]
-        if A.rank >= B.rank or None in coords or A.chain.echelon(B.rank, coords) is None:
+        coords = [label_coords(ch, B, col) for col in A[1]]
+        if len(A[0]) >= len(B[0]) or None in coords or ch.echelon(len(B[0]), coords) is None:
             return False
     return bool(parts)
+
+
+def member_fixed_count(gbar, labels, q, m):
+    """How many of the labels the matrix gbar over o/pi^m maps into
+    themselves, by membership of each generator's image."""
+    ch = chain_ring(q, m)
+    return sum(all(label_coords(ch, A, ch.matvec(gbar, col)) is not None for col in A[1])
+               for A in labels)
 
 
 def poly_add(f, g):

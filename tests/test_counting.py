@@ -9,15 +9,15 @@ from math import prod
 
 import pytest
 
-from conftest import box_fixed_lattices, counting_suite, lattice_bases
+from conftest import box_fixed_lattices, counting_suite, lattice_bases, triangular_eigen_matrix
 
 from leveltower import chain, cli, counting
 from leveltower.chain import ChainRing, gl_elements
 from leveltower.counting import (
     _fixed_lattices,
     _frame_count,
-    _lattice_eigen_backsolve,
     _lattice_eigen_matrix,
+    _triangular_inverse,
     count_brute,
     count_structured,
     stable_lattice_reduction,
@@ -172,14 +172,18 @@ def test_lattice_bases_yield_exactly_the_normalized_candidates(q, n, bound):
 
 
 def _assert_lattice_tests_agree(field, n, b, bound):
-    """Back-substitution and adjugate agree on every basis, for b, pi*b, pi^2*b."""
+    """On every basis H, the triangular inverse is pi^(-s) adj(H) with
+    det H = pi^s, and V formed from it agrees with the adjugate test for b,
+    pi*b and pi^2*b, which share g1 = pi^(-z') b."""
     z0 = det(b).valuation() // n
+    g1 = mat_shift(b, -z0)
     integral = 0
-    for _, H in lattice_bases(field, n, bound):
+    for diag, H in lattice_bases(field, n, bound):
+        inverse = tuple(tuple(row) for row in _triangular_inverse(H))
+        assert inverse == mat_shift(adjugate(H), -sum(diag)), H
+        fast = triangular_eigen_matrix(H, g1)
         for k in range(3):
-            bk = mat_shift(b, k)
-            fast = _lattice_eigen_backsolve(H, bk, z0 + k)
-            slow = _lattice_eigen_matrix(H, bk, z0 + k)
+            slow = _lattice_eigen_matrix(H, mat_shift(b, k), z0 + k)
             assert fast == slow, (H, k)
             integral += fast is not None
     return integral
@@ -191,13 +195,13 @@ def _unipotent_rank_three():
     return ((one, one, zero), (zero, one, one), (zero, zero, one))
 
 
-def test_backsolve_matches_adjugate_rank_three_box():
+def test_triangular_inverse_matches_adjugate_rank_three_box():
     # a unipotent b fixes hundreds of lattices in the box, so off-diagonal H
     # entries meet z' > 0; an elliptic b fixes one class and would not
     assert _assert_lattice_tests_agree(FqField(2, 1), 3, _unipotent_rank_three(), 3) > 100
 
 
-def test_backsolve_matches_adjugate_on_counting_suite():
+def test_triangular_inverse_matches_adjugate_on_counting_suite():
     integral = 0
     for inst in counting_suite():
         integral += _assert_lattice_tests_agree(inst["field"], 2, inst["b"], 3)

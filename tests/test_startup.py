@@ -21,19 +21,25 @@ bare = set(sys.modules)
 import leveltower.cli as cli
 after_import = set(sys.modules)
 with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main(["tower", "--q", "2", "--n", "2", "--m", "2"])
+    code = cli.main(sys.argv[1:])
 print(json.dumps({"import": sorted(after_import - bare),
-                  "tower": sorted(set(sys.modules) - bare), "code": code}))
+                  "command": sorted(set(sys.modules) - bare), "code": code}))
 """
+
+
+def run_fresh(*argv):
+    """Modules a fresh interpreter added by importing the cli, and by then
+    running the command argv, with its exit code."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", SCRIPT, *argv], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 @pytest.fixture(scope="module")
 def added():
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-c", SCRIPT], capture_output=True, text=True,
-                          timeout=120, env=env)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    return run_fresh("tower", "--q", "2", "--n", "2", "--m", "2")
 
 
 def test_importing_the_cli_loads_no_command_module(added):
@@ -48,4 +54,14 @@ def test_an_uncached_tower_loads_only_the_tower_path(added):
     others = {f"leveltower.{name}" for name in (
         "counting", "induced", "chartab", "groups", "cyclotomic", "strata", "certify",
         "division", "matrices", "laurent")}
-    assert not (others | {"dataclasses", "hashlib"}) & set(added["tower"])
+    assert not (others | {"dataclasses", "hashlib"}) & set(added["command"])
+
+
+@pytest.mark.parametrize("command", ["strata", "flags"])
+def test_label_commands_load_no_dataclasses_and_no_counting(command):
+    # a label is the echelon pair of tuples, so neither command builds a
+    # dataclass, and neither counts cosets
+    added = run_fresh(command, "--q", "2", "--n", "3", "--m", "2")
+    assert added["code"] == 0
+    assert "leveltower.strata" in added["command"]
+    assert not {"dataclasses", "leveltower.counting"} & set(added["command"])

@@ -1,9 +1,10 @@
 """Boundary labels: summand enumeration, group action, flags."""
 
 import itertools
+import random
 
 import pytest
-from conftest import is_flag
+from conftest import chain_ring, is_flag, label_coords, member_fixed_count
 
 from leveltower.certify import regular_elliptic_certify
 from leveltower import strata
@@ -138,6 +139,31 @@ def test_identity_fixes_every_label():
     assert strata_fixed_count(mat_reduce_mod(g, 1), 2, 2, 1, 1) == total
 
 
+@pytest.mark.parametrize("n,q,m", [(2, 2, 2), (3, 2, 2), (2, 3, 2), (4, 2, 1)])
+def test_fixed_label_counts_match_membership(n, q, m):
+    # strata_fixed_count compares echelon forms; the oracle tests whether
+    # each generator's image lies in the label.  Random invertible matrices
+    # are mostly not elliptic, so many fix some labels but not all.
+    ch = chain_ring(q, m)
+    rng = random.Random(100 * n + 10 * q + m)
+    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    mats = [identity]
+    while len(mats) < 10:
+        g = tuple(tuple(rng.randrange(ch.size) for _ in range(n)) for _ in range(n))
+        if ch.is_unit(ch.det(g)):
+            mats.append(g)
+    partial = 0
+    for g in mats:
+        for h in range(1, n):
+            labels = enumerate_summands(n, q, m, h)
+            count = strata_fixed_count(g, n, q, m, h)
+            assert count == member_fixed_count(g, labels, q, m), (g, h)
+            if g == identity:
+                assert count == len(labels)
+            partial += 0 < count < len(labels)
+    assert partial > 0
+
+
 def test_flag_counts():
     assert len(enumerate_flags(2, 2, 1)) == 3
     assert len(enumerate_flags(3, 2, 1)) == 21
@@ -154,30 +180,29 @@ def test_flag_count_is_gl_over_borel(n, q, m):
     assert len(enumerate_flags(n, q, m)) == gl_order(n, q, m) // borel
 
 
-def pairwise_flag_keys(n, q, m):
+def pairwise_flags(n, q, m):
     """Full flags found by search: extend every chain by each label of the
     next rank that its top part is a free direct summand of."""
     chains = [(A,) for A in enumerate_summands(n, q, m, 1)]
     for h in range(2, n):
         chains = [c + (B,) for c in chains for B in enumerate_summands(n, q, m, h)
-                  if is_flag((c[-1], B))]
-    return {tuple(A.key() for A in c) for c in chains}
+                  if is_flag((c[-1], B), q, m)]
+    return set(chains)
 
 
 @pytest.mark.parametrize("n,q,m", [(3, 2, 2), (3, 3, 1), (4, 2, 1)])
 def test_built_flags_equal_pairwise_search(n, q, m):
     flags = enumerate_flags(n, q, m)
-    keys = [tuple(A.key() for A in f) for f in flags]
-    assert len(set(keys)) == len(keys)
-    assert set(keys) == pairwise_flag_keys(n, q, m)
+    assert len(set(flags)) == len(flags)
+    assert set(flags) == pairwise_flags(n, q, m)
 
 
 @pytest.mark.parametrize("n,q,m", [(3, 2, 2), (3, 3, 1), (4, 2, 1)])
 def test_built_flags_pass_the_step_check(n, q, m):
     # enumerate_flags proves its chains flags by construction; is_flag checks each step
     for chain in enumerate_flags(n, q, m):
-        assert is_flag(chain)
-        assert tuple(A.rank for A in chain) == tuple(range(1, n))
+        assert is_flag(chain, q, m)
+        assert tuple(len(pivots) for pivots, _ in chain) == tuple(range(1, n))
 
 
 def test_flag_census_is_capped_before_it_is_built(monkeypatch):
@@ -196,12 +221,14 @@ def test_flag_census_is_capped_before_it_is_built(monkeypatch):
 
 def test_flag_checks_every_step_after_enumeration():
     # a label inside a larger label is a free direct summand of it, which is
-    # why flag_of_point needs no step check: over the label objects
-    # enumerate_flags carries, the step check accepts exactly the pairs where
-    # the line lies in the plane
+    # why flag_of_point needs no step check: over the labels enumerate_flags
+    # carries, the step check accepts exactly the pairs where the line lies
+    # in the plane
     enumerate_flags(3, 2, 2)
+    ch = chain_ring(2, 2)
     lines, planes = enumerate_summands(3, 2, 2, 1), enumerate_summands(3, 2, 2, 2)
-    verdicts = [(is_flag((A, B)), all(B.member(col) for col in A.cols))
+    verdicts = [(is_flag((A, B), 2, 2),
+                 all(label_coords(ch, B, col) is not None for col in A[1]))
                 for A in lines for B in planes]
     assert {v for v, _ in verdicts} == {True, False}
     assert all(step == inside for step, inside in verdicts)
@@ -221,16 +248,17 @@ def test_flag_of_point_recovers_a_flag():
         (0, 0): (0,),
     }
     flag = flag_of_point(values, 2, 2, 1)
-    assert is_flag(flag)
-    assert tuple(A.rank for A in flag) == (1, 2)
-    assert flag[0].member((0, 1))
-    assert not flag[0].member((1, 0))
+    assert is_flag(flag, 2, 1)
+    assert tuple(len(pivots) for pivots, _ in flag) == (1, 2)
+    ch = chain_ring(2, 1)
+    assert label_coords(ch, flag[0], (0, 1)) is not None
+    assert label_coords(ch, flag[0], (1, 0)) is None
 
 
 def test_flag_of_point_trivial_single_tier():
     values = {v: (1,) for v in itertools.product(range(2), repeat=2) if any(v)}
     flag = flag_of_point(values, 2, 2, 1)
-    assert tuple(A.rank for A in flag) == (2,)
+    assert tuple(len(pivots) for pivots, _ in flag) == (2,)
 
 
 def test_flag_of_point_rejects_unclosed_cut():
@@ -251,8 +279,8 @@ def test_flag_of_point_level_two_cuts():
     vectors = [(a, b) for a in range(4) for b in range(4) if (a, b) != (0, 0)]
     good = {v: ((1,) if v in low else (2,)) for v in vectors}
     flag = flag_of_point(good, 2, 2, 2)
-    assert is_flag(flag)
-    assert tuple(A.rank for A in flag) == (1, 2)
+    assert is_flag(flag, 2, 2)
+    assert tuple(len(pivots) for pivots, _ in flag) == (1, 2)
     bad = dict(good)
     bad[(2, 0)] = (2,)
     with pytest.raises(NotAFlag):
