@@ -1,11 +1,17 @@
 """Exact character tables of small finite groups by the modular method.
 
 The table is found over a prime field F_p with p = 1 (mod exponent) and
-p > 2*sqrt(|G|): the class-sum matrices are simultaneously diagonalized
-over F_p, degrees are recovered from the second orthogonality relation,
-and the mod-p character values are lifted to exact cyclotomic integers by
-Fourier inversion over each element order.  Both orthogonality relations
-are then re-verified exactly; any failure raises, it is never papered over.
+p > 2*sqrt(|G|) (Dixon, Numer. Math. 10 (1967)).  The class-sum
+coefficients, element orders and power maps are read off the group's
+right-multiplication permutations of the class representatives, with no
+group product.  The class-sum matrices are simultaneously diagonalized over
+F_p: each block is split at the roots of its characteristic polynomial,
+taken by Hessenberg reduction.  Degrees are recovered from the second
+orthogonality relation, and the mod-p character values are lifted to exact
+cyclotomic integers by Fourier inversion over each element order, with the
+powers of the root of unity read from one table.  Both orthogonality
+relations are then re-verified exactly; any failure raises, it is never
+papered over.
 """
 
 from .cyclotomic import Cyclotomic
@@ -69,6 +75,62 @@ def _kernel_mod_p(rows, p: int):
             v[pc] = (-mat[ri][fc]) % p
         basis.append(v)
     return basis
+
+
+def _charpoly_mod_p(M, p: int):
+    """Coefficients of det(T*I - M) over F_p, lowest first, in O(d^3).
+
+    M is brought to upper Hessenberg form H by similarity (Cohen, A Course
+    in Computational Algebraic Number Theory, 2.2.9), and the characteristic
+    polynomials of the leading blocks of H follow by a three-term recurrence.
+    """
+    d = len(M)
+    H = [[x % p for x in row] for row in M]
+    for j in range(d - 2):
+        piv = next((i for i in range(j + 1, d) if H[i][j]), None)
+        if piv is None:
+            continue
+        if piv != j + 1:
+            H[piv], H[j + 1] = H[j + 1], H[piv]
+            for row in H:
+                row[piv], row[j + 1] = row[j + 1], row[piv]
+        inv = pow(H[j + 1][j], p - 2, p)
+        for i in range(j + 2, d):
+            u = H[i][j] * inv % p
+            if u:
+                H[i] = [(x - u * y) % p for x, y in zip(H[i], H[j + 1])]
+                for row in H:
+                    row[j + 1] = (row[j + 1] + u * row[i]) % p
+    # polys[m] = det(T*I - H[:m, :m]), and with 0-based entries h of H
+    # polys[m+1] = (T - h_mm) polys[m] - sum_{i<m} h_im h_{i+1,i} ... h_{m,m-1} polys[i]
+    polys = [[1]]
+    for m in range(d):
+        prev = polys[-1]
+        cur = [0] + prev
+        for t, c in enumerate(prev):
+            cur[t] = (cur[t] - H[m][m] * c) % p
+        sub = 1
+        for i in range(m - 1, -1, -1):
+            sub = sub * H[i + 1][i] % p
+            if not sub:
+                break
+            f = H[i][m] * sub % p
+            for t, c in enumerate(polys[i]):
+                cur[t] = (cur[t] - f * c) % p
+        polys.append(cur)
+    return polys[-1]
+
+
+def _roots_mod_p(f, p: int):
+    """The roots in F_p of f (coefficients lowest first), by evaluation at each lambda."""
+    roots = []
+    for lam in range(p):
+        acc = 0
+        for c in reversed(f):
+            acc = (acc * lam + c) % p
+        if not acc:
+            roots.append(lam)
+    return roots
 
 
 class CharacterTable:
@@ -146,14 +208,24 @@ def character_table(group: FiniteGroup) -> CharacterTable:
     cls_of = group.class_of
     sizes = group.class_sizes
     inverse = group.inverse
+    ident = group.identity_index
     # class-sum coefficients, counted at the class representatives z_l (Dixon 1967):
-    # A[i][j][l] = #{x in C_i : x^-1 z_l in C_j}, the coefficient of C_l in C_i C_j
+    # A[i][j][l] = #{y : y^-1 in C_i, y z_l in C_j}, the coefficient of C_l in C_i C_j;
+    # the cycle of the identity under y -> y z_l gives the order and power map of z_l
     mats = [[[0] * k for _ in range(k)] for _ in range(k)]
+    powmaps = []
     for l, z in enumerate(group.class_reps):
-        for x in range(group.order):
-            mats[cls_of[x]][cls_of[group.imul(inverse[x], z)]][l] += 1
+        perm = group.right_mul(z)
+        for y in range(group.order):
+            mats[cls_of[inverse[y]]][cls_of[perm[y]]][l] += 1
+        pm, cur = [cls_of[ident]], perm[ident]
+        while cur != ident:
+            pm.append(cls_of[cur])
+            cur = perm[cur]
+        powmaps.append(pm)
 
-    # simultaneous diagonalization over F_p
+    # simultaneous diagonalization over F_p: each block is split along the
+    # eigenspaces of one class-sum matrix at the roots of its characteristic polynomial
     spaces = [([[1 if a == b else 0 for b in range(k)] for a in range(k)],
                list(range(k)))]
     for i in range(k):
@@ -175,12 +247,10 @@ def character_table(group: FiniteGroup) -> CharacterTable:
                     raise OracleMismatch("class-sum matrix does not preserve a split subspace")
                 act.append(coeffs)
             found = 0
-            for lam in range(p):
+            for lam in _roots_mod_p(_charpoly_mod_p(act, p), p):
                 shifted = [[(act[a][b] - (lam if a == b else 0)) % p for b in range(d)]
                            for a in range(d)]
                 ker = _kernel_mod_p([list(col) for col in zip(*shifted)], p)
-                if not ker:
-                    continue
                 sub = []
                 for coeff in ker:
                     vec = [0] * k
@@ -196,7 +266,7 @@ def character_table(group: FiniteGroup) -> CharacterTable:
     if any(len(S) != 1 for S, _ in spaces) or len(spaces) != k:
         raise OracleMismatch(f"splitting stopped at {len(spaces)} blocks, expected {k}")
 
-    ident_cls = cls_of[group.identity_index]
+    ident_cls = cls_of[ident]
     inv_cls = [cls_of[inverse[cls[0]]] for cls in group.classes]
     inv_size = [pow(s, p - 2, p) for s in sizes]
 
@@ -213,32 +283,25 @@ def character_table(group: FiniteGroup) -> CharacterTable:
         theta = [deg * w[l] * inv_size[l] % p for l in range(k)]
         rows.append((deg, theta))
 
-    # lift mod-p values to exact cyclotomic sums of roots of unity
-    orders = [group.element_order(cls[0]) for cls in group.classes]
-    powmaps = []
-    for ci, cls in enumerate(group.classes):
-        rep = cls[0]
-        cur = group.identity_index
-        pm = []
-        for _ in range(orders[ci]):
-            pm.append(cls_of[cur])
-            cur = group.imul(cur, rep)
-        powmaps.append(pm)
-
+    # lift mod-p values to exact cyclotomic sums of roots of unity:
+    # the multiplicity of zeta_e^(step a) at z is (1/dl) sum_t theta(z^t) omega^(-step a t)
+    omega_pow = [1] * e
+    for j in range(1, e):
+        omega_pow[j] = omega_pow[j - 1] * omega % p
     chars = []
     for deg, theta in rows:
         vals = []
-        for ci in range(k):
-            dl = orders[ci]
-            wdl = pow(omega, e // dl, p)
+        for pm in powmaps:
+            dl = len(pm)
+            step = e // dl
             inv_dl = pow(dl, p - 2, p)
             mult = [0] * e
             for a in range(dl):
-                m = sum(theta[powmaps[ci][t]] * pow(wdl, -a * t % (p - 1), p)
+                m = sum(theta[pm[t]] * omega_pow[-step * a * t % e]
                         for t in range(dl)) * inv_dl % p
                 if m > deg:
                     raise OracleMismatch("eigenvalue multiplicity exceeds the degree")
-                mult[(e // dl) * a] = m
+                mult[step * a] = m
             if sum(mult) != deg:
                 raise OracleMismatch("eigenvalue multiplicities do not sum to the degree")
             vals.append(Cyclotomic(e, mult))

@@ -184,6 +184,9 @@ def parse_poly(expr: str, field: FqField, allow_T: bool = True):
     terms = []
     sign, cur = 1, ""
     for ch in expr:
+        if ch == "-" and cur.endswith("^"):
+            raise PreconditionError(
+                f"the element language has no negative exponents: {expr!r}")
         if ch in "+-" and cur:
             terms.append((sign, cur))
             sign, cur = (1 if ch == "+" else -1), ""

@@ -5,8 +5,10 @@ ring, as chain-ring matrices, and the quotient of the quaternionic unit
 group by pi^Z and the level-1 congruence subgroup 1 + P, realized by actual
 division-algebra arithmetic rather than by an abstract presentation.  Each
 is the closure of its identity under a generating set, checked against its
-order formula; inverses and conjugacy classes are read off the same
-generators, so nothing is sampled.
+order formula.  The closure keeps its products as one index permutation
+per generator; every later product, conjugacy class and power is read off
+those permutations, so the multiplication rule runs only during the closure
+and nothing is sampled.
 """
 
 from functools import cache, cached_property
@@ -42,58 +44,91 @@ class FiniteGroup:
     by their smallest element index.  Each new element g s gets the inverse
     s^-1 g^-1, where s^-1 is a power of s, and every g g^-1 = e is checked,
     so a malformed multiplication rule fails at construction.
+
+    The closure's products are kept as one index permutation per generator,
+    `right[s][i]` = index of elements[i] * s, and each element keeps its
+    breadth-first parent, so it has a word in the generators.  Every later
+    product is read off these permutations: the multiplication rule never
+    runs after construction.
     """
 
     def __init__(self, identity, gens, mul, order: int, name: str = "", meta=None):
-        self.mul = mul
         self.name = name or f"group of order {order}"
         self.meta = dict(meta or {})
         gens = tuple(dict.fromkeys(gens))
         gen_invs = [_generator_inverse(identity, s, mul, order, self.name) for s in gens]
-        inv = {identity: identity}
-        frontier = [identity]
-        while frontier:
-            grown = []
-            for g in frontier:
-                for s, s_inv in zip(gens, gen_invs):
-                    h = mul(g, s)
-                    if h not in inv:
-                        inv[h] = mul(s_inv, inv[g])
-                        if len(inv) > order:
-                            raise OracleMismatch(f"{self.name}: closure exceeds the order {order}")
-                        grown.append(h)
-            frontier = grown
-        if len(inv) != order:
-            raise OracleMismatch(f"{self.name}: closure has {len(inv)} elements, "
+        # found[t] is the t-th element reached, found_inv[t] its inverse,
+        # parent[t] = (t', a) with found[t] = found[t'] * gens[a]
+        found, found_inv, parent, ids = [identity], [identity], [None], {identity: 0}
+        right = [[] for _ in gens]          # right[a][t] = id of found[t] * gens[a]
+        for t, g in enumerate(found):
+            for a, (s, s_inv) in enumerate(zip(gens, gen_invs)):
+                h = mul(g, s)
+                u = ids.get(h)
+                if u is None:
+                    u = ids[h] = len(found)
+                    if u >= order:
+                        raise OracleMismatch(f"{self.name}: closure exceeds the order {order}")
+                    found.append(h)
+                    found_inv.append(mul(s_inv, found_inv[t]))
+                    parent.append((t, a))
+                right[a].append(u)
+        if len(found) != order:
+            raise OracleMismatch(f"{self.name}: closure has {len(found)} elements, "
                                  f"the order is {order}")
-        self.elements = tuple(sorted(inv))
+        self.elements = tuple(sorted(found))
         self.order = order
         self.index = {g: i for i, g in enumerate(self.elements)}
         self.identity_index = self.index[identity]
-        self.gens = tuple(self.index[s] for s in gens)
-        inverse = []
-        for g in self.elements:
-            if inv[g] not in self.index or mul(g, inv[g]) != identity:
+        new = [self.index[g] for g in found]
+        perms = [[0] * order for _ in gens]
+        inverse = [0] * order
+        self.parent = [None] * order
+        for t, g in enumerate(found):
+            for perm, r in zip(perms, right):
+                perm[new[t]] = new[r[t]]
+            if parent[t] is not None:
+                self.parent[new[t]] = (new[parent[t][0]], parent[t][1])
+            h = found_inv[t]
+            if h not in ids or mul(g, h) != identity:
                 raise OracleMismatch(f"{self.name}: {g} has no inverse in the closure")
-            inverse.append(self.index[inv[g]])
+            inverse[new[t]] = new[ids[h]]
+        self.right = tuple(perms)
         self.inverse = tuple(inverse)
 
+    def word(self, j: int):
+        """Generator positions whose product, left to right, is element j."""
+        out = []
+        link = self.parent[j]
+        while link is not None:
+            j, a = link
+            out.append(a)
+            link = self.parent[j]
+        return out[::-1]
+
     def imul(self, i: int, j: int) -> int:
-        g = self.mul(self.elements[i], self.elements[j])
-        try:
-            return self.index[g]
-        except KeyError:
-            raise OracleMismatch(
-                f"{self.name}: product of elements {i} and {j} left the element list")
+        """Index of elements[i] * elements[j], by the permutations of j's word."""
+        for a in self.word(j):
+            i = self.right[a][i]
+        return i
+
+    def right_mul(self, j: int):
+        """The permutation y -> y * elements[j] of the element indices."""
+        perm = range(self.order)
+        for a in self.word(j):
+            r = self.right[a]
+            perm = [r[y] for y in perm]
+        return list(perm)
 
     @cached_property
     def classes(self):
         """Conjugacy classes as sorted index tuples, ordered by first element.
 
-        Each class is the orbit of its first element under x -> s x s^-1 for
-        the generators s: 2 |C| |S| products per class C.
+        Each class is the orbit of its first element under x -> s^-1 x s for
+        the generators s, read as r[inv[r[inv[x]]]] with r the permutation
+        of s: four lookups per element and generator, no products.
         """
-        imul, inv = self.imul, self.inverse
+        inv = self.inverse
         seen = [False] * self.order
         out = []
         for i in range(self.order):
@@ -102,8 +137,8 @@ class FiniteGroup:
             seen[i] = True
             orbit = [i]
             for x in orbit:
-                for s in self.gens:
-                    y = imul(imul(s, x), inv[s])
+                for r in self.right:
+                    y = r[inv[r[inv[x]]]]
                     if not seen[y]:
                         seen[y] = True
                         orbit.append(y)
@@ -154,8 +189,8 @@ def _capped(order: int, what: str) -> int:
 @cache
 def group_gl(n: int, q: int, m: int = 1) -> FiniteGroup:
     """GL_n(o/pi^m) as chain-ring matrices, generated by diag(u, 1, ..., 1)
-    for the units u != 1, I + E_12 and the permutation matrices of (1 2)
-    and (1 2 ... n)."""
+    for u in a generating set of (o/pi^m)^x, I + E_12 and the permutation
+    matrices of (1 2) and (1 2 ... n)."""
     order = _capped(gl_order(n, q, m), f"|GL_{n}(o/pi^{m})|")
     p, s = split_prime_power(q)
     ch = ChainRing(FqField(p, s), m)
@@ -163,8 +198,17 @@ def group_gl(n: int, q: int, m: int = 1) -> FiniteGroup:
     def matrix(entry):
         return tuple(tuple(entry(i, j) for j in range(n)) for i in range(n))
 
-    gens = [matrix(lambda i, j: u if i == j == 0 else int(i == j))
-            for u in range(2, ch.size) if ch.is_unit(u)]
+    # a generating set of the units: u is taken only when the span so far misses it
+    units, span = [], {1}
+    for u in range(2, ch.size):
+        if ch.is_unit(u) and u not in span:
+            units.append(u)
+            grown, power = set(span), u
+            while power not in span:
+                grown.update(ch.mul(h, power) for h in span)
+                power = ch.mul(power, u)
+            span = grown
+    gens = [matrix(lambda i, j: u if i == j == 0 else int(i == j)) for u in units]
     if n > 1:
         swap = {0: 1, 1: 0}
         gens += [matrix(lambda i, j: int(i == j or (i, j) == (0, 1))),

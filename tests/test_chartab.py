@@ -1,11 +1,15 @@
 """Exact character tables of the finite matrix and quaternionic quotients."""
 
+import random
+
 import pytest
 
 from leveltower import chartab
+from leveltower.chain import ChainRing, leibniz_charpoly
 from leveltower.chartab import CharacterTable, character_table, cuspidal_characters
 from leveltower.errors import CapExceeded, OracleMismatch
-from leveltower.groups import group_gl, group_quaternion_quotient
+from leveltower.fq import FqField
+from leveltower.groups import FiniteGroup, group_gl, group_quaternion_quotient
 
 
 def test_gl2_f2_table():
@@ -117,3 +121,62 @@ def test_table_cap_guard(monkeypatch):
     monkeypatch.setattr(chartab, "TABLE_ORDER_CAP", 10)
     with pytest.raises(CapExceeded):
         character_table(group_gl(2, 3, 1))
+
+
+@pytest.mark.parametrize("p", [2, 5, 97, 1009])
+def test_hessenberg_charpoly_is_the_leibniz_charpoly(p):
+    rng = random.Random(p)
+    for _ in range(60):
+        d = rng.randint(1, 6)
+        # sparse entries too, so that zero pivots and early-split Hessenberg forms occur
+        M = [[rng.choice([0, 0, 1, rng.randrange(p)]) for _ in range(d)] for _ in range(d)]
+        want = leibniz_charpoly(M, lambda x, y: (x + y) % p, lambda x, y: x * y % p,
+                                lambda x: -x % p, 0, 1)
+        assert chartab._charpoly_mod_p(M, p) == want
+
+
+def test_roots_are_the_distinct_zeros():
+    p = 13
+    f = [1]
+    for r in (3, 3, 7, 0):
+        f = [(a - r * b) % p for a, b in zip([0] + f, f + [0])]
+    assert chartab._roots_mod_p(f, p) == [0, 3, 7]
+    # T^2 + 1 has no root mod 7
+    assert chartab._roots_mod_p([1, 0, 1], 7) == []
+
+
+def test_a_missed_eigenvalue_is_caught(monkeypatch):
+    found = chartab._roots_mod_p
+
+    def drop_one(f, p):
+        return found(f, p)[1:]
+
+    monkeypatch.setattr(chartab, "_roots_mod_p", drop_one)
+    with pytest.raises(OracleMismatch, match="eigenspace dimensions did not add up"):
+        character_table(group_gl(2, 3, 1))
+
+
+@pytest.mark.parametrize("n,q,classes", [(3, 3, 24), (4, 2, 14)])
+def test_larger_gl_tables_verify_with_the_cap_raised(monkeypatch, n, q, classes):
+    monkeypatch.setattr(chartab, "TABLE_ORDER_CAP", 25_000)
+    tab = character_table(group_gl(n, q, 1))
+    assert tab.n_classes == classes == len(tab.degrees)
+    assert tab.verify()
+
+
+def test_no_group_product_runs_after_the_closure():
+    ref = group_gl(2, 3, 1)
+    matmul = ChainRing(FqField(3), 1).matmul
+    closed = False
+
+    def mul(a, b):
+        if closed:
+            raise AssertionError("a group product ran after the closure")
+        return matmul(a, b)
+
+    gens = [((2, 0), (0, 1)), ((1, 1), (0, 1)), ((0, 1), (1, 0))]
+    g = FiniteGroup(((1, 0), (0, 1)), gens, mul, ref.order)
+    closed = True
+    assert g.classes == ref.classes
+    tab = character_table(g)
+    assert tab.degrees == character_table(ref).degrees

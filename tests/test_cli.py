@@ -333,9 +333,9 @@ def test_huge_q_is_refused_before_factoring():
     (["count", "--q", "2", "--n", "2", "--m", "1", "--b", "x:2",
       "--g", "companion:T^2+T+Q"], "error: coefficient 'Q' is not an integer\n"),
     (["tower", "--u-spec", "abc"], "error: u-spec digit 'abc' is not an integer\n"),
-    # P^-1 splits into the terms P^ and -1; it used to run as 1 + pi
+    # a minus right after '^' is a negative exponent, not a subtraction
     (["count", "--q", "2", "--n", "2", "--m", "1", "--b", "w", "--g", "diag:P^-1,1"],
-     "error: missing exponent after '^' in 'P^'\n"),
+     "error: the element language has no negative exponents: 'P^-1'\n"),
     (["count", "--q", "2", "--n", "2", "--m", "1", "--b", "w", "--g", "diag:P^,1"],
      "error: missing exponent after '^' in 'P^'\n"),
     (["flags", "--n", "1"], "error: empty rank signature\n"),
@@ -361,6 +361,8 @@ def test_huge_q_is_refused_before_factoring():
      "error: matrix 'companion:T^2+T+1' is 2x2, not 3x3\n"),
     (["strata-action", "--q", "2", "--n", "2", "--g", "companion:T^3+T+1"],
      "error: matrix 'companion:T^3+T+1' is 3x3, not 2x2\n"),
+    (["count", "--q", "2", "--n", "2", "--m", "1", "--b", "w", "--g", "companion:T^2+P^-1"],
+     "error: the element language has no negative exponents: 'T^2+P^-1'\n"),
 ])
 def test_bad_element_tokens_exit_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)

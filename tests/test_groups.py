@@ -61,3 +61,28 @@ def _cyclic_six(a, b):
 def test_closure_order_must_match_exactly(gens, order, message):
     with pytest.raises(OracleMismatch, match=message):
         FiniteGroup(0, gens, _cyclic_six, order)
+
+
+def _quaternion_product(q):
+    """(i, x)(j, y) = x w^i y w^j = x sigma^i(y) w^(i+j), sigma the q-power
+    Frobenius of F_{q^2}, and w^2 = pi lies in the identity coset."""
+    big = group_quaternion_quotient(q).meta["algebra"].big
+
+    def mul(a, b):
+        (i, x), (j, y) = a, b
+        return ((i + j) % 2, big.mul(x, big.pow(y, q ** i)))
+    return mul
+
+
+@pytest.mark.parametrize("group,mul", [
+    (lambda: group_gl(2, 3, 1), lambda: ChainRing(FqField(3), 1).matmul),
+    (lambda: group_gl(2, 2, 2), lambda: ChainRing(FqField(2), 2).matmul),
+    (lambda: group_quaternion_quotient(3), lambda: _quaternion_product(3)),
+], ids=["GL2(F3)", "GL2(o/pi^2)-q2", "quaternion-q3"])
+def test_permutation_products_are_the_group_law(group, mul):
+    g, mul = group(), mul()
+    for i in range(g.order):
+        perm = g.right_mul(i)
+        for j in range(g.order):
+            want = g.index[mul(g.elements[j], g.elements[i])]
+            assert g.imul(j, i) == perm[j] == want
