@@ -2,7 +2,11 @@
 matrix/vector helpers over it.
 
 `ChainRing.echelon` is the package's one elimination over o/pi^m; it gives
-`strata` its canonical labels and `mat_inv` its inverses.
+`strata` its canonical labels, `mat_inv` its inverses and `counting` its
+kernels over F_q.  It works on whole rows of the ring's tables: the pivot
+column is scaled by one row of the multiplication table, and a column with
+entry f at the pivot row is reduced in one pass over f times the negated
+pivot column, with no method call per entry.
 
 An element is an int in [0, q^m) whose base-q digits are F_q-codes of the
 pi-adic coefficients, lowest first.  Addition is digitwise (no carries),
@@ -206,31 +210,31 @@ class ChainRing:
         """Greedy unit-pivot reduction of length-n columns.  Returns
         (pivot_rows, columns) or None when the span is not a free direct
         summand (a column is left nonzero with no unit entry)."""
-        cols = [list(g) for g in gens if any(g)]
+        q, add, mul, neg, inv = self.q, self._add, self._mul, self._neg, self._inv
+        cols = [g for g in gens if any(g)]
         pivots = []
         piv_cols = []
         for r in range(n):
-            hit = None
-            for c in cols:
-                if self.is_unit(c[r]):
-                    hit = c
+            for k, c in enumerate(cols):
+                if c[r] % q:
                     break
-            if hit is None:
+            else:
                 continue
-            cols.remove(hit)
-            inv = self.inv(hit[r])
-            hit = [self.mul(inv, x) for x in hit]
-            for c in cols + piv_cols:
-                if c[r]:
-                    f = c[r]
-                    for i in range(n):
-                        c[i] = self.sub(c[i], self.mul(f, hit[i]))
+            hit = cols.pop(k)
+            scale = mul[inv[hit[r]]]
+            hit = [scale[x] for x in hit]
+            neg_hit = [neg[x] for x in hit]
+            for group in (cols, piv_cols):
+                for k, c in enumerate(group):
+                    if c[r]:
+                        row = mul[c[r]]
+                        group[k] = [add[a][row[b]] for a, b in zip(c, neg_hit)]
             pivots.append(r)
             piv_cols.append(hit)
         for c in cols:
             if any(c):
                 return None
-        return tuple(pivots), tuple(tuple(c) for c in piv_cols)
+        return tuple(pivots), tuple(map(tuple, piv_cols))
 
     def mat_inv(self, M):
         """Inverse by `echelon` on the columns of M stacked over I: the column

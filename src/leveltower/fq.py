@@ -244,17 +244,16 @@ class FqField:
 
     def _build_tables(self):
         p, q = self.p, self.q
-        # addition table only for small q; otherwise add by digits
+        # addition table only for small q; otherwise add by digits.  The
+        # table of p^(k+1) codes is p x p blocks of the table of p^k: codes
+        # a + p^k d and b + p^k e add to (a + b) + p^k ((d + e) mod p)
         self._add_table = None
         if q <= 256:
-            tbl = []
-            for a in range(q):
-                da = self._digits(a)
-                row = []
-                for b in range(q):
-                    db = self._digits(b)
-                    row.append(self._undigits([(x + y) % p for x, y in zip(da, db)]))
-                tbl.append(row)
+            tbl = [[0]]
+            for _ in range(self.f):
+                size = len(tbl)
+                tbl = [[x + size * ((d + e) % p) for e in range(p) for x in row]
+                       for d in range(p) for row in tbl]
             self._add_table = tbl
         # exp/log from a primitive element
         gen = self._find_generator()

@@ -11,6 +11,10 @@ form from any generating set or proves the span is not a free direct
 summand, so two generating sets span one label exactly when their echelon
 forms are equal.  A label's rank is the length of its pivots.
 
+The labels of one pivot pattern are a product of column choices: each
+column's choices are listed once, as tuples, and every label of the
+pattern is a tuple of those shared column tuples.
+
 An invertible g fixes A exactly when g's images of A's generators have
 A's echelon form: gA is a free direct summand of the same rank, and equal
 canonical forms are equal spans.
@@ -79,9 +83,11 @@ def check_label_census(n: int, q: int, m: int, h: int) -> None:
 def enumerate_summands(n: int, q: int, m: int, h: int):
     """All rank-h labels, via the canonical-form parametrization.
 
-    For each increasing pivot-row tuple, free entries are: anything at rows
-    below a column's pivot, non-units at non-pivot rows above it, zero at
-    pivot rows.
+    For each increasing pivot-row tuple, a column's choices are its entries
+    row by row: 1 at its pivot row, 0 at the other pivot rows, a non-unit
+    above its pivot row and anything below it.  Each column's choices are
+    listed once, and the pattern's labels are their product, so labels of
+    one pivot pattern share their column tuples.
     """
     if not 0 <= h <= n:
         raise PreconditionError("rank out of range")
@@ -91,24 +97,15 @@ def enumerate_summands(n: int, q: int, m: int, h: int):
     ch = _chain(q, m)
     check_label_census(n, q, m, h)
     nonunits = [a for a in range(ch.size) if not ch.is_unit(a)]
-    full = list(range(ch.size))
+    full = range(ch.size)
     out = []
     for pivots in combinations(range(n), h):
-        slots = []   # (col, row) in a fixed order
-        choices = []
-        for k, r in enumerate(pivots):
-            for i in range(n):
-                if i in pivots:
-                    continue
-                slots.append((k, i))
-                choices.append(nonunits if i < r else full)
-        for vals in product(*choices):
-            cols = [[0] * n for _ in range(h)]
-            for k, r in enumerate(pivots):
-                cols[k][r] = 1
-            for (k, i), v in zip(slots, vals):
-                cols[k][i] = v
-            out.append((pivots, tuple(tuple(c) for c in cols)))
+        columns = []
+        for r in pivots:
+            rows = [[1] if i == r else [0] if i in pivots else nonunits if i < r else full
+                    for i in range(n)]
+            columns.append(list(product(*rows)))
+        out.extend((pivots, cols) for cols in product(*columns))
     _enum_cache[key] = out
     return out
 
@@ -128,7 +125,8 @@ def enumerate_flags(n: int, q: int, m: int) -> list:
 
     Each flag is built once, from its top part B, a hyperplane label, and a
     full flag of (o/pi^m)^(n-1) carried into B by v -> sum_k v_k B.cols[k].
-    Each carried label is checked once per B to be a label of the same rank,
+    Each column of the smaller labels is carried once per B, and each
+    carried label is checked once per B to be a label of the same rank,
     and that proves every chain a flag: the carry is injective and linear,
     so the carried parts nest inside B, and a free direct summand of the
     ambient module that lies inside B is a free direct summand of B.  The
@@ -149,12 +147,14 @@ def enumerate_flags(n: int, q: int, m: int) -> list:
     smaller = [A for h in range(1, n - 1) for A in enumerate_summands(n - 1, q, m, h)]
     position = {A: i for i, A in enumerate(smaller)}
     below = [[position[A] for A in parts] for parts in enumerate_flags(n - 1, q, m)]
+    columns = {col for _, cols in smaller for col in cols}
     out = []
     for B in top:
         basis = tuple(zip(*B[1]))   # basis[i][k] = B's generator k at coordinate i
+        carried = {col: ch.matvec(basis, col) for col in columns}
         image = []
         for pivots, small_cols in smaller:
-            got = labels.get(ch.echelon(n, [ch.matvec(basis, col) for col in small_cols]))
+            got = labels.get(ch.echelon(n, map(carried.__getitem__, small_cols)))
             if got is None:
                 raise OracleMismatch(f"a rank-{len(pivots)} label carried into a hyperplane "
                                      f"is not a label of rank {len(pivots)}")

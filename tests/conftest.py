@@ -2,7 +2,7 @@
 tests compare the package against: code that no command runs lives here."""
 
 import random
-from itertools import product
+from itertools import combinations, product
 from math import prod
 
 from leveltower.certify import regular_elliptic_certify
@@ -170,6 +170,63 @@ def label_coords(ch, label, v):
             for i in range(len(w)):
                 w[i] = ch.sub(w[i], ch.mul(c, col[i]))
     return None if any(w) else tuple(cs)
+
+
+def slot_loop_summands(n, q, m, h):
+    """The rank-h labels of (o/pi^m)^n, filled in free slot by free slot with
+    fresh column tuples per label: the oracle of `enumerate_summands`, order
+    included."""
+    ch = chain_ring(q, m)
+    nonunits = [a for a in range(ch.size) if not ch.is_unit(a)]
+    full = list(range(ch.size))
+    out = []
+    for pivots in combinations(range(n), h):
+        slots = []   # (col, row) in a fixed order
+        choices = []
+        for k, r in enumerate(pivots):
+            for i in range(n):
+                if i in pivots:
+                    continue
+                slots.append((k, i))
+                choices.append(nonunits if i < r else full)
+        for vals in product(*choices):
+            cols = [[0] * n for _ in range(h)]
+            for k, r in enumerate(pivots):
+                cols[k][r] = 1
+            for (k, i), v in zip(slots, vals):
+                cols[k][i] = v
+            out.append((pivots, tuple(tuple(c) for c in cols)))
+    return out
+
+
+def method_echelon(ch, n, gens):
+    """Greedy unit-pivot reduction of length-n columns over the chain ring ch,
+    one ring method call per entry: the oracle of `ChainRing.echelon`."""
+    cols = [list(g) for g in gens if any(g)]
+    pivots = []
+    piv_cols = []
+    for r in range(n):
+        hit = None
+        for c in cols:
+            if ch.is_unit(c[r]):
+                hit = c
+                break
+        if hit is None:
+            continue
+        cols.remove(hit)
+        inv = ch.inv(hit[r])
+        hit = [ch.mul(inv, x) for x in hit]
+        for c in cols + piv_cols:
+            if c[r]:
+                f = c[r]
+                for i in range(n):
+                    c[i] = ch.sub(c[i], ch.mul(f, hit[i]))
+        pivots.append(r)
+        piv_cols.append(hit)
+    for c in cols:
+        if any(c):
+            return None
+    return tuple(pivots), tuple(tuple(c) for c in piv_cols)
 
 
 def is_flag(parts, q, m):

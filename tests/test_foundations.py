@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import random_unit_matrix, root_of_unity
+from conftest import method_echelon, random_unit_matrix, root_of_unity
 
 from leveltower import chain
 from leveltower.chain import ChainRing, gl_elements
@@ -130,6 +130,25 @@ def test_exp_table_of_the_largest_field():
     for i in random.Random(16).sample(range(F.q - 1), 40):
         assert F._exp[i] == F._raw_pow(F.generator, i)
         assert F._log[F._exp[i]] == i
+
+
+def _digitwise_add_table(F):
+    p = F.p
+    return [[F._undigits([(x + y) % p for x, y in zip(F._digits(a), F._digits(b))])
+             for b in range(F.q)] for a in range(F.q)]
+
+
+def test_addition_tables_match_digitwise_addition():
+    fields = [(2, 8), (3, 5)]
+    for q in range(2, 65):
+        try:
+            fields.append(split_prime_power(q))
+        except PreconditionError:
+            continue
+    assert len(fields) == 29
+    for p, f in fields:
+        F = FqField(p, f)
+        assert F._add_table == _digitwise_add_table(F), (p, f)
 
 
 def test_field_frobenius_fixes_prime_subfield():
@@ -402,6 +421,61 @@ def test_gl_elements_cap_holds_on_a_cache_hit(monkeypatch):
     monkeypatch.setattr(chain, "_GL_CAP", 100)
     with pytest.raises(CapExceeded):
         gl_elements(ch, 2)
+
+
+def _random_generating_set(ch, n, rng):
+    """Up to n + 2 columns of length n: random ones, zero columns, repeats,
+    sums and pi-multiples of earlier ones, and all-non-unit columns."""
+    nonunits = [a for a in range(ch.size) if not ch.is_unit(a)]
+    gens = []
+    for _ in range(rng.randint(0, n + 2)):
+        kind = rng.randrange(6)
+        if kind == 0:
+            gens.append((0,) * n)
+        elif kind == 1 and gens:
+            gens.append(rng.choice(gens))
+        elif kind == 2 and len(gens) >= 2:
+            gens.append(ch.vadd(*rng.sample(gens, 2)))
+        elif kind == 3 and gens:
+            gens.append(ch.vscale(ch.pi, rng.choice(gens)))
+        elif kind == 4:
+            gens.append(tuple(rng.choice(nonunits) for _ in range(n)))
+        else:
+            gens.append(tuple(rng.randrange(ch.size) for _ in range(n)))
+    return gens
+
+
+@pytest.mark.parametrize("q,m", [(2, 1), (2, 3), (3, 2), (4, 2), (8, 2), (9, 1)])
+def test_echelon_equals_the_method_call_elimination(q, m):
+    ch = ChainRing(FqField(*split_prime_power(q)), m)
+    rng = random.Random(31 * q + m)
+    outcomes = set()
+    for _ in range(600):
+        n = rng.randint(1, 6)
+        gens = _random_generating_set(ch, n, rng)
+        got = ch.echelon(n, gens)
+        assert got == method_echelon(ch, n, gens), (n, gens)
+        outcomes.add(got is None)
+    # over a field every span is free
+    assert outcomes == ({True, False} if m > 1 else {False})
+
+
+@pytest.mark.parametrize("q,m", [(2, 1), (2, 3), (3, 2), (4, 2), (8, 2), (9, 1)])
+def test_mat_inv_round_trips_on_random_units(q, m):
+    ch = ChainRing(FqField(*split_prime_power(q)), m)
+    rng = random.Random(17 * q + m)
+    units = 0
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        M = tuple(tuple(rng.randrange(ch.size) for _ in range(n)) for _ in range(n))
+        if not ch.is_unit(ch.det(M)):
+            with pytest.raises(PreconditionError):
+                ch.mat_inv(M)
+            continue
+        eye = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        assert ch.matmul(ch.mat_inv(M), M) == eye
+        units += 1
+    assert units > 20
 
 
 @pytest.mark.parametrize("q,m,n", [(2, 1, 3), (2, 2, 2), (3, 1, 2)])

@@ -4,11 +4,12 @@ import itertools
 import random
 
 import pytest
-from conftest import chain_ring, is_flag, label_coords, member_fixed_count
+from conftest import chain_ring, is_flag, label_coords, member_fixed_count, slot_loop_summands
 
 from leveltower.certify import regular_elliptic_certify
 from leveltower import strata
-from leveltower.errors import CapExceeded, NotAFlag, PreconditionError
+from leveltower.chain import ChainRing
+from leveltower.errors import CapExceeded, NotAFlag, OracleMismatch, PreconditionError
 from leveltower.formal import gl_order
 from leveltower.fq import FqField
 from leveltower.laurent import Laurent
@@ -71,6 +72,21 @@ def test_higher_level_label_counts():
     for n, q, m, h in [(2, 2, 2, 1), (3, 2, 2, 1), (3, 2, 2, 2), (2, 3, 2, 1)]:
         expected = gaussian_binomial(n, h, q) * q ** (h * (n - h) * (m - 1))
         assert len(enumerate_summands(n, q, m, h)) == expected
+
+
+@pytest.mark.parametrize("n,q,m", [(3, 2, 1), (3, 2, 2), (5, 2, 2), (3, 3, 2), (2, 4, 3),
+                                   (4, 3, 1), (2, 9, 2)])
+def test_labels_equal_the_slot_loop(n, q, m):
+    for h in range(n + 1):
+        assert enumerate_summands(n, q, m, h) == slot_loop_summands(n, q, m, h), h
+
+
+def test_labels_of_one_pivot_pattern_share_their_columns():
+    # 9,920 labels hold 19,840 columns of 375 distinct values; a fresh tuple
+    # per label column would make 19,840 column objects
+    labels = enumerate_summands(5, 2, 2, 2)
+    columns = [col for _, cols in labels for col in cols]
+    assert len({id(col) for col in columns}) <= 2 * len(set(columns))
 
 
 def test_label_census_is_capped_before_it_is_built(monkeypatch):
@@ -203,6 +219,28 @@ def test_built_flags_pass_the_step_check(n, q, m):
     for chain in enumerate_flags(n, q, m):
         assert is_flag(chain, q, m)
         assert tuple(len(pivots) for pivots, _ in chain) == tuple(range(1, n))
+
+
+@pytest.mark.parametrize("wrong", ["rescaled", "none"])
+def test_a_wrong_carried_label_is_caught(monkeypatch, wrong):
+    # the fifth carried label comes back as its span with the generator
+    # scaled by the unit 1 + pi (not the canonical form), or as no summand
+    echelon = ChainRing.echelon
+    forms = []
+
+    def corrupt(self, n, gens):
+        got = echelon(self, n, gens)
+        forms.append(got)
+        if len(forms) == 5:
+            unit = 1 + self.pi
+            return None if wrong == "none" else (
+                got[0], tuple(self.vscale(unit, col) for col in got[1]))
+        return got
+
+    monkeypatch.setattr(ChainRing, "echelon", corrupt)
+    with pytest.raises(OracleMismatch, match="carried into a hyperplane is not a label"):
+        enumerate_flags(3, 2, 2)
+    assert len(forms) == 5
 
 
 def test_flag_census_is_capped_before_it_is_built(monkeypatch):
