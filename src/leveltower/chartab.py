@@ -14,12 +14,14 @@ relations are then re-verified exactly; any failure raises, it is never
 papered over.
 """
 
+from operator import mul
+
 from .cyclotomic import Cyclotomic
 from .errors import CapExceeded, OracleMismatch, PreconditionError
 from .fq import _factor, _is_prime
 from .groups import FiniteGroup
 
-__all__ = ["CharacterTable", "character_table", "cuspidal_characters"]
+__all__ = ["CharacterTable", "character_table", "check_table_order", "cuspidal_characters"]
 
 TABLE_ORDER_CAP = 5000
 
@@ -158,10 +160,10 @@ class CharacterTable:
     def verify(self):
         """Check the degrees and both orthogonality relations as identities in Z[zeta_e].
 
-        Each sum of products x * conj(y) is accumulated in Z[x]/(x^e - 1),
-        where conjugation negates exponents mod e, then reduced once mod
-        Phi_e and compared with an integer: |G| delta_ij for rows i, j and
-        |G|/|C_a| delta_ab for columns a, b.
+        Each sum of products x * conj(y), less the integer it should be
+        (|G| delta_ij for rows i, j and |G|/|C_a| delta_ab for columns a, b),
+        is accumulated in Z[x]/(x^e - 1), where conjugation negates exponents
+        mod e, then reduced once mod Phi_e and must vanish.
         """
         order = self.group.order
         e = self.conductor
@@ -173,8 +175,9 @@ class CharacterTable:
         terms = [[[(j, c) for j, c in enumerate(v.lift(e).coords) if c] for v in row]
                  for row in self.values]
 
-        def pairing(xs, ys, weights):
+        def defect(xs, ys, weights, want):
             acc = [0] * e
+            acc[0] = -want
             for x, y, w in zip(xs, ys, weights):
                 for a, c in x:
                     for b, d in y:
@@ -183,23 +186,31 @@ class CharacterTable:
 
         for i in range(k):
             for j in range(i, k):
-                got = pairing(terms[i], terms[j], self.class_sizes)
-                if got != (order if i == j else 0):
-                    raise OracleMismatch(f"row orthogonality failed at ({i},{j}): {got}")
+                want = order if i == j else 0
+                off = defect(terms[i], terms[j], self.class_sizes, want)
+                if not off.is_zero():
+                    raise OracleMismatch(
+                        f"row orthogonality failed at ({i},{j}): {off + want}")
         cols = list(zip(*terms))
         for a in range(k):
             for b in range(a, k):
-                got = pairing(cols[a], cols[b], [1] * k)
-                if got != (order // self.class_sizes[a] if a == b else 0):
-                    raise OracleMismatch(f"column orthogonality failed at ({a},{b}): {got}")
+                want = order // self.class_sizes[a] if a == b else 0
+                off = defect(cols[a], cols[b], [1] * k, want)
+                if not off.is_zero():
+                    raise OracleMismatch(
+                        f"column orthogonality failed at ({a},{b}): {off + want}")
         return True
+
+
+def check_table_order(order: int):
+    """Refuse a group of this order before any table work."""
+    if order > TABLE_ORDER_CAP:
+        raise CapExceeded(f"group order {order} exceeds the table cap {TABLE_ORDER_CAP}")
 
 
 def character_table(group: FiniteGroup) -> CharacterTable:
     """The complete exact character table, verified against both orthogonality laws."""
-    if group.order > TABLE_ORDER_CAP:
-        raise CapExceeded(
-            f"group order {group.order} exceeds the table cap {TABLE_ORDER_CAP}")
+    check_table_order(group.order)
     k = len(group.classes)
     e = group.exponent
     p = _choose_prime(e, group.order)
@@ -237,27 +248,25 @@ def character_table(group: FiniteGroup) -> CharacterTable:
                 nxt.append((S, pivots))
                 continue
             act = []
+            cols = list(zip(*S))
             for v in S:
-                img = [sum(A[j][l] * v[l] for l in range(k)) % p for j in range(k)]
+                img = [sum(map(mul, row, v)) % p for row in A]
                 coeffs = [img[c] for c in pivots]
-                rem = list(img)
-                for co, row in zip(coeffs, S):
-                    rem = [(x - co * y) % p for x, y in zip(rem, row)]
-                if any(rem):
+                # img must be the combination of S with these coefficients
+                if any((x - sum(map(mul, coeffs, col))) % p for x, col in zip(img, cols)):
                     raise OracleMismatch("class-sum matrix does not preserve a split subspace")
                 act.append(coeffs)
+            scalar = act[0][0]
+            if act == [[scalar if a == b else 0 for b in range(d)] for a in range(d)]:
+                # a scalar on the block: its one eigenspace is the whole block
+                nxt.append((S, pivots))
+                continue
             found = 0
             for lam in _roots_mod_p(_charpoly_mod_p(act, p), p):
                 shifted = [[(act[a][b] - (lam if a == b else 0)) % p for b in range(d)]
                            for a in range(d)]
                 ker = _kernel_mod_p([list(col) for col in zip(*shifted)], p)
-                sub = []
-                for coeff in ker:
-                    vec = [0] * k
-                    for co, row in zip(coeff, S):
-                        for ci in range(k):
-                            vec[ci] = (vec[ci] + co * row[ci]) % p
-                    sub.append(vec)
+                sub = [[sum(map(mul, coeff, col)) % p for col in cols] for coeff in ker]
                 nxt.append(_echelon_mod_p(sub, p))
                 found += len(ker)
             if found != d:
@@ -284,27 +293,38 @@ def character_table(group: FiniteGroup) -> CharacterTable:
         rows.append((deg, theta))
 
     # lift mod-p values to exact cyclotomic sums of roots of unity:
-    # the multiplicity of zeta_e^(step a) at z is (1/dl) sum_t theta(z^t) omega^(-step a t)
+    # the multiplicity of zeta_e^(step a) at z is (1/dl) sum_t theta(z^t) omega^(-step a t),
+    # with the rows omega^(-step a t) over t built once per element order dl
     omega_pow = [1] * e
     for j in range(1, e):
         omega_pow[j] = omega_pow[j - 1] * omega % p
+    fourier = {}
+    for pm in powmaps:
+        dl = len(pm)
+        if dl not in fourier:
+            step = e // dl
+            fourier[dl] = (step, pow(dl, p - 2, p),
+                           [[omega_pow[-step * a * t % e] for t in range(dl)]
+                            for a in range(dl)])
     chars = []
+    lifted = {}        # (step, multiplicities) -> value, shared by equal values
     for deg, theta in rows:
         vals = []
         for pm in powmaps:
-            dl = len(pm)
-            step = e // dl
-            inv_dl = pow(dl, p - 2, p)
-            mult = [0] * e
-            for a in range(dl):
-                m = sum(theta[pm[t]] * omega_pow[-step * a * t % e]
-                        for t in range(dl)) * inv_dl % p
-                if m > deg:
-                    raise OracleMismatch("eigenvalue multiplicity exceeds the degree")
-                mult[step * a] = m
-            if sum(mult) != deg:
+            step, inv_dl, omega_rows = fourier[len(pm)]
+            orbit = [theta[c] for c in pm]
+            mults = tuple(sum(map(mul, orbit, row)) * inv_dl % p for row in omega_rows)
+            if max(mults) > deg:
+                raise OracleMismatch("eigenvalue multiplicity exceeds the degree")
+            if sum(mults) != deg:
                 raise OracleMismatch("eigenvalue multiplicities do not sum to the degree")
-            vals.append(Cyclotomic(e, mult))
+            key = (step, mults)
+            value = lifted.get(key)
+            if value is None:
+                mult = [0] * e
+                mult[::step] = mults
+                value = lifted[key] = Cyclotomic(e, mult)
+            vals.append(value)
         chars.append((deg, vals))
 
     chars.sort(key=lambda c: (c[0], tuple(v.coords for v in c[1])))

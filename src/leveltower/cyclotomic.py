@@ -178,15 +178,30 @@ class Cyclotomic:
         return f"Cyc(N={self.N}, {list(self.coords)})"
 
 
+@lru_cache(maxsize=None)
+def _phi_tail(N: int) -> tuple:
+    """phi(N) and the nonzero (i, c) of Phi_N below its leading term."""
+    phi = cyclotomic_poly(N)
+    d = len(phi) - 1
+    return d, tuple((i, c) for i, c in enumerate(phi[:d]) if c)
+
+
 def _reduce_mod_phi(N: int, coords: list) -> list:
     cs = list(coords)
-    # first fold exponents mod N (zeta^N = 1), then divide by Phi_N
+    # first fold exponents mod N (zeta^N = 1), then divide by Phi_N, whose
+    # zero coefficients (most of them, for N with a repeated prime) are skipped
     if len(cs) > N:
         folded = [0] * N
         for j, c in enumerate(cs):
             folded[j % N] += c
         cs = folded
-    return _divmod_monic(cs, cyclotomic_poly(N))[1]
+    d, tail = _phi_tail(N)
+    for k in range(len(cs) - 1, d - 1, -1):
+        c = cs[k]
+        if c:
+            for i, a in tail:
+                cs[k - d + i] -= c * a
+    return cs[:d]
 
 
 def _coerce(x, N: int) -> Cyclotomic:

@@ -25,13 +25,13 @@ __all__ = ["FiniteGroup", "group_gl", "group_quaternion_quotient"]
 GROUP_ORDER_CAP = 100_000
 
 
-def _generator_inverse(identity, s, mul, order: int, name: str):
-    """The power of s just before the identity, found within `order` steps."""
-    prev, cur = identity, s
+def _check_generator_order(identity, s, mul, order: int, name: str):
+    """Raise unless some power s^k with k <= `order` is the identity."""
+    cur = s
     for _ in range(order):
         if cur == identity:
-            return prev
-        prev, cur = cur, mul(cur, s)
+            return
+        cur = mul(cur, s)
     raise OracleMismatch(f"{name}: powers of a generator miss the identity")
 
 
@@ -41,9 +41,11 @@ class FiniteGroup:
     The closure is built breadth-first by right multiplication, |G| |S|
     products for a generating set S, and must reach exactly `order`
     elements.  The elements are stored sorted; conjugacy classes are ordered
-    by their smallest element index.  Each new element g s gets the inverse
-    s^-1 g^-1, where s^-1 is a power of s, and every g g^-1 = e is checked,
-    so a malformed multiplication rule fails at construction.
+    by their smallest element index.  The inverse of g = s_1 ... s_k is
+    read off the word as e s_k^-1 ... s_1^-1 through the inverted generator
+    permutations, and every g g^-1 = e is checked with one more product, so
+    a malformed multiplication rule fails at construction and a valid one
+    costs |G| (|S| + 1) products.
 
     The closure's products are kept as one index permutation per generator,
     `right[s][i]` = index of elements[i] * s, and each element keeps its
@@ -56,26 +58,35 @@ class FiniteGroup:
         self.name = name or f"group of order {order}"
         self.meta = dict(meta or {})
         gens = tuple(dict.fromkeys(gens))
-        gen_invs = [_generator_inverse(identity, s, mul, order, self.name) for s in gens]
-        # found[t] is the t-th element reached, found_inv[t] its inverse,
+        # found[t] is the t-th element reached,
         # parent[t] = (t', a) with found[t] = found[t'] * gens[a]
-        found, found_inv, parent, ids = [identity], [identity], [None], {identity: 0}
+        found, parent, ids = [identity], [None], {identity: 0}
         right = [[] for _ in gens]          # right[a][t] = id of found[t] * gens[a]
         for t, g in enumerate(found):
-            for a, (s, s_inv) in enumerate(zip(gens, gen_invs)):
+            for a, s in enumerate(gens):
                 h = mul(g, s)
                 u = ids.get(h)
                 if u is None:
                     u = ids[h] = len(found)
                     if u >= order:
+                        # name a generator whose powers run past the order, if one does
+                        for gen in gens:
+                            _check_generator_order(identity, gen, mul, order, self.name)
                         raise OracleMismatch(f"{self.name}: closure exceeds the order {order}")
                     found.append(h)
-                    found_inv.append(mul(s_inv, found_inv[t]))
                     parent.append((t, a))
                 right[a].append(u)
         if len(found) != order:
             raise OracleMismatch(f"{self.name}: closure has {len(found)} elements, "
                                  f"the order is {order}")
+        right_inv = []                      # right_inv[a][u] = id of found[u] * gens[a]^-1
+        for r in right:
+            undo = [None] * order
+            for t, u in enumerate(r):
+                undo[u] = t
+            if None in undo:
+                raise OracleMismatch(f"{self.name}: a generator does not permute the closure")
+            right_inv.append(undo)
         self.elements = tuple(sorted(found))
         self.order = order
         self.index = {g: i for i, g in enumerate(self.elements)}
@@ -89,10 +100,14 @@ class FiniteGroup:
                 perm[new[t]] = new[r[t]]
             if parent[t] is not None:
                 self.parent[new[t]] = (new[parent[t][0]], parent[t][1])
-            h = found_inv[t]
-            if h not in ids or mul(g, h) != identity:
+            # g = s_1 ... s_k, so g^-1 = e s_k^-1 ... s_1^-1
+            h, link = 0, parent[t]
+            while link is not None:
+                h = right_inv[link[1]][h]
+                link = parent[link[0]]
+            if mul(g, found[h]) != identity:
                 raise OracleMismatch(f"{self.name}: {g} has no inverse in the closure")
-            inverse[new[t]] = new[ids[h]]
+            inverse[new[t]] = new[h]
         self.right = tuple(perms)
         self.inverse = tuple(inverse)
 
@@ -235,6 +250,7 @@ def group_quaternion_quotient(q: int) -> FiniteGroup:
     w = alg.uniformizer()
     w_inv = alg.elem([Laurent.zero(alg.big), Laurent.pi(alg.big, -1)])
 
+    @cache
     def to_elem(label):
         i, x = label
         unit = alg.elem([x, 0])

@@ -5,7 +5,9 @@ to pi^Z K_0 by a central root of unity.  For a certified regular elliptic
 argument the character of the induced representation is a finite sum over
 the cosets h with h^{-1} g h in pi^Z K_0; the certificate leaves one stable
 lattice class, which `counting.stable_lattice_reduction` finds, so
-`hc_character` reads one table value.  The same number is an average
+`hc_character` reads one table value.  That reduction depends only on the
+argument, so `jl_match` computes it once per elliptic class and passes it to
+every cuspidal row's evaluation.  The same number is an average
 of level-1 fixed-coset counts: summing count(g, c, 1) * chi(c) over GL_n(F_q),
 with c the constant lifts, gives |GL_n(F_q)| times the conjugate of this
 character, which the tests check on both counting routes.
@@ -19,11 +21,10 @@ aligned by reduced characteristic polynomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 
 from .certify import EllipticCertificate, regular_elliptic_certify
-from .chartab import CharacterTable, character_table, cuspidal_characters
+from .chartab import CharacterTable, character_table, check_table_order, cuspidal_characters
 from .counting import stable_lattice_reduction
 from .cyclotomic import Cyclotomic
 from .errors import JL_Q_CAP, CapExceeded, Inconclusive, OracleMismatch, PreconditionError
@@ -42,7 +43,6 @@ def _root_power(c: Cyclotomic, a: int) -> Cyclotomic:
     return out
 
 
-@dataclass(frozen=True)
 class InducedCharSpec:
     """A character of pi^Z K_0: row `row` of `table` (a table of GL_n(o/pi))
     inflated through K_0 -> GL_n(o/pi), sending the scalar pi to `central`.
@@ -50,27 +50,28 @@ class InducedCharSpec:
     value.
     """
 
-    table: CharacterTable
-    row: int
-    central: Cyclotomic = _ONE
+    __slots__ = ("table", "row", "central")
 
-    def __post_init__(self):
-        meta = self.table.group.meta
+    def __init__(self, table: CharacterTable, row: int, central: Cyclotomic = _ONE):
+        meta = table.group.meta
         if meta.get("kind") != "gl" or meta.get("m") != 1:
             raise PreconditionError("the inducing table must be one of GL_n(o/pi)")
-        if not 0 <= self.row < len(self.table.degrees):
+        if not 0 <= row < len(table.degrees):
             raise PreconditionError("character row out of range")
-        if self.central * self.central.conjugate() != _ONE:
+        if central * central.conjugate() != _ONE:
             raise PreconditionError("the central value must be a root of unity")
+        self.table, self.row, self.central = table, row, central
 
 
-def hc_character(spec: InducedCharSpec, g,
-                 cert: EllipticCertificate | None = None) -> Cyclotomic:
+def hc_character(spec: InducedCharSpec, g, cert: EllipticCertificate | None = None,
+                 reduction=None) -> Cyclotomic:
     """Character of c-Ind(lambda) at a certified regular elliptic g.
 
     Evaluates sum_{h in G/pi^Z K_0, h^-1 g h in pi^Z K_0} lambda(h^-1 g h).
     Certification keeps the support finite and pins it to the single stable
-    lattice class.
+    lattice class.  `reduction` is `stable_lattice_reduction(g, 1, cert)`
+    when the caller already holds it; without it the reduction is computed
+    here.
     """
     field = g[0][0].field
     n = len(g)
@@ -85,33 +86,44 @@ def hc_character(spec: InducedCharSpec, g,
     if cert.det_val % n:
         # pi^Z-normalization impossible, the support is empty
         return Cyclotomic.zero()
-    _, Vbar, zp_int = stable_lattice_reduction(g, 1, cert)
+    if reduction is None:
+        reduction = stable_lattice_reduction(g, 1, cert)
+    _, Vbar, zp_int = reduction
     row = spec.table.values[spec.row]
     return _root_power(spec.central, zp_int) * row[grp.class_of[grp.index[Vbar]]]
 
 
-@dataclass(frozen=True)
 class EllipticClassRecord:
     """A regular elliptic class of the quaternion unit quotient, with its
-    matched companion matrix over F_q((pi))."""
+    matched companion matrix over F_q((pi)).
 
-    class_index: int
-    label: tuple
-    kind: str                  # "unit" or "uniformizer"
-    g_matrix: tuple
-    certificate: EllipticCertificate
+    kind is "unit" or "uniformizer".  `reduction` is the class's
+    `stable_lattice_reduction` at level 1, or None when v(det) is not a
+    multiple of n and no lattice is stable.
+    """
+
+    __slots__ = ("class_index", "label", "kind", "g_matrix", "certificate", "reduction")
+
+    def __init__(self, class_index: int, label: tuple, kind: str, g_matrix: tuple,
+                 certificate: EllipticCertificate, reduction):
+        self.class_index, self.label, self.kind = class_index, label, kind
+        self.g_matrix, self.certificate, self.reduction = g_matrix, certificate, reduction
 
 
-@dataclass(frozen=True)
 class JLMatchResult:
-    q: int
-    convention: str
-    pairs: tuple               # (cuspidal row in table_g, row in table_b)
-    elliptic: tuple            # EllipticClassRecord per compared class
-    pi_values: dict            # cuspidal row -> tuple of values per class
-    rho_values: dict           # quotient row -> tuple of values per class
-    table_g: CharacterTable
-    table_b: CharacterTable
+    """pairs holds (cuspidal row in table_g, row in table_b); elliptic one
+    EllipticClassRecord per compared class; pi_values and rho_values map a
+    row of table_g and of table_b to its tuple of values per class."""
+
+    __slots__ = ("q", "convention", "pairs", "elliptic", "pi_values", "rho_values",
+                 "table_g", "table_b")
+
+    def __init__(self, q: int, convention: str, pairs: tuple, elliptic: tuple,
+                 pi_values: dict, rho_values: dict, table_g: CharacterTable,
+                 table_b: CharacterTable):
+        self.q, self.convention, self.pairs, self.elliptic = q, convention, pairs, elliptic
+        self.pi_values, self.rho_values = pi_values, rho_values
+        self.table_g, self.table_b = table_g, table_b
 
     def summary(self) -> dict:
         # both values of a check as integer coordinates at one shared conductor
@@ -142,7 +154,8 @@ def elliptic_quotient_classes(group) -> tuple:
     its reduced characteristic polynomial computed honestly in the algebra
     and the companion matrix of that polynomial over F_q((pi)) attached.
     Classes whose polynomial fails certification (the residue-split units)
-    are left out.
+    are left out.  Each class with v(det) divisible by 2 gets its stable
+    lattice reduction, once.
     """
     meta = group.meta
     if meta.get("kind") != "quaternion":
@@ -157,12 +170,14 @@ def elliptic_quotient_classes(group) -> tuple:
             cert = regular_elliptic_certify(pol)
         except Inconclusive:
             continue
+        g = companion(alg.small, pol)
         out.append(EllipticClassRecord(
             class_index=ci,
             label=(i, x),
             kind="unit" if i == 0 else "uniformizer",
-            g_matrix=companion(alg.small, pol),
+            g_matrix=g,
             certificate=cert,
+            reduction=None if cert.det_val % 2 else stable_lattice_reduction(g, 1, cert),
         ))
     q = meta["q"]
     want = q * (q - 1) // 2 + (q - 1)
@@ -189,6 +204,8 @@ def jl_match(q: int, cap_q: int = JL_Q_CAP) -> JLMatchResult:
     """
     if q > cap_q:
         raise CapExceeded(f"matching is capped at q <= {cap_q}")
+    # |GL_2(F_q)|, refused before the group is built
+    check_table_order((q * q - 1) * (q * q - q))
     grp_g = group_gl(2, q, 1)
     table_g = character_table(grp_g)
     cuspidal_rows = cuspidal_characters(table_g)
@@ -200,7 +217,8 @@ def jl_match(q: int, cap_q: int = JL_Q_CAP) -> JLMatchResult:
     for r in cuspidal_rows:
         spec = InducedCharSpec(table_g, r)
         pi_values[r] = tuple(
-            hc_character(spec, rec.g_matrix, cert=rec.certificate)
+            hc_character(spec, rec.g_matrix, cert=rec.certificate,
+                         reduction=rec.reduction)
             for rec in elliptic)
     rho_values = {
         s: tuple(table_b.values[s][rec.class_index] for rec in elliptic)
@@ -212,11 +230,12 @@ def jl_match(q: int, cap_q: int = JL_Q_CAP) -> JLMatchResult:
     for r in cuspidal_rows:
         survivors = []
         best = (-1, None, None)    # (#classes passed, row, first failing class)
+        want = [-v for v in pi_values[r]]
         for s, vals in rho_values.items():
             passed = 0
             failing = None
             for k, rec in enumerate(elliptic):
-                if vals[k] == -pi_values[r][k]:
+                if vals[k] == want[k]:
                     passed += 1
                 elif failing is None:
                     failing = rec

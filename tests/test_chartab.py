@@ -156,6 +156,19 @@ def test_a_missed_eigenvalue_is_caught(monkeypatch):
         character_table(group_gl(2, 3, 1))
 
 
+def test_a_split_block_that_is_not_invariant_is_caught(monkeypatch):
+    # each eigenspace is replaced by as many coordinate vectors, so a later
+    # class-sum matrix moves a vector out of its block
+    kernel = chartab._kernel_mod_p
+
+    def coordinate_kernel(rows, p):
+        return [[int(i == j) for i in range(len(rows[0]))] for j in range(len(kernel(rows, p)))]
+
+    monkeypatch.setattr(chartab, "_kernel_mod_p", coordinate_kernel)
+    with pytest.raises(OracleMismatch, match="does not preserve a split subspace"):
+        character_table(group_gl(2, 3, 1))
+
+
 @pytest.mark.parametrize("n,q,classes", [(3, 3, 24), (4, 2, 14)])
 def test_larger_gl_tables_verify_with_the_cap_raised(monkeypatch, n, q, classes):
     monkeypatch.setattr(chartab, "TABLE_ORDER_CAP", 25_000)

@@ -1,16 +1,16 @@
 """End-to-end command driver checks through main()."""
 
-import dataclasses
 import json
 import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from leveltower import cli, counting, division, rings, serialize, strata
+from leveltower import cli, counting, division, induced, rings, serialize, strata
 from leveltower.errors import (
     CapExceeded,
     NotAFlag,
@@ -574,7 +574,7 @@ def test_count_routes_that_disagree_exit_4(capsys, monkeypatch):
 
     def one_too_many(b, g, m):
         res = brute(b, g, m)
-        return dataclasses.replace(res, count=res.count + 1)
+        return counting.CountResult(res.count + 1, res.stable)
 
     monkeypatch.setattr(division, "count_brute", one_too_many)
     code, out, err = run(capsys, *COUNT_ARGV)
@@ -620,6 +620,27 @@ def test_count_refuses_past_the_lattice_visit_cap(capsys, monkeypatch):
 def test_jl_cap_exit(capsys):
     code, out, err = run(capsys, "jl", "--q", "5")
     assert code == 3
+
+
+JL_TABLE_CAP_ERR = "error: group order 61200 exceeds the table cap 5000\n"
+
+
+def test_jl_table_cap_is_checked_before_the_group_is_built(capsys, monkeypatch):
+    def unbuilt(*args):
+        raise AssertionError("GL_2(F_q) was built")
+
+    monkeypatch.setattr(induced, "group_gl", unbuilt)
+    code, out, err = run(capsys, "jl", "--q", "16", "--jl-q-cap", "16")
+    assert (code, out, err) == (3, "", JL_TABLE_CAP_ERR)
+
+
+def test_jl_table_cap_refuses_a_fresh_process_at_once():
+    # refused from the order of GL_2(F_16) alone; building it takes about 2 s
+    start = time.perf_counter()
+    proc = _fresh_cli("jl", "--q", "16", "--jl-q-cap", "16")
+    elapsed = time.perf_counter() - start
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", JL_TABLE_CAP_ERR)
+    assert elapsed < 0.5
 
 
 def test_jl_command_values(capsys):

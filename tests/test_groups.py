@@ -63,6 +63,34 @@ def test_closure_order_must_match_exactly(gens, order, message):
         FiniteGroup(0, gens, _cyclic_six, order)
 
 
+def _cyclic_four_broken(a, b):
+    # Z/4 except that 1 * 2 = 1: 2 still has order 2, but right
+    # multiplication by 2 sends both 1 and 3 to 1
+    return 1 if (a, b) == (1, 2) else (a + b) % 4
+
+
+def test_a_generator_that_does_not_permute_the_closure_is_caught():
+    with pytest.raises(OracleMismatch, match="a generator does not permute the closure"):
+        FiniteGroup(0, [1, 2], _cyclic_four_broken, 4)
+
+
+def test_closure_makes_one_product_per_generator_and_one_inverse_check(monkeypatch):
+    # |G| |S| closure products and |G| checks g g^-1 = e; the inverses
+    # themselves cost no product
+    matmul = ChainRing.matmul
+    calls = 0
+
+    def counted(self, a, b):
+        nonlocal calls
+        calls += 1
+        return matmul(self, a, b)
+
+    monkeypatch.setattr(ChainRing, "matmul", counted)
+    g = group_gl.__wrapped__(2, 4, 1)
+    assert (g.order, len(g.right)) == (180, 3)
+    assert calls == g.order * (len(g.right) + 1) == 720
+
+
 def _quaternion_product(q):
     """(i, x)(j, y) = x w^i y w^j = x sigma^i(y) w^(i+j), sigma the q-power
     Frobenius of F_{q^2}, and w^2 = pi lies in the identity coset."""

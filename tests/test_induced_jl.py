@@ -6,7 +6,7 @@ import pytest
 
 from conftest import brute_hc_character, counting_suite, random_unit_matrix, root_of_unity
 
-from leveltower import counting
+from leveltower import counting, induced
 from leveltower.chartab import character_table, cuspidal_characters
 from leveltower.counting import count_brute, count_structured
 from leveltower.cyclotomic import Cyclotomic
@@ -179,6 +179,25 @@ def test_jl_match_q3():
             assert got_rho == Cyclotomic.from_rational(-1) * got_pi
     # rows pair off bijectively
     assert len({b for _, b in result.pairs}) == len(result.pairs)
+
+
+@pytest.mark.parametrize("q,reductions,evaluations", [(3, 3, 15), (4, 6, 54)])
+def test_jl_match_reduces_each_class_once(monkeypatch, q, reductions, evaluations):
+    # one stable-lattice reduction per unit class (the uniformizer classes
+    # have odd v(det) and none), and one evaluation per (cuspidal row, class)
+    calls = {"reduce": 0, "evaluate": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(induced, "stable_lattice_reduction",
+                        counted("reduce", induced.stable_lattice_reduction))
+    monkeypatch.setattr(induced, "hc_character", counted("evaluate", induced.hc_character))
+    jl_match(q)
+    assert calls == {"reduce": reductions, "evaluate": evaluations}
 
 
 def test_jl_match_respects_cap():
