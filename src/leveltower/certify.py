@@ -10,6 +10,7 @@ are missed, and the callers treat that as a refusal, not a result.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -19,22 +20,19 @@ from .laurent import Laurent
 from .matrices import det
 
 
+@dataclass
 class EllipticCertificate:
-    """A proof object: the extension F[g] is a degree-n field, with this shape.
+    """A proof object: the extension F[g] is a degree-n field, with this shape."""
 
-    kind is "unramified" or "ramified", e the ramification index of F[g]/F,
-    f the residual degree, det_val the valuation of the constant
-    coefficient and slope the common valuation of the roots.
-    """
-
-    __slots__ = ("degree", "kind", "e", "f", "eisenstein", "det_val", "slope",
-                 "separable", "disc_val")
-
-    def __init__(self, degree: int, kind: str, e: int, f: int, eisenstein: bool,
-                 det_val: int, slope: Fraction, separable: bool, disc_val: int | None):
-        self.degree, self.kind, self.e, self.f = degree, kind, e, f
-        self.eisenstein, self.det_val, self.slope = eisenstein, det_val, slope
-        self.separable, self.disc_val = separable, disc_val
+    degree: int
+    kind: str              # "unramified" or "ramified"
+    e: int                 # ramification index of F[g]/F
+    f: int                 # residual degree
+    eisenstein: bool
+    det_val: int           # valuation of the constant coefficient
+    slope: Fraction        # common valuation of the roots
+    separable: bool
+    disc_val: int | None
 
     def summary(self) -> dict:
         return {

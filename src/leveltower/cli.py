@@ -599,12 +599,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_PRECONDITION, f"error: {message}\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser; with `only`, the one subcommand it names.
+
+    A subcommand's parser does not depend on the others, so `main` builds
+    just the one that its arguments name.
+    """
     parser = _Parser(
         prog="leveltower",
         description="Exact arithmetic for level towers, strata, and depth-zero matching.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
+        if only is not None and name != only:
+            continue
         # flags are matched by their full spelling only: `--rank` is not `--rank-cap`
         p = sub.add_parser(name, help=command.help, allow_abbrev=False)
         p.add_argument("--config", help="flat key=value configuration file")
@@ -619,7 +626,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     command = COMMANDS[args.command]
     try:

@@ -35,6 +35,7 @@ disagree, and the test suite compares them on randomized instances.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .certify import EllipticCertificate, regular_elliptic_certify
@@ -93,11 +94,10 @@ def _z_prime(b):
     return Fraction(d.valuation(), n)
 
 
+@dataclass
 class CountResult:
-    __slots__ = ("count", "stable")
-
-    def __init__(self, count: int, stable: bool = True):
-        self.count, self.stable = count, stable
+    count: int
+    stable: bool = True
 
 
 def _triangular_inverse(H):

@@ -19,14 +19,19 @@ CONDUCTOR_CAP = 10_000
 
 
 def _divmod_monic(a: list, b: tuple) -> tuple[list, list]:
-    """Quotient and remainder of a by the monic b, coefficients low degree first."""
+    """Quotient and remainder of a by the monic b, coefficients low degree first.
+
+    Only the nonzero coefficients of b are visited: most of Phi_N's are zero
+    when N has a repeated prime factor.
+    """
     rem = list(a)
     d = len(b) - 1
+    terms = [(i, bi) for i, bi in enumerate(b) if bi]
     quo = [0] * (len(rem) - d)
     for k in range(len(quo) - 1, -1, -1):
         c = quo[k] = rem[k + d]
         if c:
-            for i, bi in enumerate(b):
+            for i, bi in terms:
                 rem[k + i] -= c * bi
     return quo, rem[:d]
 
@@ -178,30 +183,15 @@ class Cyclotomic:
         return f"Cyc(N={self.N}, {list(self.coords)})"
 
 
-@lru_cache(maxsize=None)
-def _phi_tail(N: int) -> tuple:
-    """phi(N) and the nonzero (i, c) of Phi_N below its leading term."""
-    phi = cyclotomic_poly(N)
-    d = len(phi) - 1
-    return d, tuple((i, c) for i, c in enumerate(phi[:d]) if c)
-
-
 def _reduce_mod_phi(N: int, coords: list) -> list:
     cs = list(coords)
-    # first fold exponents mod N (zeta^N = 1), then divide by Phi_N, whose
-    # zero coefficients (most of them, for N with a repeated prime) are skipped
+    # first fold exponents mod N (zeta^N = 1), then divide by Phi_N
     if len(cs) > N:
         folded = [0] * N
         for j, c in enumerate(cs):
             folded[j % N] += c
         cs = folded
-    d, tail = _phi_tail(N)
-    for k in range(len(cs) - 1, d - 1, -1):
-        c = cs[k]
-        if c:
-            for i, a in tail:
-                cs[k - d + i] -= c * a
-    return cs[:d]
+    return _divmod_monic(cs, cyclotomic_poly(N))[1]
 
 
 def _coerce(x, N: int) -> Cyclotomic:

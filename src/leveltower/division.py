@@ -24,6 +24,8 @@ the companion matrix of its reduced characteristic polynomial; a
 disagreement between them is an OracleMismatch.
 """
 
+from dataclasses import dataclass
+
 from .certify import EllipticCertificate, regular_elliptic_certify
 from .counting import CountResult, count_brute, count_structured
 from .errors import OracleMismatch, PreconditionError
@@ -290,16 +292,16 @@ def projective_fixed_points(alg: DivisionAlgebra, b: DElem, pol,
     return lines
 
 
+@dataclass(frozen=True)
 class TotalFixedReport:
     """Total fixed-point count on both routes, each n times its per-fiber
     count, with the certificate of b's reduced characteristic polynomial."""
 
-    __slots__ = ("n", "structured", "brute", "line_count", "certificate")
-
-    def __init__(self, n: int, structured: CountResult, brute: CountResult,
-                 line_count: int | None, certificate: EllipticCertificate):
-        self.n, self.structured, self.brute = n, structured, brute
-        self.line_count, self.certificate = line_count, certificate
+    n: int
+    structured: CountResult
+    brute: CountResult
+    line_count: int | None
+    certificate: EllipticCertificate
 
     @property
     def per_fiber(self) -> int:

@@ -21,6 +21,7 @@ aligned by reduced characteristic polynomial.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from math import lcm
 
 from .certify import EllipticCertificate, regular_elliptic_certify
@@ -28,6 +29,7 @@ from .chartab import CharacterTable, character_table, check_table_order, cuspida
 from .counting import stable_lattice_reduction
 from .cyclotomic import Cyclotomic
 from .errors import JL_Q_CAP, CapExceeded, Inconclusive, OracleMismatch, PreconditionError
+from .formal import gl_order
 from .groups import group_gl, group_quaternion_quotient
 from .matrices import charpoly, companion
 
@@ -43,6 +45,7 @@ def _root_power(c: Cyclotomic, a: int) -> Cyclotomic:
     return out
 
 
+@dataclass(frozen=True)
 class InducedCharSpec:
     """A character of pi^Z K_0: row `row` of `table` (a table of GL_n(o/pi))
     inflated through K_0 -> GL_n(o/pi), sending the scalar pi to `central`.
@@ -50,17 +53,18 @@ class InducedCharSpec:
     value.
     """
 
-    __slots__ = ("table", "row", "central")
+    table: CharacterTable
+    row: int
+    central: Cyclotomic = _ONE
 
-    def __init__(self, table: CharacterTable, row: int, central: Cyclotomic = _ONE):
-        meta = table.group.meta
+    def __post_init__(self):
+        meta = self.table.group.meta
         if meta.get("kind") != "gl" or meta.get("m") != 1:
             raise PreconditionError("the inducing table must be one of GL_n(o/pi)")
-        if not 0 <= row < len(table.degrees):
+        if not 0 <= self.row < len(self.table.degrees):
             raise PreconditionError("character row out of range")
-        if central * central.conjugate() != _ONE:
+        if self.central * self.central.conjugate() != _ONE:
             raise PreconditionError("the central value must be a root of unity")
-        self.table, self.row, self.central = table, row, central
 
 
 def hc_character(spec: InducedCharSpec, g, cert: EllipticCertificate | None = None,
@@ -93,37 +97,31 @@ def hc_character(spec: InducedCharSpec, g, cert: EllipticCertificate | None = No
     return _root_power(spec.central, zp_int) * row[grp.class_of[grp.index[Vbar]]]
 
 
+@dataclass(frozen=True)
 class EllipticClassRecord:
     """A regular elliptic class of the quaternion unit quotient, with its
-    matched companion matrix over F_q((pi)).
-
-    kind is "unit" or "uniformizer".  `reduction` is the class's
+    matched companion matrix over F_q((pi)).  `reduction` is the class's
     `stable_lattice_reduction` at level 1, or None when v(det) is not a
-    multiple of n and no lattice is stable.
-    """
+    multiple of n and no lattice is stable."""
 
-    __slots__ = ("class_index", "label", "kind", "g_matrix", "certificate", "reduction")
+    class_index: int
+    label: tuple
+    kind: str                  # "unit" or "uniformizer"
+    g_matrix: tuple
+    certificate: EllipticCertificate
+    reduction: tuple | None
 
-    def __init__(self, class_index: int, label: tuple, kind: str, g_matrix: tuple,
-                 certificate: EllipticCertificate, reduction):
-        self.class_index, self.label, self.kind = class_index, label, kind
-        self.g_matrix, self.certificate, self.reduction = g_matrix, certificate, reduction
 
-
+@dataclass(frozen=True)
 class JLMatchResult:
-    """pairs holds (cuspidal row in table_g, row in table_b); elliptic one
-    EllipticClassRecord per compared class; pi_values and rho_values map a
-    row of table_g and of table_b to its tuple of values per class."""
-
-    __slots__ = ("q", "convention", "pairs", "elliptic", "pi_values", "rho_values",
-                 "table_g", "table_b")
-
-    def __init__(self, q: int, convention: str, pairs: tuple, elliptic: tuple,
-                 pi_values: dict, rho_values: dict, table_g: CharacterTable,
-                 table_b: CharacterTable):
-        self.q, self.convention, self.pairs, self.elliptic = q, convention, pairs, elliptic
-        self.pi_values, self.rho_values = pi_values, rho_values
-        self.table_g, self.table_b = table_g, table_b
+    q: int
+    convention: str
+    pairs: tuple               # (cuspidal row in table_g, row in table_b)
+    elliptic: tuple            # EllipticClassRecord per compared class
+    pi_values: dict            # cuspidal row -> tuple of values per class
+    rho_values: dict           # quotient row -> tuple of values per class
+    table_g: CharacterTable
+    table_b: CharacterTable
 
     def summary(self) -> dict:
         # both values of a check as integer coordinates at one shared conductor
@@ -204,8 +202,7 @@ def jl_match(q: int, cap_q: int = JL_Q_CAP) -> JLMatchResult:
     """
     if q > cap_q:
         raise CapExceeded(f"matching is capped at q <= {cap_q}")
-    # |GL_2(F_q)|, refused before the group is built
-    check_table_order((q * q - 1) * (q * q - q))
+    check_table_order(gl_order(2, q))
     grp_g = group_gl(2, q, 1)
     table_g = character_table(grp_g)
     cuspidal_rows = cuspidal_characters(table_g)

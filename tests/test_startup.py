@@ -57,18 +57,6 @@ def test_an_uncached_tower_loads_only_the_tower_path(added):
     assert not (others | {"dataclasses", "hashlib"}) & set(added["command"])
 
 
-@pytest.mark.parametrize("argv", [
-    ("jl", "--q", "3"),
-    ("count", "--q", "2", "--n", "2", "--m", "1", "--b", "x:2", "--g", "companion:T^2+T+1"),
-    ("strata-action", "--q", "2", "--n", "3", "--g", "companion:T^3+T+1", "--scan-m", "3"),
-], ids=["jl", "count", "strata-action"])
-def test_computing_commands_load_no_dataclasses_and_no_inspect(argv):
-    # every record on these paths is a plain `__slots__` class
-    added = run_fresh(*argv)
-    assert added["code"] == 0
-    assert not {"dataclasses", "inspect"} & set(added["command"])
-
-
 @pytest.mark.parametrize("command", ["strata", "flags"])
 def test_label_commands_load_no_dataclasses_and_no_counting(command):
     # a label is the echelon pair of tuples, so neither command builds a
