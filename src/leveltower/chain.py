@@ -262,23 +262,21 @@ _gl_cache: dict[tuple, list] = {}
 
 
 def gl_elements(ch: ChainRing, n: int):
-    """All invertible n x n matrices over o/pi^m in lexicographic order of
-    their entries, cached.
+    """All invertible n x n matrices over the residue ring o/pi (m = 1), in
+    lexicographic order of their entries, cached.
 
-    A matrix is invertible exactly when its reduction mod pi is, so one
-    determinant per residue matrix (entries below q, q^(n^2) of them)
-    decides the scan.  For m >= 2 each invertible residue matrix is lifted
-    in every way, an entry with residue r taking the codes r, r + q,
-    r + 2q, ..., and the lifts are sorted.  The raw scan has q^(m n^2)
-    candidates; anything past the cap raises, cached or not, so callers can
-    fall back or refuse loudly.  `counting._frame_count` lists only the
-    residue units, at m = 1.  `groups.group_gl` is built as a closure from
-    generators instead; the tests compare its element list with this one.
+    The scan has q^(n^2) candidates; anything past the cap raises, cached
+    or not, so callers can fall back or refuse loudly.
+    `counting._frame_count` lists the residue units with it.
+    `groups.group_gl` is built as a closure from generators instead; the
+    tests compare its element list with this one.
     """
+    if ch.m != 1:
+        raise PreconditionError("gl_elements lists units of the residue ring only")
     total = ch.size ** (n * n)
     if total > _GL_CAP:
         raise CapExceeded(f"unit group scan size {total} exceeds cap {_GL_CAP}")
-    key = (ch.q, ch.m, n)
+    key = (ch.q, n)
     if key in _gl_cache:
         return _gl_cache[key]
     out = []
@@ -286,10 +284,5 @@ def gl_elements(ch: ChainRing, n: int):
         M = tuple(flat[i * n:(i + 1) * n] for i in range(n))
         if ch.is_unit(ch.det(M)):
             out.append(M)
-    if ch.m > 1:
-        lifts = [range(r, ch.size, ch.q) for r in range(ch.q)]
-        out = sorted(tuple(flat[i * n:(i + 1) * n] for i in range(n))
-                     for M in out
-                     for flat in product(*(lifts[r] for row in M for r in row)))
     _gl_cache[key] = out
     return out

@@ -4,16 +4,17 @@ The table is found over a prime field F_p with p = 1 (mod exponent) and
 p > 2*sqrt(|G|) (Dixon, Numer. Math. 10 (1967)).  The class-sum
 coefficients, element orders and power maps are read off the group's
 right-multiplication permutations of the class representatives, with no
-group product.  The class-sum matrices are simultaneously diagonalized over
-F_p: each block is split at the roots of its characteristic polynomial,
-taken by Hessenberg reduction.  Degrees are recovered from the second
-orthogonality relation, and the mod-p character values are lifted to exact
-cyclotomic integers by Fourier inversion over each element order, with the
-powers of the root of unity read from one table.  Both orthogonality
-relations are then re-verified exactly; any failure raises, it is never
-papered over.
+group product; the exponent is the lcm of those orders.  The class-sum
+matrices are diagonalized together over F_p: each block is split at the
+roots of its characteristic polynomial, taken by Hessenberg reduction.
+Degrees are recovered from the second orthogonality relation, and the
+mod-p character values are lifted to exact cyclotomic integers by Fourier
+inversion over each element order, with the powers of the root of unity
+read from one table.  Both orthogonality relations are then re-verified
+exactly; any failure raises, it is never papered over.
 """
 
+from math import lcm
 from operator import mul
 
 from .cyclotomic import Cyclotomic
@@ -218,10 +219,6 @@ def character_table(group: FiniteGroup) -> CharacterTable:
     """The complete exact character table, verified against both orthogonality laws."""
     check_table_order(group.order)
     k = len(group.classes)
-    e = group.exponent
-    p = _choose_prime(e, group.order)
-    omega = pow(_primitive_root(p), (p - 1) // e, p)
-
     cls_of = group.class_of
     sizes = group.class_sizes
     inverse = group.inverse
@@ -240,8 +237,11 @@ def character_table(group: FiniteGroup) -> CharacterTable:
             pm.append(cls_of[cur])
             cur = perm[cur]
         powmaps.append(pm)
+    e = lcm(*map(len, powmaps))
+    p = _choose_prime(e, group.order)
+    omega = pow(_primitive_root(p), (p - 1) // e, p)
 
-    # simultaneous diagonalization over F_p: each block is split along the
+    # joint diagonalization over F_p: each block is split along the
     # eigenspaces of one class-sum matrix at the roots of its characteristic polynomial
     spaces = [([[1 if a == b else 0 for b in range(k)] for a in range(k)],
                list(range(k)))]

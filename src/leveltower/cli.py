@@ -26,7 +26,6 @@ from typing import Callable, NamedTuple
 
 from .errors import (
     DEFAULT_RANK_CAP,
-    JL_Q_CAP,
     CapExceeded,
     NonExactDivision,
     NotAFlag,
@@ -40,13 +39,6 @@ EXIT_OK = 0
 EXIT_PRECONDITION = 2
 EXIT_CAP = 3
 EXIT_MISMATCH = 4
-
-EXIT_CODES = {
-    "success": EXIT_OK,
-    "precondition": EXIT_PRECONDITION,
-    "cap": EXIT_CAP,
-    "mismatch": EXIT_MISMATCH,
-}
 
 
 def exit_code_for(exc: BaseException) -> int | None:
@@ -69,7 +61,6 @@ class RunConfig:
     prec: int | None = None
     u_spec: str | None = None
     rank_cap: int = DEFAULT_RANK_CAP
-    jl_q_cap: int = JL_Q_CAP
     scan_m: int = 3
     cache_dir: str | None = None
     format: str = "json"
@@ -80,9 +71,8 @@ class RunConfig:
         out["format"] = self.format
         if self.format not in ("json", "csv", "text"):
             raise PreconditionError(f"unknown output format {self.format!r}")
-        for key in ("rank_cap", "jl_q_cap"):
-            if out.get(key, 1) <= 0:
-                raise PreconditionError(f"cap {key} must be positive")
+        if out.get("rank_cap", 1) <= 0:
+            raise PreconditionError("cap rank_cap must be positive")
         if out.get("n", 1) < 1:
             raise PreconditionError("height n must be >= 1")
         if out.get("scan_m", 1) < 1:
@@ -105,7 +95,7 @@ class RunConfig:
         return out
 
 
-_INT_KEYS = {"q", "n", "m", "prec", "rank_cap", "jl_q_cap", "scan_m"}
+_INT_KEYS = {"q", "n", "m", "prec", "rank_cap", "scan_m"}
 
 
 def _int(tok: str, what: str, bound: int | None = None) -> int:
@@ -420,7 +410,7 @@ def cmd_flag_of_point(cfg: RunConfig, path: str) -> dict:
 
 def cmd_jl(cfg: RunConfig) -> dict:
     from .induced import jl_match
-    result = jl_match(cfg.q, cap_q=cfg.jl_q_cap)
+    result = jl_match(cfg.q)
     doc = result.summary()
     doc["cuspidal_count"] = len(result.pairs)
     doc["degrees_g"] = list(result.table_g.degrees)
@@ -430,7 +420,7 @@ def cmd_jl(cfg: RunConfig) -> dict:
 
 def cmd_selftest(cfg: RunConfig) -> dict:
     """A quick battery of cross-checked identities; any failure raises."""
-    from .chartab import character_table, cuspidal_characters
+    from .chartab import TABLE_ORDER_CAP, character_table, cuspidal_characters
     from .counting import count_brute, count_structured
     from .formal import build_tower, check_level, gl_order
     from .fq import FqField
@@ -475,8 +465,8 @@ def cmd_selftest(cfg: RunConfig) -> dict:
                    for i in r for j in r for k in r))
     record("normal form idempotence", all(p.nf() == p.nf().nf() for row in prod for p in row))
 
-    tab = character_table(group_gl(2, cfg.q, 1)) if cfg.q <= JL_Q_CAP else None
-    if tab is not None:
+    if gl_order(2, cfg.q) <= TABLE_ORDER_CAP:
+        tab = character_table(group_gl(2, cfg.q, 1))
         record(f"cuspidal count q={cfg.q}",
                len(cuspidal_characters(tab)) == cfg.q * (cfg.q - 1) // 2)
     jl = jl_match(2)
@@ -587,7 +577,7 @@ COMMANDS = {
     "flags": Command(cmd_flags, "count full flags of labels", ("q", "n", "m")),
     "flag-of-point": Command(cmd_flag_of_point, "flag of a value table read from a file", (),
                              (("table", "value-table file"),)),
-    "jl": Command(cmd_jl, "depth-zero character matching", ("q", "jl_q_cap")),
+    "jl": Command(cmd_jl, "depth-zero character matching", ("q",)),
     "selftest": Command(cmd_selftest, "run the built-in battery", ("q",)),
 }
 

@@ -122,12 +122,6 @@ class Cyclotomic:
     def __neg__(self):
         return Cyclotomic(self.N, [-c for c in self.coords])
 
-    def __sub__(self, other):
-        return self + (-_coerce(other, self.N))
-
-    def __rsub__(self, other):
-        return _coerce(other, self.N) - self
-
     def __mul__(self, other):
         other = _coerce(other, self.N)
         a, b = Cyclotomic._common(self, other)
@@ -155,14 +149,6 @@ class Cyclotomic:
     def is_zero(self) -> bool:
         return not any(self.coords)
 
-    def is_rational(self) -> bool:
-        return not any(self.coords[1:])
-
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise PreconditionError("value is not rational")
-        return self.coords[0] if self.coords else Fraction(0)
-
     def __eq__(self, other):
         if not isinstance(other, Cyclotomic):
             try:
@@ -178,8 +164,6 @@ class Cyclotomic:
                         for j, c in enumerate(self.coords) if c))
 
     def __repr__(self):
-        if self.is_rational():
-            return f"Cyc({self.as_rational()})"
         return f"Cyc(N={self.N}, {list(self.coords)})"
 
 

@@ -57,22 +57,8 @@ class DElem:
     def __add__(self, other):
         return DElem(self.alg, [a + b for a, b in zip(self.coords, other.coords)])
 
-    def __neg__(self):
-        return DElem(self.alg, [-a for a in self.coords])
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         return self.alg.mul(self, other)
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise PreconditionError("negative powers are not supported")
-        acc = self.alg.one()
-        for _ in range(k):
-            acc = self.alg.mul(acc, self)
-        return acc
 
     def __eq__(self, other):
         return (isinstance(other, DElem) and self.alg is other.alg
@@ -137,9 +123,6 @@ class DivisionAlgebra:
                 c = self.lift_scalar(c)
             fixed.append(c)
         return DElem(self, fixed)
-
-    def one(self) -> DElem:
-        return self.elem([1] + [0] * (self.n - 1))
 
     def teichmuller(self, code: int) -> DElem:
         """The constant x in F_{q^n} embedded in the w^0 slot."""

@@ -1,13 +1,12 @@
-"""Error taxonomy shared by the whole package, and the caps the CLI echoes.
+"""Error taxonomy shared by the whole package, and the rank cap the CLI echoes.
 
 Every failure mode that callers are expected to handle gets its own class;
-the CLI maps them onto the exit-code contract (see cli.EXIT_CODES).  The
-default caps live here, beside CapExceeded, so that the CLI can report them
-without importing the modules that enforce them.
+`cli.exit_code_for` maps them onto the exit-code contract in the `cli`
+docstring.  The default rank cap lives here, beside CapExceeded, so that
+the CLI can report it without importing `formal`, which enforces it.
 """
 
 DEFAULT_RANK_CAP = 5000  # formal.build_tower: ring rank of the top stage
-JL_Q_CAP = 4             # induced.jl_match: largest q matched
 
 
 class LevelTowerError(Exception):

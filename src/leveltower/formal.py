@@ -19,7 +19,7 @@ from itertools import product
 from math import prod
 
 from .chain import ChainRing
-from .errors import DEFAULT_RANK_CAP, PreconditionError, RankCapExceeded
+from .errors import DEFAULT_RANK_CAP, NonExactDivision, PreconditionError, RankCapExceeded
 from .fq import FqField, split_prime_power
 from .rings import (
     CoeffRing,
@@ -222,9 +222,9 @@ def check_level(phi: LevelStructure):
         prod = poly_mul(prod, [ring.zero() - values[v], ring.one()])
     try:
         quo = poly_divide_exact(module.pi_poly(), prod)
-    except Exception as exc:  # NonExactDivision carries the witness coefficient
+    except NonExactDivision as exc:  # it carries the witness coefficient
         report["witness"] = {"kind": "divisor", "detail": str(exc),
-                             "remainder": repr(getattr(exc, "remainder", None))}
+                             "remainder": sorted(exc.remainder.d.items())}
         return report
     report["quotient_degree"] = len(poly_trim(quo)) - 1
     report["ok"] = True

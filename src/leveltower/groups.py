@@ -121,12 +121,6 @@ class FiniteGroup:
             link = self.parent[j]
         return out[::-1]
 
-    def imul(self, i: int, j: int) -> int:
-        """Index of elements[i] * elements[j], by the permutations of j's word."""
-        for a in self.word(j):
-            i = self.right[a][i]
-        return i
-
     def right_mul(self, j: int):
         """The permutation y -> y * elements[j] of the element indices."""
         perm = range(self.order)
@@ -175,24 +169,6 @@ class FiniteGroup:
     @property
     def class_sizes(self):
         return tuple(len(cls) for cls in self.classes)
-
-    def element_order(self, i: int) -> int:
-        e = self.identity_index
-        k, cur = 1, i
-        while cur != e:
-            cur = self.imul(cur, i)
-            k += 1
-            if k > self.order:
-                raise OracleMismatch(f"{self.name}: element {i} has unbounded order")
-        return k
-
-    @cached_property
-    def exponent(self) -> int:
-        from math import lcm
-        out = 1
-        for rep in self.class_reps:
-            out = lcm(out, self.element_order(rep))
-        return out
 
 
 def _capped(order: int, what: str) -> int:

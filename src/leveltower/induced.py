@@ -28,7 +28,7 @@ from .certify import EllipticCertificate, regular_elliptic_certify
 from .chartab import CharacterTable, character_table, check_table_order, cuspidal_characters
 from .counting import stable_lattice_reduction
 from .cyclotomic import Cyclotomic
-from .errors import JL_Q_CAP, CapExceeded, Inconclusive, OracleMismatch, PreconditionError
+from .errors import Inconclusive, OracleMismatch, PreconditionError
 from .formal import gl_order
 from .groups import group_gl, group_quaternion_quotient
 from .matrices import charpoly, companion
@@ -190,7 +190,7 @@ CONVENTION = ("pi lands in the identity coset of both quotient groups, so both "
               "central twist")
 
 
-def jl_match(q: int, cap_q: int = JL_Q_CAP) -> JLMatchResult:
+def jl_match(q: int) -> JLMatchResult:
     """Match each cuspidal character of GL_2(F_q) with its opposite number.
 
     For every cuspidal row chi of GL_2(F_q), find the rows of the quaternion
@@ -200,8 +200,6 @@ def jl_match(q: int, cap_q: int = JL_Q_CAP) -> JLMatchResult:
     the assignment must be injective; anything else raises OracleMismatch
     with the offending class.
     """
-    if q > cap_q:
-        raise CapExceeded(f"matching is capped at q <= {cap_q}")
     check_table_order(gl_order(2, q))
     grp_g = group_gl(2, q, 1)
     table_g = character_table(grp_g)

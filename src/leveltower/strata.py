@@ -63,9 +63,6 @@ def _q_factorial(k: int, q: int) -> int:
     return out
 
 
-_enum_cache: dict[tuple, list] = {}
-
-
 def check_label_census(n: int, q: int, m: int, h: int) -> None:
     """CapExceeded when the rank-h labels of (o/pi^m)^n, 0 <= h <= n, are more
     than LABEL_CAP.
@@ -91,9 +88,6 @@ def enumerate_summands(n: int, q: int, m: int, h: int):
     """
     if not 0 <= h <= n:
         raise PreconditionError("rank out of range")
-    key = (n, q, m, h)
-    if key in _enum_cache:
-        return _enum_cache[key]
     ch = _chain(q, m)
     check_label_census(n, q, m, h)
     nonunits = [a for a in range(ch.size) if not ch.is_unit(a)]
@@ -106,7 +100,6 @@ def enumerate_summands(n: int, q: int, m: int, h: int):
                     for i in range(n)]
             columns.append(list(product(*rows)))
         out.extend((pivots, cols) for cols in product(*columns))
-    _enum_cache[key] = out
     return out
 
 

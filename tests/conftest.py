@@ -294,3 +294,15 @@ def root_of_unity(N, power=1):
     v = [0] * (power % N + 1)
     v[-1] = 1
     return Cyclotomic(N, v)
+
+
+def brute_units(ch, n):
+    """The invertible n x n matrices over the chain ring ch, in lexicographic
+    order of their entries: a full determinant of every one of the
+    q^(m n^2) matrices, kept when it is a unit."""
+    out = []
+    for flat in product(range(ch.size), repeat=n * n):
+        M = tuple(flat[i * n:(i + 1) * n] for i in range(n))
+        if ch.is_unit(ch.det(M)):
+            out.append(M)
+    return out

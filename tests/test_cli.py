@@ -12,6 +12,7 @@ import pytest
 from leveltower import cli, counting, division, induced, rings, serialize, strata
 from leveltower.errors import (
     CapExceeded,
+    NonExactDivision,
     NotAFlag,
     OracleMismatch,
     PreconditionError,
@@ -38,7 +39,7 @@ def test_exit_code_mapping():
     assert cli.exit_code_for(CapExceeded("x")) == 3
     assert cli.exit_code_for(RankCapExceeded("x")) == 3
     assert cli.exit_code_for(OracleMismatch("x")) == 4
-    assert cli.EXIT_CODES["mismatch"] == 4
+    assert cli.exit_code_for(NonExactDivision("x")) == 4
 
 
 def test_tower_command(capsys):
@@ -172,11 +173,18 @@ def test_census_cap_exits_3(argv, message):
 ], ids=["strata", "strata-action"])
 def test_census_refusal_builds_no_label(capsys, monkeypatch, argv):
     # every rank (and, for strata-action, every level) is sized before any is built
-    monkeypatch.setattr(strata, "_enum_cache", {})
+    built, enumerate_summands = [], strata.enumerate_summands
+
+    def recorded(*args):
+        labels = enumerate_summands(*args)
+        built.append(args)
+        return labels
+
+    monkeypatch.setattr(strata, "enumerate_summands", recorded)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (3, "")
     assert err.startswith("error: rank-") and err.endswith("exceed cap 200000\n")
-    assert strata._enum_cache == {}
+    assert built == []
 
 
 @pytest.mark.parametrize("n,message", [
@@ -191,7 +199,6 @@ def test_huge_tower_is_refused_before_its_rank_is_formed(n, message):
 
 def test_strata_action_census_cap_exits_3(capsys, monkeypatch):
     # (3,2,m) has 7 * 4^(m-1) rank-1 labels: 7 and 28 fit under a cap of 100, 112 does not
-    monkeypatch.setattr(strata, "_enum_cache", {})
     monkeypatch.setattr(strata, "LABEL_CAP", 100)
     code, out, err = run(capsys, "strata-action", "--q", "2", "--n", "3",
                          "--g", "companion:T^3+T+1", "--scan-m", "4")
@@ -253,14 +260,14 @@ def test_q_not_prime_power_exits_2(command, q, tmp_path):
 
 def test_removed_knobs_are_rejected(capsys, tmp_path):
     for argv in (["strata", "--group-cap", "5"], ["strata", "--pair-cap", "5"],
-                 ["selftest", "--seed", "5"]):
+                 ["selftest", "--seed", "5"], ["jl", "--q", "3", "--jl-q-cap", "3"]):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2
     cfg = tmp_path / "run.cfg"
-    for key in ("table_cap", "pair_cap"):
+    for command, key in (("strata", "table_cap"), ("strata", "pair_cap"), ("jl", "jl_q_cap")):
         cfg.write_text(f"{key} = 5\n")
-        code, out, err = run(capsys, "strata", "--config", str(cfg))
+        code, out, err = run(capsys, command, "--config", str(cfg))
         assert code == 2
         assert "unknown config key" in err
     code, out, _ = run(capsys, "strata")
@@ -268,8 +275,7 @@ def test_removed_knobs_are_rejected(capsys, tmp_path):
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
-ALL_KNOBS = ("q", "n", "m", "prec", "u_spec", "rank_cap", "jl_q_cap", "scan_m",
-             "cache_dir")
+ALL_KNOBS = ("q", "n", "m", "prec", "u_spec", "rank_cap", "scan_m", "cache_dir")
 
 
 @pytest.mark.parametrize("command,knobs,extra", [
@@ -279,7 +285,7 @@ ALL_KNOBS = ("q", "n", "m", "prec", "u_spec", "rank_cap", "jl_q_cap", "scan_m",
     ("strata-action", "q n scan_m", ["--g", "companion:T^2+T+1"]),
     ("flags", "q n m", []),
     ("flag-of-point", "", ["--table", "{table}"]),
-    ("jl", "q jl_q_cap", []),
+    ("jl", "q", []),
     ("selftest", "q", []),
 ])
 def test_command_takes_and_reports_only_its_knobs(capsys, tmp_path, command, knobs, extra):
@@ -506,11 +512,12 @@ def test_reload_defect_is_not_a_cache_miss(capsys, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("argv,full,code,message", [
-    (["jl", "--q", "2", "--jl-q", "3"], ["jl", "--q", "2", "--jl-q-cap", "3"], 0, ""),
+    (["jl", "--q", "9", "--form", "json"], ["jl", "--q", "9", "--format", "json"], 3,
+     "error: group order 5760 exceeds the table cap 5000\n"),
     (["tower", "--q", "2", "--n", "2", "--m", "1", "--rank", "9"],
      ["tower", "--q", "2", "--n", "2", "--m", "1", "--rank-cap", "9"], 3,
      "error: ring rank 24 exceeds cap 9\n"),
-], ids=["jl-q-cap", "tower-rank-cap"])
+], ids=["jl-format", "tower-rank-cap"])
 def test_flags_need_their_full_spelling(capsys, argv, full, code, message):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
@@ -518,10 +525,7 @@ def test_flags_need_their_full_spelling(capsys, argv, full, code, message):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == f"error: unrecognized arguments: {' '.join(argv[-2:])}\n"
-    got, out, err = run(capsys, *full)
-    assert (got, err) == (code, message)
-    if code == 0:
-        assert json.loads(out)["config"]["jl_q_cap"] == 3
+    assert run(capsys, *full) == (code, "", message)
 
 
 def test_count_command(capsys):
@@ -636,8 +640,15 @@ def test_main_builds_only_the_named_subcommand(capsys, monkeypatch):
 
 
 def test_jl_cap_exit(capsys):
-    code, out, err = run(capsys, "jl", "--q", "5")
-    assert code == 3
+    # the table cap is the one bound: GL_2(F_5) (order 480) is matched, GL_2(F_9) refused
+    code, out, _ = run(capsys, "jl", "--q", "5")
+    assert code == 0 and json.loads(out)["results"]["cuspidal_count"] == 10
+    code, out, err = run(capsys, "jl", "--q", "9")
+    assert (code, out, err) == (3, "", "error: group order 5760 exceeds the table cap 5000\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["jl", "--q", "4", "--jl-q-cap", "4"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "error: unrecognized arguments: --jl-q-cap 4\n"
 
 
 JL_TABLE_CAP_ERR = "error: group order 61200 exceeds the table cap 5000\n"
@@ -648,12 +659,12 @@ def test_jl_table_cap_is_checked_before_the_group_is_built(capsys, monkeypatch):
         raise AssertionError("GL_2(F_q) was built")
 
     monkeypatch.setattr(induced, "group_gl", unbuilt)
-    code, out, err = run(capsys, "jl", "--q", "16", "--jl-q-cap", "16")
+    code, out, err = run(capsys, "jl", "--q", "16")
     assert (code, out, err) == (3, "", JL_TABLE_CAP_ERR)
 
 
 def test_jl_table_cap_refuses_a_fresh_process():
-    proc = _fresh_cli("jl", "--q", "16", "--jl-q-cap", "16")
+    proc = _fresh_cli("jl", "--q", "16")
     assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", JL_TABLE_CAP_ERR)
 
 

@@ -9,7 +9,13 @@ from math import prod
 
 import pytest
 
-from conftest import box_fixed_lattices, counting_suite, lattice_bases, triangular_eigen_matrix
+from conftest import (
+    box_fixed_lattices,
+    brute_units,
+    counting_suite,
+    lattice_bases,
+    triangular_eigen_matrix,
+)
 
 from leveltower import chain, cli, counting
 from leveltower.chain import ChainRing, gl_elements
@@ -287,10 +293,9 @@ def test_count_brute_makes_no_adjugate_call(monkeypatch):
     assert calls, "the structured route still takes the adjugate step"
 
 
-def _frame_pairs(ch, n, rng):
-    """(V, T) pairs: V = T = I, three conjugate pairs, two with different
-    characteristic polynomials (so never conjugate)."""
-    units = gl_elements(ch, n)
+def _frame_pairs(ch, n, units, rng):
+    """(V, T) pairs of the given units: V = T = I, three conjugate pairs, two
+    with different characteristic polynomials (so never conjugate)."""
     identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     pairs = [(identity, identity)]
     while len(pairs) < 4:
@@ -308,12 +313,13 @@ def _frame_pairs(ch, n, rng):
 def test_frame_count_matches_the_unit_scan(q, m, n):
     ch = ChainRing(FqField(*split_prime_power(q)), m)
     rng = random.Random(q * 100 + m * 10 + n)
+    units = brute_units(ch, n)
     counts = []
-    for V, T in _frame_pairs(ch, n, rng):
-        scan = sum(ch.matmul(V, y) == ch.matmul(y, T) for y in gl_elements(ch, n))
+    for V, T in _frame_pairs(ch, n, units, rng):
+        scan = sum(ch.matmul(V, y) == ch.matmul(y, T) for y in units)
         assert _frame_count(ch, n, V, T) == scan, (V, T)
         counts.append(scan)
-    assert counts[0] == len(gl_elements(ch, n))
+    assert counts[0] == len(units)
     assert all(counts[1:4]) and counts[4:] == [0, 0]
 
 

@@ -102,7 +102,20 @@ def test_check_level_duplicate_root_gives_remainder_witness():
     report = check_level(bad)
     assert not report["ok"]
     assert report["witness"]["kind"] == "divisor"
-    assert report["witness"]["remainder"] not in (None, "None", "0")
+    # the remainder as canonical data: its nonzero [index, coeff] pairs, sorted
+    remainder = report["witness"]["remainder"]
+    assert remainder and remainder == sorted(remainder)
+    assert all(type(i) is int and type(c) is int and c for i, c in remainder)
+
+
+def test_check_level_lets_a_defect_in_the_division_propagate(monkeypatch):
+    # only NonExactDivision is a witness; any other exception is a defect
+    def broken(f, g):
+        raise TypeError("division defect")
+
+    monkeypatch.setattr(formal, "poly_divide_exact", broken)
+    with pytest.raises(TypeError, match="division defect"):
+        check_level(build_tower(1, 2, 1).structure)
 
 
 def test_build_tower_requires_enough_precision():

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import method_echelon, random_unit_matrix, root_of_unity
+from conftest import brute_units, method_echelon, random_unit_matrix, root_of_unity
 
 from leveltower import chain
 from leveltower.chain import ChainRing, gl_elements
@@ -174,7 +174,7 @@ def test_cyclotomic_mixed_conductors():
     b = root_of_unity(4)
     prod = a * b
     assert prod * prod.conjugate() == Cyclotomic.from_rational(1)
-    assert (a + b) - b == a.lift(12)
+    assert (a + b) + (-b) == a.lift(12)
 
 
 def test_cyclotomic_hash_agrees_across_lifts():
@@ -194,7 +194,7 @@ def test_cyclotomic_hash_agrees_across_lifts():
 
 def test_cyclotomic_integer_coordinates_stay_integers():
     z = root_of_unity(12)
-    w = (z * z.conjugate() + z - 3).lift(24)
+    w = (z * z.conjugate() + z + (-3)).lift(24)
     assert all(type(c) is int for c in w.coords)
 
 
@@ -403,24 +403,27 @@ def test_charpoly_over_chain_ring(q, m):
 
 @pytest.mark.parametrize("q,m,n", [(2, 2, 2), (2, 3, 2), (3, 2, 2)])
 def test_gl_elements_match_the_determinant_filter(q, m, n):
-    # the unit group listed from residues mod pi equals the scan that takes a
-    # full determinant over o/pi^m of every matrix, in the same order
-    ch = ChainRing(FqField(q), m)
-    expected = []
-    for flat in itertools.product(range(ch.size), repeat=n * n):
-        M = tuple(flat[i * n:(i + 1) * n] for i in range(n))
-        if ch.is_unit(ch.det(M)):
-            expected.append(M)
-    assert gl_elements(ch, n) == expected
+    # the residue units gl_elements lists are the brute filter's at m = 1, and
+    # a matrix over o/pi^m is a unit exactly when its reduction mod pi is one
+    ch, res = ChainRing(FqField(q), m), ChainRing(FqField(q), 1)
+    residue_units = gl_elements(res, n)
+    assert residue_units == brute_units(res, n)
+    residue_set = set(residue_units)
+    lifts = [M for M in itertools.product(itertools.product(range(ch.size), repeat=n),
+                                          repeat=n)
+             if tuple(tuple(x % q for x in row) for row in M) in residue_set]
+    assert lifts == brute_units(ch, n)
+    with pytest.raises(PreconditionError):
+        gl_elements(ch, n)
 
 
 def test_gl_elements_cap_holds_on_a_cache_hit(monkeypatch):
-    # (o/pi^2)^(2x2) has 4^4 = 256 candidates; a cached list is no exemption
-    ch = ChainRing(FqField(2), 2)
-    assert len(gl_elements(ch, 2)) == 96
-    monkeypatch.setattr(chain, "_GL_CAP", 100)
+    # F_2^(3x3) has 2^9 = 512 candidates; a cached list is no exemption
+    ch = ChainRing(FqField(2), 1)
+    assert len(gl_elements(ch, 3)) == 168
+    monkeypatch.setattr(chain, "_GL_CAP", 500)
     with pytest.raises(CapExceeded):
-        gl_elements(ch, 2)
+        gl_elements(ch, 3)
 
 
 def _random_generating_set(ch, n, rng):
@@ -482,7 +485,7 @@ def test_mat_inv_round_trips_on_random_units(q, m):
 def test_mat_inv_inverts_every_unit_and_rejects_the_rest(q, m, n):
     ch = ChainRing(FqField(q), m)
     eye = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    units = gl_elements(ch, n)
+    units = brute_units(ch, n)
     for M in units:
         Mi = ch.mat_inv(M)
         assert ch.matmul(M, Mi) == eye

@@ -201,8 +201,8 @@ def test_jl_match_reduces_each_class_once(monkeypatch, q, reductions, evaluation
 
 
 def test_jl_match_respects_cap():
-    with pytest.raises(CapExceeded):
-        jl_match(5)
+    with pytest.raises(CapExceeded, match="group order 5760 exceeds the table cap 5000"):
+        jl_match(9)
 
 
 def test_spec_validation():

@@ -1,15 +1,15 @@
 """Structural guards on the package.
 
-Every top-level function or class and every non-dunder method defined in
-src/leveltower/*.py must be named, as a whole word, somewhere in src/ or
-perfbench/ outside its own definition, its import lines and `__all__`: code
-that only tests reach belongs in the tests.  The console-script entry point
-`main` is exempt.  Every name a module in src/ or tests/ imports is read in
-that module or listed in its `__all__` (`__future__` imports are exempt).
-Every field a class in src/ stores is read in src/ or perfbench/.  README's
-module map lists exactly the package's modules, one module owns the
-permutation expansion, and every function perfbench traces is found in the
-package.
+Every top-level function, class and assigned name (dunders excepted) and
+every non-dunder method defined in src/leveltower/*.py must be named, as a
+whole word, somewhere in src/ or perfbench/ outside its own definition, its
+import lines and `__all__`: code that only tests reach belongs in the
+tests.  The console-script entry point `main` is exempt.  Every name a
+module in src/ or tests/ imports is read in that module or listed in its
+`__all__` (`__future__` imports are exempt).  Every field a class in src/
+stores is read in src/ or perfbench/.  README's module map lists exactly
+the package's modules, one module owns the permutation expansion, and every
+function perfbench traces is found in the package.
 """
 
 import ast
@@ -36,18 +36,28 @@ def _excluded_lines(tree):
     return lines
 
 
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def _definitions(path, tree):
     """(name, path, first line, last line) for each guarded definition."""
     defs = ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef
     out = []
     for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out.extend((name.id, path, node.lineno, node.end_lineno)
+                       for target in targets for name in ast.walk(target)
+                       if isinstance(name, ast.Name) and not _is_dunder(name.id))
+            continue
         if not isinstance(node, defs):
             continue
         out.append((node.name, path, node.lineno, node.end_lineno))
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-                        and not (item.name.startswith("__") and item.name.endswith("__"))):
+                        and not _is_dunder(item.name)):
                     out.append((item.name, path, item.lineno, item.end_lineno))
     return out
 

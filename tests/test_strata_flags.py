@@ -90,7 +90,6 @@ def test_labels_of_one_pivot_pattern_share_their_columns():
 
 
 def test_label_census_is_capped_before_it_is_built(monkeypatch):
-    monkeypatch.setattr(strata, "_enum_cache", {})
     # (3,2,2) has 28 labels of each rank: admitted at a cap of 28, refused at 27
     monkeypatch.setattr(strata, "LABEL_CAP", 28)
     assert len(enumerate_summands(3, 2, 2, 1)) == 28
@@ -98,7 +97,6 @@ def test_label_census_is_capped_before_it_is_built(monkeypatch):
     with pytest.raises(CapExceeded, match=r"rank-2 labels of \(o/pi\^2\)\^3 exceed cap 27"):
         enumerate_summands(3, 2, 2, 2)
     monkeypatch.undo()
-    monkeypatch.setattr(strata, "_enum_cache", {})
     # 2^18 - 1 lines of F_2^18 by the closed form; at least 2^999 lines of F_2^1000
     # by the lower bound
     for n in (18, 1000):
