@@ -21,10 +21,14 @@ canonical forms are equal spans.
 
 Full flags are built, not searched for: a flag's top part B is a hyperplane
 label, B is isomorphic to (o/pi^m)^(n-1) through its generators, and the
-parts below B are the image of a full flag of (o/pi^m)^(n-1).  A built flag
-is a flag by construction, so it is the plain tuple of its labels.  So is
-the flag `flag_of_point` reads off a value table: each cut is checked to be
-a label, and the cuts grow strictly.
+parts below B are the image of a full flag of (o/pi^m)^(n-1).  The carry
+needs no elimination: B's generators are 1 and 0 on B's pivot rows, so a
+carried canonical label has its own columns on those rows, and on the one
+row left a sum of products that each hold a non-unit wherever the row lies
+above the column's pivot.  That is the canonical form of the carried span.
+A built flag is a flag by construction, so it is the plain tuple of its
+labels.  So is the flag `flag_of_point` reads off a value table: each cut
+is checked to be a label, and the cuts grow strictly.
 
 Both censuses are sized from their closed forms before anything is built
 (Honold and Landjev, Electron. J. Combin. 7 (2000)): q^((m-1)h(n-h)) [n h]_q
@@ -35,6 +39,7 @@ LABEL_CAP or FLAG_CAP is refused with CapExceeded.
 from __future__ import annotations
 
 from itertools import combinations, product
+from operator import itemgetter
 
 from .chain import ChainRing
 from .errors import CapExceeded, NotAFlag, OracleMismatch, PreconditionError
@@ -103,13 +108,38 @@ def enumerate_summands(n: int, q: int, m: int, h: int):
     return out
 
 
+def _lifts(label, q: int, size: int) -> list:
+    """The labels over o/pi^k, size = q^k, that reduce to `label` mod
+    pi^(k-1), k >= 2: each entry off the pivot rows gains a top digit d."""
+    pivots, cols = label
+    step = size // q
+    choices = [list(product(*([c] if i in pivots else range(c, size, step)
+                              for i, c in enumerate(col)))) for col in cols]
+    return [(pivots, lift) for lift in product(*choices)]
+
+
 def strata_fixed_count(gbar, n: int, q: int, m: int, h: int) -> int:
-    """Number of rank-h labels fixed by an invertible matrix over o/pi^m."""
+    """Number of rank-h labels fixed by an invertible matrix over o/pi^m.
+
+    Counted level by level.  Reducing a canonical form entry by entry mod
+    pi^(k-1) (code % q^(k-1)) gives a canonical form, and a label g fixes
+    mod pi^k reduces to one g fixes mod pi^(k-1).  So every label is tested
+    at k = 1 only; at each k >= 2 the candidates are the q^(h(n-h)) lifts of
+    each label fixed one level down, its entries off the pivot rows raised by
+    d q^(k-1), and each is tested with g mod pi^k.
+    """
     ch = _chain(q, m)
     if not ch.is_unit(ch.det(gbar)):
         raise PreconditionError("matrix is not invertible mod pi^m")
-    return sum(ch.echelon(n, [ch.matvec(gbar, col) for col in A[1]]) == A
-               for A in enumerate_summands(n, q, m, h))
+    check_label_census(n, q, m, h)
+    fixed = enumerate_summands(n, q, 1, h)
+    for k in range(1, m + 1):
+        ch = _chain(q, k)
+        if k > 1:
+            fixed = [B for A in fixed for B in _lifts(A, q, ch.size)]
+        g = tuple(tuple(x % ch.size for x in row) for row in gbar)
+        fixed = [A for A in fixed if ch.echelon(n, [ch.matvec(g, col) for col in A[1]]) == A]
+    return len(fixed)
 
 
 def enumerate_flags(n: int, q: int, m: int) -> list:
@@ -118,13 +148,17 @@ def enumerate_flags(n: int, q: int, m: int) -> list:
 
     Each flag is built once, from its top part B, a hyperplane label, and a
     full flag of (o/pi^m)^(n-1) carried into B by v -> sum_k v_k B.cols[k].
-    Each column of the smaller labels is carried once per B, and each
-    carried label is checked once per B to be a label of the same rank,
-    and that proves every chain a flag: the carry is injective and linear,
-    so the carried parts nest inside B, and a free direct summand of the
-    ambient module that lies inside B is a free direct summand of B.  The
-    parts are the label tuples `enumerate_summands` holds, shared between
-    flags.
+    Each column of the smaller labels is carried once per B.  B's generators
+    are the identity at B's pivot rows, so a carried label A has A's columns
+    on B's pivot rows and, on the other row e, entries sum_k c_k B.cols[k][e]
+    whose terms are non-units whenever e lies above the carried pivot.  So
+    the carried generators are the canonical form: the pair of B's pivot
+    rows at A's pivots and the carried columns must itself be a label of
+    A's rank, and one dict lookup per (B, A) checks it.  That proves every
+    chain a flag: the carry is injective and linear, so the carried parts
+    nest inside B, and a free direct summand of the ambient module that lies
+    inside B is a free direct summand of B.  The parts are the label tuples
+    `enumerate_summands` holds, shared between flags.
     """
     if n < 2:
         raise PreconditionError("empty rank signature")
@@ -139,20 +173,25 @@ def enumerate_flags(n: int, q: int, m: int) -> list:
     labels = {A: A for h in range(1, n - 1) for A in enumerate_summands(n, q, m, h)}
     smaller = [A for h in range(1, n - 1) for A in enumerate_summands(n - 1, q, m, h)]
     position = {A: i for i, A in enumerate(smaller)}
-    below = [[position[A] for A in parts] for parts in enumerate_flags(n - 1, q, m)]
+    # a flag's parts, picked from [image of each smaller label] + [B]
+    assemble = [itemgetter(*(position[A] for A in parts), len(smaller))
+                for parts in enumerate_flags(n - 1, q, m)]
     columns = {col for _, cols in smaller for col in cols}
+    patterns = {pivots for pivots, _ in smaller}
     out = []
     for B in top:
         basis = tuple(zip(*B[1]))   # basis[i][k] = B's generator k at coordinate i
         carried = {col: ch.matvec(basis, col) for col in columns}
+        rows = {pivots: tuple(B[0][p] for p in pivots) for pivots in patterns}
         image = []
         for pivots, small_cols in smaller:
-            got = labels.get(ch.echelon(n, map(carried.__getitem__, small_cols)))
+            got = labels.get((rows[pivots], tuple(map(carried.__getitem__, small_cols))))
             if got is None:
                 raise OracleMismatch(f"a rank-{len(pivots)} label carried into a hyperplane "
                                      f"is not a label of rank {len(pivots)}")
             image.append(got)
-        out.extend((*map(image.__getitem__, parts), B) for parts in below)
+        image.append(B)
+        out.extend([pick(image) for pick in assemble])
     return out
 
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from leveltower import cli, counting, division, induced, rings, serialize, strata
+from leveltower.chain import ChainRing
 from leveltower.errors import (
     CapExceeded,
     NonExactDivision,
@@ -140,6 +141,32 @@ def test_strata_action_zero_table(capsys):
     for row in doc["results"]["fixed_counts"].values():
         assert set(row.values()) == {0}
     assert doc["results"]["observed_minimal_free_level"] == {"1": 1, "2": 1}
+
+
+def test_strata_action_scans_only_lifts_of_fixed_labels(capsys, monkeypatch):
+    # T^3+T+1 is irreducible over F_2, so g fixes no label mod pi and no level
+    # k >= 2 has a lift to test: each call makes the 7 eliminations of the
+    # level-1 census, where a full scan at level 4 makes 448
+    echelon, fixed_count = ChainRing.echelon, strata.strata_fixed_count
+    eliminations, per_call = [], []
+
+    def counted_echelon(self, n, gens):
+        eliminations.append(n)
+        return echelon(self, n, gens)
+
+    def counted_fixed_count(*args):
+        before = len(eliminations)
+        got = fixed_count(*args)
+        per_call.append(len(eliminations) - before)
+        return got
+
+    monkeypatch.setattr(ChainRing, "echelon", counted_echelon)
+    monkeypatch.setattr(strata, "strata_fixed_count", counted_fixed_count)
+    code, _, _ = run(capsys, "strata-action", "--q", "2", "--n", "3",
+                     "--g", "companion:T^3+T+1", "--scan-m", "4")
+    assert code == 0
+    assert len(per_call) == 8
+    assert max(per_call) <= 7
 
 
 def test_strata_n_must_be_positive(capsys):

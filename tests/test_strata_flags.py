@@ -4,7 +4,14 @@ import itertools
 import random
 
 import pytest
-from conftest import chain_ring, is_flag, label_coords, member_fixed_count, slot_loop_summands
+from conftest import (
+    chain_ring,
+    full_scan_fixed_count,
+    is_flag,
+    label_coords,
+    member_fixed_count,
+    slot_loop_summands,
+)
 
 from leveltower.certify import regular_elliptic_certify
 from leveltower import strata
@@ -178,6 +185,33 @@ def test_fixed_label_counts_match_membership(n, q, m):
     assert partial > 0
 
 
+@pytest.mark.parametrize("n,q,top", [(2, 2, 4), (3, 2, 3), (2, 3, 3)])
+def test_fixed_label_descent_matches_the_full_scan(n, q, top):
+    # strata_fixed_count tests only the lifts of labels fixed one level down;
+    # the oracle tests every label at every level.  A unit 1 + pi^j X is the
+    # identity mod pi^j, so it fixes every label up to level j and some beyond;
+    # the last four units are drawn at random.
+    ch = chain_ring(q, top)
+    rng = random.Random(1000 * n + 100 * q + top)
+    mats = []
+    for j in range(1, top + 1):
+        near = j < top
+        while len(mats) < 4 * j:
+            g = tuple(tuple((int(i == k) + q ** j * rng.randrange(ch.size)) % ch.size if near
+                            else rng.randrange(ch.size) for k in range(n)) for i in range(n))
+            if ch.is_unit(ch.det(g)):
+                mats.append(g)
+    deep = 0
+    for g in mats:
+        for m in range(1, top + 1):
+            gbar = tuple(tuple(x % q ** m for x in row) for row in g)
+            for h in range(1, n):
+                count = strata_fixed_count(gbar, n, q, m, h)
+                assert count == full_scan_fixed_count(gbar, n, q, m, h), (g, m, h)
+                deep += m >= 3 and count > 0
+    assert deep > 0
+
+
 def test_flag_counts():
     assert len(enumerate_flags(2, 2, 1)) == 3
     assert len(enumerate_flags(3, 2, 1)) == 21
@@ -221,24 +255,39 @@ def test_built_flags_pass_the_step_check(n, q, m):
 
 @pytest.mark.parametrize("wrong", ["rescaled", "none"])
 def test_a_wrong_carried_label_is_caught(monkeypatch, wrong):
-    # the fifth carried label comes back as its span with the generator
-    # scaled by the unit 1 + pi (not the canonical form), or as no summand
-    echelon = ChainRing.echelon
-    forms = []
+    # the fifth carried column comes back scaled by the unit 1 + pi (the same
+    # span, but not the canonical form) or by pi (no unit entry left)
+    matvec = ChainRing.matvec
+    carried = []
 
-    def corrupt(self, n, gens):
-        got = echelon(self, n, gens)
-        forms.append(got)
-        if len(forms) == 5:
-            unit = 1 + self.pi
-            return None if wrong == "none" else (
-                got[0], tuple(self.vscale(unit, col) for col in got[1]))
+    def corrupt(self, M, v):
+        got = matvec(self, M, v)
+        carried.append(got)
+        if len(carried) == 5:
+            return self.vscale(1 + self.pi if wrong == "rescaled" else self.pi, got)
         return got
 
-    monkeypatch.setattr(ChainRing, "echelon", corrupt)
+    monkeypatch.setattr(ChainRing, "matvec", corrupt)
     with pytest.raises(OracleMismatch, match="carried into a hyperplane is not a label"):
         enumerate_flags(3, 2, 2)
-    assert len(forms) == 5
+    # the first hyperplane carries the six columns of the lines of (o/pi^2)^2
+    # before its first lookup
+    assert len(carried) == 6
+
+
+def test_enumerate_flags_makes_no_elimination(monkeypatch):
+    # a carried canonical label is already the canonical form of its span,
+    # so one lookup certifies it
+    echelon = ChainRing.echelon
+    calls = []
+
+    def counted(self, n, gens):
+        calls.append(n)
+        return echelon(self, n, gens)
+
+    monkeypatch.setattr(ChainRing, "echelon", counted)
+    assert len(enumerate_flags(4, 2, 2)) == 20160
+    assert calls == []
 
 
 def test_flag_census_is_capped_before_it_is_built(monkeypatch):
