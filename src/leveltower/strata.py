@@ -108,38 +108,31 @@ def enumerate_summands(n: int, q: int, m: int, h: int):
     return out
 
 
-def _lifts(label, q: int, size: int) -> list:
-    """The labels over o/pi^k, size = q^k, that reduce to `label` mod
-    pi^(k-1), k >= 2: each entry off the pivot rows gains a top digit d."""
-    pivots, cols = label
-    step = size // q
-    choices = [list(product(*([c] if i in pivots else range(c, size, step)
-                              for i, c in enumerate(col)))) for col in cols]
-    return [(pivots, lift) for lift in product(*choices)]
+def _fixed(g, n: int, q: int, m: int, h: int):
+    """For each rank-h label over o/pi^m, whether g maps it onto itself: the
+    echelon form of its generators' images is the label."""
+    ch = _chain(q, m)
+    return (ch.echelon(n, [ch.matvec(g, col) for col in A[1]]) == A
+            for A in enumerate_summands(n, q, m, h))
 
 
 def strata_fixed_count(gbar, n: int, q: int, m: int, h: int) -> int:
     """Number of rank-h labels fixed by an invertible matrix over o/pi^m.
 
-    Counted level by level.  Reducing a canonical form entry by entry mod
-    pi^(k-1) (code % q^(k-1)) gives a canonical form, and a label g fixes
-    mod pi^k reduces to one g fixes mod pi^(k-1).  So every label is tested
-    at k = 1 only; at each k >= 2 the candidates are the q^(h(n-h)) lifts of
-    each label fixed one level down, its entries off the pivot rows raised by
-    d q^(k-1), and each is tested with g mod pi^k.
+    A label g fixes mod pi^m reduces entry by entry (code % q) to a label g
+    fixes mod pi, since the reduction of a canonical form is canonical.  So
+    the labels mod pi are scanned first, and when g mod pi fixes none of
+    them the count is 0 without the scan over o/pi^m.  That is every
+    `strata-action` call: a certified elliptic unit class has an irreducible
+    residue characteristic polynomial, so g mod pi fixes no proper label.
     """
     ch = _chain(q, m)
     if not ch.is_unit(ch.det(gbar)):
         raise PreconditionError("matrix is not invertible mod pi^m")
     check_label_census(n, q, m, h)
-    fixed = enumerate_summands(n, q, 1, h)
-    for k in range(1, m + 1):
-        ch = _chain(q, k)
-        if k > 1:
-            fixed = [B for A in fixed for B in _lifts(A, q, ch.size)]
-        g = tuple(tuple(x % ch.size for x in row) for row in gbar)
-        fixed = [A for A in fixed if ch.echelon(n, [ch.matvec(g, col) for col in A[1]]) == A]
-    return len(fixed)
+    if not any(_fixed(tuple(tuple(x % q for x in row) for row in gbar), n, q, 1, h)):
+        return 0
+    return sum(_fixed(gbar, n, q, m, h))
 
 
 def enumerate_flags(n: int, q: int, m: int) -> list:

@@ -23,7 +23,6 @@ from leveltower.matrices import (
 )
 from leveltower.rings import poly_mul, poly_trim
 from leveltower.strata import _chain as chain_ring
-from leveltower.strata import enumerate_summands
 
 
 def random_unit_matrix(field, n, rng, prec=3):
@@ -248,14 +247,6 @@ def member_fixed_count(gbar, labels, q, m):
     ch = chain_ring(q, m)
     return sum(all(label_coords(ch, A, ch.matvec(gbar, col)) is not None for col in A[1])
                for A in labels)
-
-
-def full_scan_fixed_count(gbar, n, q, m, h):
-    """`strata.strata_fixed_count` with no descent through the levels: one
-    echelon form per rank-h label over o/pi^m, compared with the label."""
-    ch = chain_ring(q, m)
-    return sum(ch.echelon(n, [ch.matvec(gbar, col) for col in A[1]]) == A
-               for A in enumerate_summands(n, q, m, h))
 
 
 def poly_add(f, g):

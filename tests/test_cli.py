@@ -143,10 +143,10 @@ def test_strata_action_zero_table(capsys):
     assert doc["results"]["observed_minimal_free_level"] == {"1": 1, "2": 1}
 
 
-def test_strata_action_scans_only_lifts_of_fixed_labels(capsys, monkeypatch):
-    # T^3+T+1 is irreducible over F_2, so g fixes no label mod pi and no level
-    # k >= 2 has a lift to test: each call makes the 7 eliminations of the
-    # level-1 census, where a full scan at level 4 makes 448
+def test_strata_action_stops_when_nothing_is_fixed_mod_pi(capsys, monkeypatch):
+    # T^3+T+1 is irreducible over F_2, so g fixes no label mod pi: each call
+    # makes the 7 eliminations of the level-1 census and returns 0, where a
+    # full scan at level 4 makes 448
     echelon, fixed_count = ChainRing.echelon, strata.strata_fixed_count
     eliminations, per_call = [], []
 

@@ -4,14 +4,7 @@ import itertools
 import random
 
 import pytest
-from conftest import (
-    chain_ring,
-    full_scan_fixed_count,
-    is_flag,
-    label_coords,
-    member_fixed_count,
-    slot_loop_summands,
-)
+from conftest import chain_ring, is_flag, label_coords, member_fixed_count, slot_loop_summands
 
 from leveltower.certify import regular_elliptic_certify
 from leveltower import strata
@@ -160,11 +153,15 @@ def test_identity_fixes_every_label():
     assert strata_fixed_count(mat_reduce_mod(g, 1), 2, 2, 1, 1) == total
 
 
-@pytest.mark.parametrize("n,q,m", [(2, 2, 2), (3, 2, 2), (2, 3, 2), (4, 2, 1)])
+@pytest.mark.parametrize("n,q,m", [(2, 2, 2), (3, 2, 2), (2, 3, 2), (4, 2, 1),
+                                   (2, 2, 3), (2, 2, 4), (3, 2, 3), (2, 3, 3)])
 def test_fixed_label_counts_match_membership(n, q, m):
-    # strata_fixed_count compares echelon forms; the oracle tests whether
-    # each generator's image lies in the label.  Random invertible matrices
-    # are mostly not elliptic, so many fix some labels but not all.
+    # strata_fixed_count compares echelon forms, and returns 0 when g mod pi
+    # fixes no label; the oracle tests whether each generator's image lies in
+    # the label.  Random invertible matrices are mostly not elliptic, so many
+    # fix some labels but not all.  A unit 1 + pi^j X, 1 <= j < m, is the
+    # identity mod pi^j: it fixes every label mod pi, and some but not all of
+    # them over o/pi^m.
     ch = chain_ring(q, m)
     rng = random.Random(100 * n + 10 * q + m)
     identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
@@ -173,8 +170,11 @@ def test_fixed_label_counts_match_membership(n, q, m):
         g = tuple(tuple(rng.randrange(ch.size) for _ in range(n)) for _ in range(n))
         if ch.is_unit(ch.det(g)):
             mats.append(g)
-    partial = 0
-    for g in mats:
+    near = [tuple(tuple((int(i == k) + q ** j * rng.randrange(ch.size)) % ch.size
+                        for k in range(n)) for i in range(n))
+            for j in range(1, m) for _ in range(3)]
+    partial = near_partial = 0
+    for g in mats + near:
         for h in range(1, n):
             labels = enumerate_summands(n, q, m, h)
             count = strata_fixed_count(g, n, q, m, h)
@@ -182,34 +182,9 @@ def test_fixed_label_counts_match_membership(n, q, m):
             if g == identity:
                 assert count == len(labels)
             partial += 0 < count < len(labels)
+            near_partial += g in near and 0 < count < len(labels)
     assert partial > 0
-
-
-@pytest.mark.parametrize("n,q,top", [(2, 2, 4), (3, 2, 3), (2, 3, 3)])
-def test_fixed_label_descent_matches_the_full_scan(n, q, top):
-    # strata_fixed_count tests only the lifts of labels fixed one level down;
-    # the oracle tests every label at every level.  A unit 1 + pi^j X is the
-    # identity mod pi^j, so it fixes every label up to level j and some beyond;
-    # the last four units are drawn at random.
-    ch = chain_ring(q, top)
-    rng = random.Random(1000 * n + 100 * q + top)
-    mats = []
-    for j in range(1, top + 1):
-        near = j < top
-        while len(mats) < 4 * j:
-            g = tuple(tuple((int(i == k) + q ** j * rng.randrange(ch.size)) % ch.size if near
-                            else rng.randrange(ch.size) for k in range(n)) for i in range(n))
-            if ch.is_unit(ch.det(g)):
-                mats.append(g)
-    deep = 0
-    for g in mats:
-        for m in range(1, top + 1):
-            gbar = tuple(tuple(x % q ** m for x in row) for row in g)
-            for h in range(1, n):
-                count = strata_fixed_count(gbar, n, q, m, h)
-                assert count == full_scan_fixed_count(gbar, n, q, m, h), (g, m, h)
-                deep += m >= 3 and count > 0
-    assert deep > 0
+    assert near_partial > 0 or m == 1
 
 
 def test_flag_counts():
