@@ -88,12 +88,14 @@ class ChainRing:
             return cls._cache[key]
         if m < 1:
             raise PreconditionError("m must be >= 1")
+        # q >= 2, so q^m > _TABLE_CAP once m reaches its bit length: refuse before the power
+        if m >= _TABLE_CAP.bit_length() or field.q ** m > _TABLE_CAP:
+            raise CapExceeded(
+                f"chain ring size q^m = {field.q}^{m} exceeds desk-scale table cap {_TABLE_CAP}")
         self = super().__new__(cls)
         self.field, self.m = field, m
         self.q = field.q
         self.size = field.q ** m
-        if self.size > _TABLE_CAP:
-            raise CapExceeded(f"chain ring size {self.size} exceeds desk-scale table cap")
         self._build()
         cls._cache[key] = self
         return self
@@ -141,8 +143,6 @@ class ChainRing:
                         inv[a] = b
                         break
         self._inv = inv
-        self.pi = self.undigits([0, 1] + [0] * m) if m > 1 else 0
-        self.one = 1
 
     def add(self, a, b):
         return self._add[a][b]
@@ -158,12 +158,6 @@ class ChainRing:
 
     def is_unit(self, a) -> bool:
         return a % self.q != 0
-
-    def inv(self, a):
-        r = self._inv[a]
-        if r is None:
-            raise PreconditionError("element is not a unit")
-        return r
 
     # -- vectors (tuples) and matrices (row-major tuples of tuples) ------------
 

@@ -162,12 +162,18 @@ def resolve_config(args, knobs) -> RunConfig:
 
 def parse_laurent(expr: str, field: FqField) -> Laurent:
     """Sum of terms over F_q((pi)): `3`, `P`, `P^2`, `2*P^3`, `1+P`, `-P`."""
-    return parse_poly(expr, field, allow_T=False)[0]
+    return parse_poly(expr, field, 0)[0]
 
 
-def parse_poly(expr: str, field: FqField, allow_T: bool = True):
-    """Coefficient list (low degree first) of a polynomial in T over F_q((pi))."""
+def parse_poly(expr: str, field: FqField, max_t: int):
+    """Coefficient list (low degree first) of a polynomial in T over F_q((pi)).
+
+    max_t, the largest T-degree accepted, is 0 for a scalar entry and n for
+    an n x n `companion:` matrix, whose larger degrees get `parse_matrix`'s
+    wrong-size message; both are refused before the list is allocated.
+    """
     from .laurent import Laurent
+    spec = f"companion:{expr}"
     expr = expr.replace(" ", "")
     if not expr:
         raise PreconditionError("empty element expression")
@@ -190,7 +196,7 @@ def parse_poly(expr: str, field: FqField, allow_T: bool = True):
         raise PreconditionError(f"dangling sign in {expr!r}")
     terms.append((sign, cur))
 
-    out: list[Laurent] = []
+    parsed = []
     for sign, term in terms:
         code = 1
         pi_exp = 0
@@ -205,17 +211,17 @@ def parse_poly(expr: str, field: FqField, allow_T: bool = True):
             if base == "P":
                 pi_exp += e
             elif base == "T":
-                if not allow_T:
+                if not max_t:
                     raise PreconditionError("T is not allowed in a scalar entry")
                 t_deg += e
             else:
-                c = _int(base, "coefficient", field.q)
-                for _ in range(e):
-                    code = field.mul(code, c)
-        if sign < 0:
-            code = field.neg(code)
-        while len(out) <= t_deg:
-            out.append(Laurent.zero(field))
+                code = field.mul(code, field.pow(_int(base, "coefficient", field.q), e))
+        parsed.append((t_deg, pi_exp, field.neg(code) if sign < 0 else code))
+    degree = max(t_deg for t_deg, _, _ in parsed)
+    if degree > max_t:
+        raise PreconditionError(f"matrix {spec!r} is {degree}x{degree}, not {max_t}x{max_t}")
+    out = [Laurent.zero(field)] * (degree + 1)
+    for t_deg, pi_exp, code in parsed:
         out[t_deg] = out[t_deg] + Laurent.pi(field, pi_exp).scale(code)
     return out
 
@@ -229,7 +235,7 @@ def parse_matrix(spec: str, field: FqField, n: int):
             f"matrix spec {spec!r} needs a kind prefix (companion:, diag:, mat:)")
     if kind == "companion":
         from .matrices import companion
-        g = companion(field, parse_poly(rest, field))
+        g = companion(field, parse_poly(rest, field, n))
     elif kind == "diag":
         entries = [parse_laurent(tok, field) for tok in rest.split(",")]
         zero = Laurent.zero(field)
@@ -350,16 +356,20 @@ def cmd_strata_action(cfg: RunConfig, g_spec: str) -> dict:
     for h in range(1, cfg.n):  # every census is sized before any is built
         for m in range(1, cfg.scan_m + 1):
             check_label_census(cfg.n, cfg.q, m, h)
+    # a label fixed mod pi^m reduces to one fixed mod pi^(m-1), so once a
+    # level fixes none, no higher level does and those are not scanned
     table = {}
     minimal_zero = {}
     for h in range(1, cfg.n):
         row = {}
+        first_zero = None
         for m in range(1, cfg.scan_m + 1):
-            row[str(m)] = strata_fixed_count(mat_reduce_mod(g, m), cfg.n, cfg.q, m, h)
+            row[str(m)] = 0 if first_zero else strata_fixed_count(
+                mat_reduce_mod(g, m), cfg.n, cfg.q, m, h)
+            if first_zero is None and row[str(m)] == 0:
+                first_zero = m
         table[str(h)] = row
-        zeros = [m for m in range(1, cfg.scan_m + 1)
-                 if all(row[str(k)] == 0 for k in range(m, cfg.scan_m + 1))]
-        minimal_zero[str(h)] = zeros[0] if zeros else None
+        minimal_zero[str(h)] = first_zero
     return {"g": g_spec, "certificate": cert.summary(), "fixed_counts": table,
             "observed_minimal_free_level": minimal_zero, "scan_m": cfg.scan_m}
 

@@ -313,9 +313,9 @@ def unit_group_order_unramified(n: int, q: int, m: int) -> int:
     return q ** (n * (m - 1)) * (q ** n - 1)
 
 
-def stable_lattice_reduction(b, m: int,
-                             cert: EllipticCertificate | None = None):
-    """The one lattice class a certified elliptic b can fix, reduced mod pi^m.
+def stable_lattice_reduction(b, m: int, cert: EllipticCertificate):
+    """The one lattice class a certified elliptic b, with certificate `cert`,
+    can fix, reduced mod pi^m.
 
     Returns (H, Vbar, z') with H the hnf basis of the order lattice
     o[pi^{-z'} b] * e1, Vbar the reduction of
@@ -325,8 +325,6 @@ def stable_lattice_reduction(b, m: int,
     """
     field = b[0][0].field
     n = len(b)
-    if cert is None:
-        cert = regular_elliptic_certify(charpoly(b))
     zp = Fraction(cert.det_val, n)
     if zp.denominator != 1:
         raise PreconditionError(

@@ -54,9 +54,6 @@ class DElem:
         if len(self.coords) != alg.n:
             raise PreconditionError(f"need {alg.n} coordinates")
 
-    def __add__(self, other):
-        return DElem(self.alg, [a + b for a, b in zip(self.coords, other.coords)])
-
     def __mul__(self, other):
         return self.alg.mul(self, other)
 
@@ -195,9 +192,6 @@ class QuadElem:
 
     def __sub__(self, other):
         return self._wrap(self.c0 - other.c0, self.c1 - other.c1)
-
-    def __neg__(self):
-        return self._wrap(-self.c0, -self.c1)
 
     def __mul__(self, other):
         # (c0 + c1 T)(d0 + d1 T) with T^2 = -a1 T - a0

@@ -302,15 +302,18 @@ def build_tower(n: int, q: int, m: int, prec: int | None = None, u_spec=None,
     """
     if m < 1:
         raise PreconditionError("level must be >= 1")
+    if n < 1:
+        raise PreconditionError("height n must be >= 1")
     if prec is None:
         prec = m + 1
     if prec < m + 1:
         raise PreconditionError(f"precision {prec} < level + 1 = {m + 1}")
-    module = make_module(n, q, u_spec=u_spec, prec=prec)
-    # |GL_n(o/pi^m)| >= 2^(m n^2 - n): refuse on that bound before forming the rank
+    # |GL_n(o/pi^m)| >= 2^(m n^2 - n): refuse on that bound before forming the
+    # rank or the module's n - 1 coefficients
     bound = m * n * n - n
     if bound >= rank_cap.bit_length():
         raise RankCapExceeded(f"ring rank >= 2^{bound} exceeds cap {rank_cap}")
+    module = make_module(n, q, u_spec=u_spec, prec=prec)
     ring = module.ring
     expected = gl_order(n, q, m)
     top_rank = ring.rank * expected

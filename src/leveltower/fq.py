@@ -213,7 +213,8 @@ class FqField:
             raise PreconditionError(f"p = {p} is not prime")
         if f < 1:
             raise PreconditionError("extension degree must be >= 1")
-        if p ** f > _Q_CAP:
+        # p >= 2, so p^f > 2^16 once f reaches 17: refuse before the power
+        if f >= _Q_CAP.bit_length() or p ** f > _Q_CAP:
             raise CapExceeded(f"q = {p}^{f} exceeds the 2^16 field cap")
         key = (p, f)
         if key in cls._cache:

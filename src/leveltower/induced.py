@@ -31,7 +31,7 @@ from .cyclotomic import Cyclotomic
 from .errors import Inconclusive, OracleMismatch, PreconditionError
 from .formal import gl_order
 from .groups import group_gl, group_quaternion_quotient
-from .matrices import charpoly, companion
+from .matrices import companion
 
 _ONE = Cyclotomic.from_rational(1)
 
@@ -67,21 +67,18 @@ class InducedCharSpec:
             raise PreconditionError("the central value must be a root of unity")
 
 
-def hc_character(spec: InducedCharSpec, g, cert: EllipticCertificate | None = None,
-                 reduction=None) -> Cyclotomic:
+def hc_character(spec: InducedCharSpec, g, cert: EllipticCertificate,
+                 reduction) -> Cyclotomic:
     """Character of c-Ind(lambda) at a certified regular elliptic g.
 
     Evaluates sum_{h in G/pi^Z K_0, h^-1 g h in pi^Z K_0} lambda(h^-1 g h).
     Certification keeps the support finite and pins it to the single stable
-    lattice class.  `reduction` is `stable_lattice_reduction(g, 1, cert)`
-    when the caller already holds it; without it the reduction is computed
-    here.
+    lattice class.  `cert` is g's certificate and `reduction` is
+    `stable_lattice_reduction(g, 1, cert)`, or None when v(det g) is not a
+    multiple of n and the support is empty.
     """
     field = g[0][0].field
     n = len(g)
-    if cert is None:
-        cert = regular_elliptic_certify(charpoly(g))
-
     grp = spec.table.group
     if grp.meta.get("q") != field.q:
         raise PreconditionError("the table's residue field does not match g")
@@ -90,8 +87,6 @@ def hc_character(spec: InducedCharSpec, g, cert: EllipticCertificate | None = No
     if cert.det_val % n:
         # pi^Z-normalization impossible, the support is empty
         return Cyclotomic.zero()
-    if reduction is None:
-        reduction = stable_lattice_reduction(g, 1, cert)
     _, Vbar, zp_int = reduction
     row = spec.table.values[spec.row]
     return _root_power(spec.central, zp_int) * row[grp.class_of[grp.index[Vbar]]]

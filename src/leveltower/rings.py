@@ -3,11 +3,14 @@
 A ring is F_Q[pi, u_1..u_k, t_1..t_s] modulo (pi^M, u_i^(N_i), g_j(t_j)) where each
 stage polynomial g_j is monic over the ring below it and all of its non-leading
 coefficients are nilpotent (so every adjoined root is nilpotent and the ring stays
-local with residue field F_Q).  Elements are kept in normal form on the monomial
-basis pi^a * prod u_i^(b_i) * prod t_j^(c_j) with exponents below the bounds
-(M, N_i, deg g_j).  Multiplication reduces out-of-bound monomials through cached
-rewriting of t_j^(deg g_j) by the stage polynomials, which terminates because the
-top generator's degree strictly drops at each rewrite.
+local with residue field F_Q).  Monic is a contract, not a normalization:
+`ring_extend` and `poly_divide_exact` refuse a polynomial whose leading
+coefficient is not 1, so no ring element is ever inverted.  Elements are kept
+in normal form on the monomial basis pi^a * prod u_i^(b_i) * prod t_j^(c_j)
+with exponents below the bounds (M, N_i, deg g_j).  Multiplication reduces
+out-of-bound monomials through cached rewriting of t_j^(deg g_j) by the stage
+polynomials, which terminates because the top generator's degree strictly drops
+at each rewrite.
 
 Index invariant: a basis monomial's index is its exponent vector read in mixed
 radix, sum e_k * stride_k, with pi the least and the newest generator the most
@@ -292,18 +295,6 @@ class RingElem:
         other = self._check(other)
         return RingElem(self.ring, self.ring._mul_dicts(self.d, other.d))
 
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        r = self.ring.one()
-        b = self
-        while e:
-            if e & 1:
-                r = r * b
-            b = b * b
-            e >>= 1
-        return r
-
     def __eq__(self, other):
         if not isinstance(other, RingElem) or other.ring is not self.ring:
             return NotImplemented
@@ -318,29 +309,8 @@ class RingElem:
     def is_zero(self) -> bool:
         return not self.d
 
-    def is_unit(self) -> bool:
-        # the ring is local with every non-1 basis monomial nilpotent
-        return self.d.get(0, 0) != 0
-
     def is_nilpotent(self) -> bool:
         return self.d.get(0, 0) == 0
-
-    def inverse(self) -> "RingElem":
-        c = self.d.get(0, 0)
-        if not c:
-            raise PreconditionError("element is not a unit")
-        ring = self.ring
-        cinv = ring.from_field(ring.field.inv(c))
-        y = ring.one() - cinv * self          # nilpotent
-        acc, term = ring.one(), y
-        guard = 0
-        while term:
-            acc = acc + term
-            term = term * y
-            guard += 1
-            if guard > ring.rank * ring.prec + 2:
-                raise AssertionError("inverse iteration failed to terminate")
-        return cinv * acc
 
     def qpower(self, q: int) -> "RingElem":
         """self^q by Frobenius, for q a power of the characteristic p.
@@ -389,22 +359,16 @@ class RingElem:
 def ring_extend(ring: CoeffRing, poly, name: str | None = None) -> tuple[CoeffRing, RingElem]:
     """Adjoin a root of a monic polynomial, returning (new ring, adjoined root).
 
-    poly: coefficient list of RingElems of `ring`, low degree first.  The leading
-    coefficient must be a unit (the polynomial is normalized to monic) and every
+    poly: coefficient list of RingElems of `ring`, low degree first.  It must be
+    monic, or PreconditionError is raised, so nothing is ever inverted.  Every
     lower coefficient must be nilpotent, which keeps the extension local and
     guarantees the new generator is nilpotent.
     """
-    coeffs = list(poly)
-    while coeffs and coeffs[-1].is_zero():
-        coeffs.pop()
+    coeffs = poly_trim(poly)
     if len(coeffs) < 2:
         raise PreconditionError("stage polynomial must have degree >= 1")
-    lead = coeffs[-1]
-    if not lead.is_unit():
-        raise PreconditionError("stage polynomial needs a unit leading coefficient")
-    if not (lead == ring.one()):
-        li = lead.inverse()
-        coeffs = [li * c for c in coeffs]
+    if coeffs[-1] != ring.one():
+        raise PreconditionError("stage polynomial must be monic")
     deg = len(coeffs) - 1
     for c in coeffs[:-1]:
         if not c.is_nilpotent():
@@ -465,25 +429,25 @@ def poly_mul(f, g):
 def poly_divide_exact(f, g) -> list[RingElem]:
     """Quotient f/g for polynomials over a CoeffRing; raises if division is not exact.
 
-    Requires a unit leading coefficient on g.  A nonzero remainder indicates an
-    implementation bug upstream, so the error carries the first offending
+    g must be monic, or PreconditionError is raised: the tower divides [pi](T)
+    only by products of monic linear factors.  A nonzero remainder indicates
+    an implementation bug upstream, so the error carries the first offending
     coefficient as a witness.
     """
     f, g = poly_trim(f), poly_trim(g)
     if not g:
         raise ZeroDivisionError("division by the zero polynomial")
     ring = g[0].ring
-    if not g[-1].is_unit():
-        raise PreconditionError("divisor needs a unit leading coefficient")
+    if g[-1] != ring.one():
+        raise PreconditionError("divisor must be monic")
     if not f:
         return []
     if len(f) < len(g):
         raise NonExactDivision("degree of dividend below divisor", remainder=f[0])
-    inv = g[-1].inverse()
     rem = list(f)
     out = [ring.zero()] * (len(f) - len(g) + 1)
     for k in range(len(out) - 1, -1, -1):
-        c = rem[len(g) - 1 + k] * inv
+        c = rem[len(g) - 1 + k]
         out[k] = c
         if not c.is_zero():
             for i, gi in enumerate(g):

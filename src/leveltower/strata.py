@@ -108,31 +108,14 @@ def enumerate_summands(n: int, q: int, m: int, h: int):
     return out
 
 
-def _fixed(g, n: int, q: int, m: int, h: int):
-    """For each rank-h label over o/pi^m, whether g maps it onto itself: the
-    echelon form of its generators' images is the label."""
-    ch = _chain(q, m)
-    return (ch.echelon(n, [ch.matvec(g, col) for col in A[1]]) == A
-            for A in enumerate_summands(n, q, m, h))
-
-
 def strata_fixed_count(gbar, n: int, q: int, m: int, h: int) -> int:
-    """Number of rank-h labels fixed by an invertible matrix over o/pi^m.
-
-    A label g fixes mod pi^m reduces entry by entry (code % q) to a label g
-    fixes mod pi, since the reduction of a canonical form is canonical.  So
-    the labels mod pi are scanned first, and when g mod pi fixes none of
-    them the count is 0 without the scan over o/pi^m.  That is every
-    `strata-action` call: a certified elliptic unit class has an irreducible
-    residue characteristic polynomial, so g mod pi fixes no proper label.
-    """
+    """Number of rank-h labels fixed by an invertible matrix over o/pi^m: those
+    whose generators' images have the label's echelon form."""
     ch = _chain(q, m)
     if not ch.is_unit(ch.det(gbar)):
         raise PreconditionError("matrix is not invertible mod pi^m")
-    check_label_census(n, q, m, h)
-    if not any(_fixed(tuple(tuple(x % q for x in row) for row in gbar), n, q, 1, h)):
-        return 0
-    return sum(_fixed(gbar, n, q, m, h))
+    return sum(ch.echelon(n, [ch.matvec(gbar, col) for col in A[1]]) == A
+               for A in enumerate_summands(n, q, m, h))
 
 
 def enumerate_flags(n: int, q: int, m: int) -> list:
@@ -202,6 +185,11 @@ def flag_of_point(values: dict, n: int, q: int, m: int) -> tuple:
     a free direct summand of it, so the tuple is a flag.
     """
     ch = _chain(q, m)
+    # the module has size^n - 1 >= 2^n - 1 nonzero vectors: bound n by the
+    # number of rows before forming the size or the zero vector
+    if n > len(values).bit_length():
+        raise PreconditionError(
+            f"a value table of {len(values)} rows cannot cover (o/pi^{m})^{n}, q = {q}")
     zero = tuple([0] * n)
     table = {}
     for key, tiers in values.items():

@@ -6,7 +6,7 @@ from itertools import combinations, product
 from math import prod
 
 from leveltower.certify import regular_elliptic_certify
-from leveltower.counting import _fixed_lattices, _triangular_inverse
+from leveltower.counting import _fixed_lattices, _triangular_inverse, stable_lattice_reduction
 from leveltower.cyclotomic import Cyclotomic
 from leveltower.errors import CapExceeded, Inconclusive
 from leveltower.fq import FqField
@@ -136,6 +136,14 @@ def box_fixed_lattices(b, z_prime, m):
             yield max(diag) >= bound, mat_reduce_mod(V, m)
 
 
+def certified(g):
+    """(certificate, reduction) of a regular elliptic g, as `jl_match` holds
+    them for `hc_character`: the reduction is `stable_lattice_reduction` at
+    level 1, or None when v(det g) is not a multiple of n."""
+    cert = regular_elliptic_certify(charpoly(g))
+    return cert, None if cert.det_val % len(g) else stable_lattice_reduction(g, 1, cert)
+
+
 def brute_hc_character(spec, g):
     """`induced.hc_character` by the stable-lattice descent of
     `_fixed_lattices`: the sum of the inflated row over every box lattice
@@ -152,6 +160,11 @@ def brute_hc_character(spec, g):
         assert not on_shell, "the lattice box did not stabilize"
         total = total + row[grp.class_of[grp.index[Vbar]]]
     return _root_power(spec.central, det_val // n) * total
+
+
+def chain_pi(ch):
+    """The code of pi in the chain ring ch: digits (0, 1), which is q, or 0 when m = 1."""
+    return ch.q if ch.m > 1 else 0
 
 
 def label_coords(ch, label, v):
@@ -214,7 +227,7 @@ def method_echelon(ch, n, gens):
         if hit is None:
             continue
         cols.remove(hit)
-        inv = ch.inv(hit[r])
+        inv = ch._inv[hit[r]]
         hit = [ch.mul(inv, x) for x in hit]
         for c in cols + piv_cols:
             if c[r]:
@@ -247,6 +260,17 @@ def member_fixed_count(gbar, labels, q, m):
     ch = chain_ring(q, m)
     return sum(all(label_coords(ch, A, ch.matvec(gbar, col)) is not None for col in A[1])
                for A in labels)
+
+
+def power(x, e):
+    """x^e for a ring element x and e >= 0, by repeated squaring."""
+    out = x.ring.one()
+    while e:
+        if e & 1:
+            out = out * x
+        x = x * x
+        e >>= 1
+    return out
 
 
 def poly_add(f, g):

@@ -3,7 +3,7 @@
 import json
 import random
 
-from conftest import counting_suite, pi_power, random_unit_matrix
+from conftest import certified, counting_suite, pi_power, random_unit_matrix
 
 from leveltower.certify import regular_elliptic_certify
 from leveltower.chartab import character_table, cuspidal_characters
@@ -150,7 +150,7 @@ def test_criterion_08_induced_character_consistency():
         counts = [(count_structured(b, c, 1, cert).count, count_brute(b, c, 1).count)
                   for c in lifts]
         for row in range(len(tab.degrees)):
-            want = hc_character(InducedCharSpec(tab, row), b, cert=cert).conjugate() * grp.order
+            want = hc_character(InducedCharSpec(tab, row), b, *certified(b)).conjugate() * grp.order
             for route in (0, 1):
                 got = Cyclotomic.zero()
                 for size, cnt, chi in zip(grp.class_sizes, counts, tab.values[row]):

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -144,9 +145,9 @@ def test_strata_action_zero_table(capsys):
 
 
 def test_strata_action_stops_when_nothing_is_fixed_mod_pi(capsys, monkeypatch):
-    # T^3+T+1 is irreducible over F_2, so g fixes no label mod pi: each call
-    # makes the 7 eliminations of the level-1 census and returns 0, where a
-    # full scan at level 4 makes 448
+    # T^3+T+1 is irreducible over F_2, so g fixes no label mod pi: one call
+    # per rank makes the 7 eliminations of the level-1 census and returns 0,
+    # and levels 2 to 4, where a full scan at level 4 makes 448, are not scanned
     echelon, fixed_count = ChainRing.echelon, strata.strata_fixed_count
     eliminations, per_call = [], []
 
@@ -165,7 +166,7 @@ def test_strata_action_stops_when_nothing_is_fixed_mod_pi(capsys, monkeypatch):
     code, _, _ = run(capsys, "strata-action", "--q", "2", "--n", "3",
                      "--g", "companion:T^3+T+1", "--scan-m", "4")
     assert code == 0
-    assert len(per_call) == 8
+    assert len(per_call) == 2
     assert max(per_call) <= 7
 
 
@@ -222,6 +223,61 @@ def test_census_refusal_builds_no_label(capsys, monkeypatch, argv):
 def test_huge_tower_is_refused_before_its_rank_is_formed(n, message):
     proc = _fresh_cli("tower", "--q", "3", "--n", n)
     assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", message)
+
+
+def _limit_address_space():
+    # about 1 GB: an allocation sized by an oversized argument fails fast
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("argv,code,message", [
+    (["count", "--q", "2", "--n", "2", "--m", "1000000000", "--b", "x:2",
+      "--g", "companion:T^2+T+1"], 3,
+     "error: chain ring size q^m = 2^1000000000 exceeds desk-scale table cap 729\n"),
+    (["count", "--q", "2", "--n", "2", "--m", "1000000000000", "--b", "x:2",
+      "--g", "companion:T^2+T+1"], 3,
+     "error: chain ring size q^m = 2^1000000000000 exceeds desk-scale table cap 729\n"),
+    (["count", "--q", "2", "--n", "1000000000000", "--m", "1", "--b", "x:2",
+      "--g", "companion:T^2+T+1"], 3,
+     "error: q = 2^1000000000000 exceeds the 2^16 field cap\n"),
+    (["tower", "--q", "2", "--n", "100000000", "--m", "1"], 3,
+     "error: ring rank >= 2^9999999900000000 exceeds cap 5000\n"),
+    (["flag-of-point", "--table", "100000000 2 1"], 2,
+     "error: a value table of 0 rows cannot cover (o/pi^1)^100000000, q = 2\n"),
+    (["flag-of-point", "--table", "1000000000000 2 1"], 2,
+     "error: a value table of 0 rows cannot cover (o/pi^1)^1000000000000, q = 2\n"),
+    (["count", "--q", "2", "--n", "2", "--m", "1", "--b", "x:2",
+      "--g", "companion:T^300000+T+1"], 2,
+     "error: matrix 'companion:T^300000+T+1' is 300000x300000, not 2x2\n"),
+])
+def test_oversized_sizes_are_refused_before_they_are_computed(tmp_path, argv, code, message):
+    # each used to exit 4 (a MemoryError, or a size too long to print) or
+    # exhaust memory; a flag-of-point table is given by its header line
+    if argv[0] == "flag-of-point":
+        table = tmp_path / "header.table"
+        table.write_text(argv[-1] + "\n")
+        argv = [*argv[:-1], str(table)]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-m", "leveltower.cli", *argv],
+                          capture_output=True, text=True, timeout=60, env=env,
+                          preexec_fn=_limit_address_space)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", message)
+
+
+def test_coefficient_powers_are_not_repeated_products(monkeypatch):
+    from leveltower.fq import FqField
+    field = FqField(3)
+    calls = []
+    mul = FqField.mul
+
+    def counted(self, a, b):
+        calls.append((a, b))
+        return mul(self, a, b)
+
+    monkeypatch.setattr(FqField, "mul", counted)
+    x = cli.parse_laurent("2^1000000", field)
+    assert x.coeff(0) == 1       # 2 = -1 in F_3, to an even power
+    assert len(calls) <= 64
 
 
 def test_strata_action_census_cap_exits_3(capsys, monkeypatch):

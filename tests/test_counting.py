@@ -12,6 +12,7 @@ import pytest
 from conftest import (
     box_fixed_lattices,
     brute_units,
+    certified,
     counting_suite,
     lattice_bases,
     triangular_eigen_matrix,
@@ -98,7 +99,7 @@ def test_ramified_element_count_vanishes():
 def test_stable_lattice_reduction_unit_case():
     field = FqField(2, 1)
     b = companion(field, _codes(field, 1, 1, 1))
-    H, Vbar, zp = stable_lattice_reduction(b, 1)
+    H, Vbar, zp = stable_lattice_reduction(b, 1, certified(b)[0])
     assert zp == 0
     ch_char = [c for c in charpoly(b)]
     # the reduced frame matrix has the same residual charpoly as b
@@ -111,7 +112,7 @@ def test_stable_lattice_reduction_rejects_half_integral():
     b = companion(field, [Laurent.pi(field, 1), Laurent.zero(field),
                           Laurent.const(field, 1)])
     with pytest.raises(PreconditionError):
-        stable_lattice_reduction(b, 1)
+        stable_lattice_reduction(b, 1, certified(b)[0])
 
 
 def test_noncommensurable_g_rejected():

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from conftest import pi_power, poly_eval
+from conftest import chain_pi, pi_power, poly_eval
 
 from leveltower import formal
 from leveltower.errors import CapExceeded, PreconditionError, RankCapExceeded
@@ -177,14 +177,14 @@ def test_check_level_rejects_a_scalar_and_pi_linear_table_that_is_not_additive()
     phi, mod, ch = tower.structure, tower.module, tower.structure.chain
     delta = phi.values[phi.torsion_vectors()[1]]
     assert not delta.is_zero() and mod.pi_eval(delta).is_zero()
-    v0 = (1, ch.pi)
+    v0 = (1, chain_pi(ch))
     values = dict(phi.values)
     for c in range(1, ch.q):
         values[ch.vscale(c, v0)] = values[ch.vscale(c, v0)] + mod.scalar(c) * delta
     for w, val in values.items():
         for c in range(ch.q):
             assert values[ch.vscale(c, w)] == mod.scalar(c) * val
-        assert values[ch.vscale(ch.pi, w)] == mod.pi_eval(val)
+        assert values[ch.vscale(chain_pi(ch), w)] == mod.pi_eval(val)
     assert any(values[ch.vadd(v, w)] != values[v] + values[w]
                for v in values for w in values)
     report = check_level(LevelStructure(mod, phi.m, values))

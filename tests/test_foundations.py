@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import brute_units, method_echelon, random_unit_matrix, root_of_unity
+from conftest import brute_units, chain_pi, method_echelon, random_unit_matrix, root_of_unity
 
 from leveltower import chain
 from leveltower.chain import ChainRing, gl_elements
@@ -440,7 +440,7 @@ def _random_generating_set(ch, n, rng):
         elif kind == 2 and len(gens) >= 2:
             gens.append(ch.vadd(*rng.sample(gens, 2)))
         elif kind == 3 and gens:
-            gens.append(ch.vscale(ch.pi, rng.choice(gens)))
+            gens.append(ch.vscale(chain_pi(ch), rng.choice(gens)))
         elif kind == 4:
             gens.append(tuple(rng.choice(nonunits) for _ in range(n)))
         else:

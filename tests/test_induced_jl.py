@@ -4,7 +4,13 @@ import random
 
 import pytest
 
-from conftest import brute_hc_character, counting_suite, random_unit_matrix, root_of_unity
+from conftest import (
+    brute_hc_character,
+    certified,
+    counting_suite,
+    random_unit_matrix,
+    root_of_unity,
+)
 
 from leveltower import counting, induced
 from leveltower.chartab import character_table, cuspidal_characters
@@ -70,10 +76,10 @@ def test_central_twist_multiplies_by_root_of_unity():
     tab = character_table(group_gl(2, 3, 1))
     row = tab.degrees.index(1)
     i_unit = root_of_unity(4)
-    base = hc_character(InducedCharSpec(tab, row), b)
+    base = hc_character(InducedCharSpec(tab, row), b, *certified(b))
     assert not base.is_zero()
     twisted = InducedCharSpec(tab, row, central=i_unit)
-    got = hc_character(twisted, b)
+    got = hc_character(twisted, b, *certified(b))
     assert got == i_unit * base
     assert brute_hc_character(twisted, b) == got
 
@@ -89,7 +95,7 @@ def test_inflated_spec_reads_residual_class():
     field = FqField(2, 1)
     tab, spec = _inflated_spec(2)
     b = companion(field, [Laurent.const(field, c) for c in (1, 1, 1)])
-    val = hc_character(spec, b)
+    val = hc_character(spec, b, *certified(b))
     # the residual class has order 3 and the q=2 cuspidal row is the sign row
     assert val == Cyclotomic.from_rational(1)
     assert brute_hc_character(spec, b) == val
@@ -99,7 +105,7 @@ def test_inflated_spec_conjugation_invariant():
     field = FqField(3, 1)
     tab, spec = _inflated_spec(3)
     b = companion(field, [Laurent.const(field, c) for c in (1, 0, 1)])
-    base = hc_character(spec, b)
+    base = hc_character(spec, b, *certified(b))
     rng = random.Random(11)
     for _ in range(5):
         w = random_unit_matrix(field, 2, rng)
@@ -107,7 +113,7 @@ def test_inflated_spec_conjugation_invariant():
         di = field.inv(d.coeff(0))
         winv = [[e.scale(di) for e in row] for row in adjugate(w)]
         conj = mat_mul(mat_mul(w, b), winv)
-        assert hc_character(spec, conj) == base
+        assert hc_character(spec, conj, *certified(conj)) == base
         assert brute_hc_character(spec, conj) == base
 
 
@@ -116,7 +122,7 @@ def test_inflated_spec_vanishes_at_half_integral_valuation():
     tab, spec = _inflated_spec(2)
     b = companion(field, [Laurent.pi(field, 1), Laurent.zero(field),
                           Laurent.const(field, 1)])
-    assert hc_character(spec, b).is_zero()
+    assert hc_character(spec, b, *certified(b)).is_zero()
     assert brute_hc_character(spec, b).is_zero()
 
 
@@ -139,7 +145,7 @@ def test_hc_character_brute_makes_no_adjugate_call(monkeypatch):
     for spec, b in cases:
         brute = brute_hc_character(spec, b)
         assert calls == []
-        assert hc_character(spec, b) == brute
+        assert hc_character(spec, b, *certified(b)) == brute
         assert calls, "the structured route still takes the adjugate step"
         calls.clear()
     field = FqField(2, 1)

@@ -3,11 +3,12 @@
 import random
 
 import pytest
+from conftest import power
 
 from leveltower.errors import PreconditionError
 from leveltower.formal import build_tower
 from leveltower.fq import FqField
-from leveltower.rings import CoeffRing, convert, ring_extend
+from leveltower.rings import CoeffRing, convert, poly_divide_exact, poly_mul, ring_extend
 
 CASES = 1000
 
@@ -65,7 +66,7 @@ def test_qpower_is_the_qth_power(q, density, cases):
     rng = random.Random(40_000 + q)
     for _ in range(cases):
         x = ring.random_element(rng, density=density)
-        assert x.qpower(q) == x ** q
+        assert x.qpower(q) == power(x, q)
     assert ring.one().qpower(1) == ring.one()
 
 
@@ -76,8 +77,8 @@ def test_qpower_moves_coefficients_of_a_larger_field():
     rng = random.Random(45_000)
     for _ in range(200):
         x = ring.random_element(rng)
-        assert x.qpower(2) == x ** 2
-        assert x.qpower(4) == x ** 4
+        assert x.qpower(2) == power(x, 2)
+        assert x.qpower(4) == power(x, 4)
 
 
 def test_qpower_rejects_a_non_power_of_p():
@@ -105,3 +106,26 @@ def test_convert_keeps_indices_through_every_stage():
                 # the embedding is a ring map in the extension's index space
                 assert convert(a * b, target) == ca * cb
                 assert convert(a + b, target) == ca + cb
+
+
+def _unit_leads(base):
+    # two units other than 1 and a nilpotent, as leading coefficients
+    return [base.from_field(2), base.one() + base.pi(), base.pi()]
+
+
+def test_ring_extend_refuses_a_non_monic_polynomial():
+    base = CoeffRing(FqField(3, 1), 2, (2,))
+    for lead in _unit_leads(base):
+        with pytest.raises(PreconditionError, match="monic"):
+            ring_extend(base, [base.pi(), base.zero(), lead])
+
+
+def test_poly_divide_exact_refuses_a_non_monic_divisor():
+    base = CoeffRing(FqField(3, 1), 2, (2,))
+    f = [base.pi(), base.zero(), base.one()]
+    for lead in _unit_leads(base):
+        with pytest.raises(PreconditionError, match="monic"):
+            poly_divide_exact(poly_mul(f, [base.one(), lead]), [base.one(), lead])
+    # a monic divisor still divides exactly
+    g = [base.u(1), base.one()]
+    assert poly_divide_exact(poly_mul(f, g), g) == f

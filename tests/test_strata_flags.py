@@ -4,7 +4,14 @@ import itertools
 import random
 
 import pytest
-from conftest import chain_ring, is_flag, label_coords, member_fixed_count, slot_loop_summands
+from conftest import (
+    chain_pi,
+    chain_ring,
+    is_flag,
+    label_coords,
+    member_fixed_count,
+    slot_loop_summands,
+)
 
 from leveltower.certify import regular_elliptic_certify
 from leveltower import strata
@@ -239,7 +246,8 @@ def test_a_wrong_carried_label_is_caught(monkeypatch, wrong):
         got = matvec(self, M, v)
         carried.append(got)
         if len(carried) == 5:
-            return self.vscale(1 + self.pi if wrong == "rescaled" else self.pi, got)
+            pi = chain_pi(self)
+            return self.vscale(1 + pi if wrong == "rescaled" else pi, got)
         return got
 
     monkeypatch.setattr(ChainRing, "matvec", corrupt)
