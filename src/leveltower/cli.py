@@ -7,7 +7,7 @@ identifies its own inputs.  With the same configuration the emitted
 bytes are identical run to run (timings are only included on request,
 since they cannot be).
 
-Exit codes: 0 success, 2 precondition or certification failure (a usage
+Exit codes: 0 success, 2 a refused input or failed certification (a usage
 error included), 3 a desk-scale cap was exceeded, 4 an internal defect: two
 computation routes disagreed or an unexpected exception was raised (never
 user error).  Every nonzero exit writes one `error:` line to stderr.
@@ -58,7 +58,6 @@ class RunConfig:
     q: int = 2
     n: int = 2
     m: int = 1
-    prec: int | None = None
     u_spec: str | None = None
     rank_cap: int = DEFAULT_RANK_CAP
     scan_m: int = 3
@@ -95,7 +94,7 @@ class RunConfig:
         return out
 
 
-_INT_KEYS = {"q", "n", "m", "prec", "rank_cap", "scan_m"}
+_INT_KEYS = {"q", "n", "m", "rank_cap", "scan_m"}
 
 
 def _int(tok: str, what: str, bound: int | None = None) -> int:
@@ -132,9 +131,7 @@ def load_config_file(path: str) -> dict:
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
         value = value.strip()
-        if key == "prec" and value.lower() == "none":
-            out[key] = None
-        elif key in _INT_KEYS:
+        if key in _INT_KEYS:
             out[key] = _int(value, key)
         else:
             out[key] = value
@@ -269,7 +266,9 @@ def parse_algebra_element(spec: str, alg: DivisionAlgebra):
 
 
 def cmd_tower(cfg: RunConfig) -> dict:
-    from .formal import build_tower, check_level, gl_order
+    from .formal import build_tower, check_level, gl_order, tower_rank, u_spec_label
+    u_spec = cfg.parsed_u_spec()
+    tower_rank(cfg.n, cfg.q, cfg.m, u_spec, cfg.rank_cap)  # over the cap exits 3, cached or not
     cache_info = {"enabled": cfg.cache_dir is not None, "hit": False, "key": None}
     tower = None
     if cfg.cache_dir is not None:
@@ -278,20 +277,20 @@ def cmd_tower(cfg: RunConfig) -> dict:
         cache = Cache(cfg.cache_dir)
         key = content_key({
             "kind": "tower", "schema": TOWER_SCHEMA, "q": cfg.q, "n": cfg.n, "m": cfg.m,
-            "prec": cfg.prec, "u_spec": cfg.u_spec, "rank_cap": cfg.rank_cap,
+            "u_spec": cfg.u_spec, "rank_cap": cfg.rank_cap,
         })
         cache_info["key"] = key
-        try:  # an undecodable, misshapen or non-round-tripping entry is a miss
+        try:  # an undecodable, misshapen, non-round-tripping or other tower's entry is a miss
             hit = cache.get(key)
             if hit is not None:
-                tower = tower_from_doc(json.loads(hit))
+                tower = tower_from_doc(json.loads(hit), cfg.n, cfg.q, cfg.m,
+                                       u_spec_label(cfg.n, u_spec))
                 cache_info["hit"] = True
         except (ValueError, PreconditionError, OracleMismatch) as exc:
             sys.stderr.write(f"warning: rebuilding unusable cache entry {key} "
                              f"({type(exc).__name__}: {exc})\n")
     if tower is None:
-        tower = build_tower(cfg.n, cfg.q, cfg.m, prec=cfg.prec,
-                            u_spec=cfg.parsed_u_spec(), rank_cap=cfg.rank_cap)
+        tower = build_tower(cfg.n, cfg.q, cfg.m, u_spec, cfg.rank_cap)
         if cfg.cache_dir is not None:
             cache.put(cache_info["key"], canonical_dumps(tower_to_doc(tower)))
     level = check_level(tower.structure)
@@ -430,12 +429,14 @@ def cmd_jl(cfg: RunConfig) -> dict:
 
 def cmd_selftest(cfg: RunConfig) -> dict:
     """A quick battery of cross-checked identities; any failure raises."""
+    from .certify import regular_elliptic_certify
     from .chartab import TABLE_ORDER_CAP, character_table, cuspidal_characters
     from .counting import count_brute, count_structured
     from .formal import build_tower, check_level, gl_order
     from .fq import FqField
     from .groups import group_gl
     from .induced import jl_match
+    from .matrices import charpoly
     from .rings import CoeffRing, RingElem
     from .strata import enumerate_flags, enumerate_summands
 
@@ -458,7 +459,7 @@ def cmd_selftest(cfg: RunConfig) -> dict:
     field = FqField(2, 1)
     g = parse_matrix("companion:T^2+T+1", field, 2)
     gi = parse_matrix("mat:1,1;1,0", field, 2)
-    s = count_structured(g, gi, 1)
+    s = count_structured(g, gi, 1, regular_elliptic_certify(charpoly(g)))
     bf = count_brute(g, gi, 1)
     record("count routes agree", s.count == bf.count and bf.stable)
     record("count value 3", s.count == 3)
@@ -577,7 +578,7 @@ class Command(NamedTuple):
 
 COMMANDS = {
     "tower": Command(cmd_tower, "build a level tower and verify it",
-                     ("q", "n", "m", "prec", "u_spec", "rank_cap", "cache_dir")),
+                     ("q", "n", "m", "u_spec", "rank_cap", "cache_dir")),
     "count": Command(cmd_count, "fixed-coset counts, both routes", ("q", "n", "m"),
                      (("b", "algebra element: w, x:<code>, or c0;c1"),
                       ("g", "matrix: companion:<poly>, diag:..., mat:..."))),

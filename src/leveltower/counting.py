@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .certify import EllipticCertificate, regular_elliptic_certify
+from .certify import EllipticCertificate
 from .chain import ChainRing, gl_elements
 from .errors import CapExceeded, PreconditionError
 from .laurent import Laurent
@@ -344,8 +344,7 @@ def stable_lattice_reduction(b, m: int, cert: EllipticCertificate):
     return H, mat_reduce_mod(V, m), zp_int
 
 
-def count_structured(b, g, m: int,
-                     cert: EllipticCertificate | None = None) -> CountResult:
+def count_structured(b, g, m: int, cert: EllipticCertificate) -> CountResult:
     """Certificate-backed count; refuses (by raising) rather than guessing.
 
     With b certified elliptic, any fixed lattice is a module over the order
@@ -356,8 +355,6 @@ def count_structured(b, g, m: int,
     """
     field = b[0][0].field
     n = len(b)
-    if cert is None:
-        cert = regular_elliptic_certify(charpoly(b))
     ch, target = _frame_target(g, m)
     zp = Fraction(cert.det_val, n)
     if zp.denominator != 1:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from .certify import EllipticCertificate, regular_elliptic_certify
 from .counting import CountResult, count_brute, count_structured
-from .errors import OracleMismatch, PreconditionError
+from .errors import CapExceeded, OracleMismatch, PreconditionError
 from .fq import FqField, split_prime_power
 from .laurent import Laurent
 from .matrices import charpoly, companion
@@ -80,7 +80,11 @@ class DivisionAlgebra:
             raise PreconditionError("degree must be >= 1")
         p, s = split_prime_power(q)
         self.q, self.n, self.p, self.s = q, n, p, s
-        self.big = FqField(p, s * n)
+        try:  # FqField bounds s * n by bit length before it forms q^n
+            self.big = FqField(p, s * n)
+        except CapExceeded:
+            raise CapExceeded(f"n = {n}: the degree-n field F_(q^n) has {p}^{s * n} elements, "
+                              f"above the 2^16 field cap") from None
         self.small = FqField(p, s)
         self._lift_table = self.small.embedding(self.big)
         self._drop_table = {v: i for i, v in enumerate(self._lift_table)}

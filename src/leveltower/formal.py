@@ -35,33 +35,20 @@ from .rings import (
 class FormalOModule:
     """A height-n additive formal o-module over a coefficient ring.
 
-    Stored data: the ring, q, n, and the list of middle coefficients
+    Stored data: the ring, q (the size of the ring's residue field F_q, whose
+    codes are the scalars), n, and the list of middle coefficients
     u_1 .. u_{n-1} (the T^q .. T^(q^(n-1)) coefficients of [pi]; the leading
     coefficient is always 1, the linear one always pi).
     """
 
-    def __init__(self, ring: CoeffRing, n: int, q: int, u_values):
-        if n < 1:
-            raise PreconditionError("height must be >= 1")
+    def __init__(self, ring: CoeffRing, n: int, u_values):
         u_values = list(u_values)
         if len(u_values) != n - 1:
             raise PreconditionError(f"expected {n - 1} middle coefficients, got {len(u_values)}")
-        p, f = split_prime_power(q)
-        if p != ring.field.p:
-            raise PreconditionError(
-                f"q={q} is not a power of the coefficient characteristic {ring.field.p}")
-        if ring.field.f % f != 0:
-            raise PreconditionError("the scalar field F_q does not embed in the coefficient field")
         self.ring = ring
         self.n = n
-        self.q = q
-        self.scalar_field = FqField(p, f)
-        self._embed = self.scalar_field.embedding(ring.field)
+        self.q = ring.field.q
         self.u_values = u_values
-
-    def scalar(self, c: int) -> RingElem:
-        """The ring element acting as the F_q-scalar with code c."""
-        return self.ring.from_field(self._embed[c])
 
     def pi_poly(self):
         """[pi](T) as a dense coefficient list of length q^n + 1.
@@ -91,8 +78,8 @@ class FormalOModule:
         return f"FormalOModule(n={self.n}, q={self.q}, over {self.ring.describe()})"
 
 
-def make_module(n: int, q: int, u_spec=None, prec: int = 3) -> FormalOModule:
-    """Build a formal o-module over a fresh coefficient ring.
+def _checked_u_spec(n: int, q: int, u_spec) -> list:
+    """u_spec as a list, the default filled in; PreconditionError unless well formed.
 
     u_spec is a list of n-1 entries, one per middle coefficient:
       * an int N >= 1: a formal nilpotent generator with that vanishing order
@@ -102,16 +89,11 @@ def make_module(n: int, q: int, u_spec=None, prec: int = 3) -> FormalOModule:
         coefficient of a height-n module must be.
     The default makes every middle coefficient a square-zero formal generator.
     """
-    if n < 1:
-        raise PreconditionError("height n must be >= 1")
     if u_spec is None:
         u_spec = [2] * (n - 1)
     u_spec = list(u_spec)
     if len(u_spec) != n - 1:
         raise PreconditionError(f"u_spec must have {n - 1} entries")
-    if prec < 2:
-        raise PreconditionError("precision must be >= 2 so pi is visible")
-    fld = FqField(*split_prime_power(q))
     for k, s in enumerate(u_spec, start=1):
         if isinstance(s, int):
             if s < 1:
@@ -124,31 +106,28 @@ def make_module(n: int, q: int, u_spec=None, prec: int = 3) -> FormalOModule:
                 raise PreconditionError(
                     f"u-spec entry {k} has the unit constant digit {s[0]}; "
                     f"middle coefficients must be multiples of pi")
+    return u_spec
+
+
+def make_module(n: int, q: int, m: int, u_spec=None) -> FormalOModule:
+    """The formal o-module of u_spec (see `_checked_u_spec`) over a fresh
+    coefficient ring of precision m + 1, so that a level-m tower over it sees
+    one pi beyond its level.  Requires m, n >= 1, which `tower_rank` checks.
+    """
+    u_spec = _checked_u_spec(n, q, u_spec)
     u_orders = tuple(s for s in u_spec if isinstance(s, int) and s >= 2)
-    ring = CoeffRing(fld, prec, u_orders=u_orders)
+    ring = CoeffRing(FqField(*split_prime_power(q)), m + 1, u_orders=u_orders)
     u_values = []
     slot = 0
     for s in u_spec:
-        if isinstance(s, int):
-            if s >= 2:
-                slot += 1
-                u_values.append(ring.u(slot))
-            else:
-                u_values.append(ring.zero())
+        if not isinstance(s, int):  # sum_i c_i pi^i; pi^i has index i, as pi's stride is 1
+            u_values.append(RingElem(ring, {i: c for i, c in enumerate(s[:m + 1]) if c}))
+        elif s >= 2:
+            slot += 1
+            u_values.append(ring.u(slot))
         else:
-            u_values.append(_pi_poly_value(ring, s))
-    return FormalOModule(ring, n, q, u_values)
-
-
-def _pi_poly_value(ring: CoeffRing, digits) -> RingElem:
-    out = ring.zero()
-    pi = ring.pi()
-    pw = ring.one()
-    for c in digits:
-        if c:
-            out = out + ring.from_field(c) * pw
-        pw = pw * pi
-    return out
+            u_values.append(ring.zero())
+    return FormalOModule(ring, n, u_values)
 
 
 class LevelStructure:
@@ -156,7 +135,7 @@ class LevelStructure:
 
     def __init__(self, module: FormalOModule, m: int, values: dict):
         self.module, self.m, self.values = module, m, values
-        self.chain = ChainRing(module.scalar_field, m)
+        self.chain = ChainRing(module.ring.field, m)
 
     def torsion_vectors(self):
         """Vectors killed by pi, i.e. with all digits below the top one zero."""
@@ -203,7 +182,7 @@ def check_level(phi: LevelStructure):
         if not powers.pop().is_zero():
             report["witness"] = {"kind": "torsion", "j": j}
             return report
-        scaled = [[module.scalar(d) * y for d in range(ch.q)] for y in powers]
+        scaled = [[ring.from_field(d) * y for d in range(ch.q)] for y in powers]
         terms.append([sum((s[d] for s, d in zip(scaled, ch.digits(c))), ring.zero())
                       for c in range(ch.size)])
     for v, val in values.items():
@@ -234,10 +213,10 @@ def check_level(phi: LevelStructure):
 class Tower:
     """A full level-m structure built stage by stage over the base ring."""
 
-    def __init__(self, n: int, q: int, m: int, ring: CoeffRing, module: FormalOModule,
-                 stage_degrees: list, table: dict, u_spec_label: str):
-        self.n, self.q, self.m = n, q, m
-        self.ring, self.module = ring, module
+    def __init__(self, module: FormalOModule, m: int, stage_degrees: list, table: dict,
+                 u_spec_label: str):
+        self.module, self.m = module, m
+        self.n, self.q, self.ring = module.n, module.q, module.ring
         self.stage_degrees = stage_degrees
         self.table = table  # phi on (o/pi^m)^n, in the top ring
         self.u_spec_label = u_spec_label
@@ -248,7 +227,7 @@ class Tower:
         return prod(self.stage_degrees)
 
 
-def _u_spec_label(n, u_spec) -> str:
+def u_spec_label(n: int, u_spec) -> str:
     if u_spec is None:
         u_spec = [2] * (n - 1)
     parts = []
@@ -268,6 +247,28 @@ def gl_order(n: int, q: int, m: int = 1) -> int:
     return r
 
 
+def tower_rank(n: int, q: int, m: int, u_spec, rank_cap: int) -> int:
+    """The rank of the level-m tower's top ring; RankCapExceeded above rank_cap.
+
+    It is (m + 1) * prod(N_i) * |GL_n(o/pi^m)|: the base ring's precision
+    times its nilpotency orders times the degree of the tower over it.
+    """
+    if m < 1:
+        raise PreconditionError("level must be >= 1")
+    if n < 1:
+        raise PreconditionError("height n must be >= 1")
+    # |GL_n(o/pi^m)| >= 2^(m n^2 - n): refuse on that bound before forming the
+    # rank or the module's n - 1 coefficients
+    bound = m * n * n - n
+    if bound >= rank_cap.bit_length():
+        raise RankCapExceeded(f"ring rank >= 2^{bound} exceeds cap {rank_cap}")
+    orders = prod(s for s in _checked_u_spec(n, q, u_spec) if isinstance(s, int))
+    rank = (m + 1) * orders * gl_order(n, q, m)
+    if rank > rank_cap:
+        raise RankCapExceeded(f"ring rank {rank} exceeds cap {rank_cap}")
+    return rank
+
+
 def _extend(table: dict, module: FormalOModule, j: int, weight: int, point: RingElem) -> dict:
     """Extend a table by one pi-adic digit of coordinate j, one addition per value.
 
@@ -277,7 +278,7 @@ def _extend(table: dict, module: FormalOModule, j: int, weight: int, point: Ring
     """
     out = {}
     for c in range(module.q):
-        cp = module.scalar(c) * point
+        cp = module.ring.from_field(c) * point
         for v, val in table.items():
             w = list(v)
             w[j] += c * weight
@@ -285,7 +286,7 @@ def _extend(table: dict, module: FormalOModule, j: int, weight: int, point: Ring
     return out
 
 
-def build_tower(n: int, q: int, m: int, prec: int | None = None, u_spec=None,
+def build_tower(n: int, q: int, m: int, u_spec=None,
                 rank_cap: int = DEFAULT_RANK_CAP) -> Tower:
     """Adjoin a complete level-m structure stage by stage, then tabulate it.
 
@@ -293,32 +294,16 @@ def build_tower(n: int, q: int, m: int, prec: int | None = None, u_spec=None,
     points already adjoined, psi_i(T) = prod_{a in V_i} (T - phi(a)) divides
     [pi](T) exactly and the quotient f_i is the minimal polynomial of the next
     point.  Each later level adjoins, for each j, a root of
-    [pi](T) - phi(pi^{-(l-1)} e_j).  Requires prec >= m + 1 so that the
-    tower sees one pi beyond the level being built.
+    [pi](T) - phi(pi^{-(l-1)} e_j).  The base ring has precision m + 1, so
+    the tower sees one pi beyond the level being built.
 
     The one table is phi on (o/pi^m)^n in the top ring.  `_extend` builds it
     digit by digit from the basis points, as it builds each V_i; for m = 1
     the finished span is that table.
     """
-    if m < 1:
-        raise PreconditionError("level must be >= 1")
-    if n < 1:
-        raise PreconditionError("height n must be >= 1")
-    if prec is None:
-        prec = m + 1
-    if prec < m + 1:
-        raise PreconditionError(f"precision {prec} < level + 1 = {m + 1}")
-    # |GL_n(o/pi^m)| >= 2^(m n^2 - n): refuse on that bound before forming the
-    # rank or the module's n - 1 coefficients
-    bound = m * n * n - n
-    if bound >= rank_cap.bit_length():
-        raise RankCapExceeded(f"ring rank >= 2^{bound} exceeds cap {rank_cap}")
-    module = make_module(n, q, u_spec=u_spec, prec=prec)
+    top_rank = tower_rank(n, q, m, u_spec, rank_cap)
+    module = make_module(n, q, m, u_spec)
     ring = module.ring
-    expected = gl_order(n, q, m)
-    top_rank = ring.rank * expected
-    if top_rank > rank_cap:
-        raise RankCapExceeded(f"ring rank {top_rank} exceeds cap {rank_cap}")
 
     stage_degrees = []
     basis = [[]]  # basis[l-1][j] = phi(pi^{-l} e_j), in the ring it was adjoined to
@@ -330,7 +315,7 @@ def build_tower(n: int, q: int, m: int, prec: int | None = None, u_spec=None,
         f_i = poly_trim(poly_divide_exact(module.pi_poly(), psi))
         stage_degrees.append(len(f_i) - 1)
         ring, theta = ring_extend(ring, f_i, name=f"y{i + 1}_1")
-        module = FormalOModule(ring, n, q, [convert(u, ring) for u in module.u_values])
+        module = FormalOModule(ring, n, [convert(u, ring) for u in module.u_values])
         span = _extend({v: convert(val, ring) for v, val in span.items()}, module, i, 1, theta)
         basis[0].append(theta)
     for level in range(2, m + 1):
@@ -340,7 +325,7 @@ def build_tower(n: int, q: int, m: int, prec: int | None = None, u_spec=None,
             g[0] = g[0] - convert(target, ring)
             stage_degrees.append(len(poly_trim(g)) - 1)
             ring, y = ring_extend(ring, g, name=f"y{j + 1}_{level}")
-            module = FormalOModule(ring, n, q, [convert(u, ring) for u in module.u_values])
+            module = FormalOModule(ring, n, [convert(u, ring) for u in module.u_values])
             basis[-1].append(y)
 
     table = span
@@ -350,7 +335,7 @@ def build_tower(n: int, q: int, m: int, prec: int | None = None, u_spec=None,
             for i in range(m):
                 table = _extend(table, module, j, q ** i, convert(basis[m - 1 - i][j], ring))
 
+    expected = gl_order(n, q, m)
     assert prod(stage_degrees) == expected, f"stage degrees {stage_degrees} != {expected}"
     assert ring.rank == top_rank
-    return Tower(n=n, q=q, m=m, ring=ring, module=module, stage_degrees=stage_degrees,
-                 table=table, u_spec_label=_u_spec_label(n, u_spec))
+    return Tower(module, m, stage_degrees, table, u_spec_label(n, u_spec))

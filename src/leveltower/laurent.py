@@ -83,11 +83,7 @@ class Laurent:
         f = self.field
         cs = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            s = f.add(cs.get(e, 0), c)
-            if s:
-                cs[e] = s
-            else:
-                cs.pop(e, None)
+            cs[e] = f.add(cs.get(e, 0), c)
         return Laurent(f, cs)
 
     def __neg__(self):
@@ -107,11 +103,7 @@ class Laurent:
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
                 e = e1 + e2
-                s = f.add(cs.get(e, 0), f.mul(c1, c2))
-                if s:
-                    cs[e] = s
-                else:
-                    cs.pop(e, None)
+                cs[e] = f.add(cs.get(e, 0), f.mul(c1, c2))
         return Laurent(f, cs)
 
     def scale(self, code: int) -> "Laurent":

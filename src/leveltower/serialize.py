@@ -12,10 +12,11 @@ A tower document holds the ring with its stages and one table, the level-m
 structure on (o/pi^m)^n in the top ring, which `build_tower` fills with one
 span routine.  The tower cache key includes TOWER_SCHEMA, so an entry
 written under an older schema is a plain miss, never misread.
-`tower_from_doc` checks the whole document's JSON shape, and that the table
-keys are exactly (o/pi^m)^n, before reading it, so a misshapen document
-raises PreconditionError and any other exception from the reload is a
-defect, not a corrupt entry.
+`tower_from_doc` checks the whole document's JSON shape, that it holds the
+requested tower (its n, q, m and u_spec label) over a ring of precision
+m + 1, and that the table keys are exactly (o/pi^m)^n, before reading it,
+so a misshapen document or one for another tower raises PreconditionError
+and any other exception from the reload is a defect, not a corrupt entry.
 
 Cache writes go to a temporary file in the same directory followed by
 os.replace, so a reader never observes a half-written entry.
@@ -140,14 +141,19 @@ def tower_to_doc(tower: Tower) -> dict:
     }
 
 
-def tower_from_doc(doc) -> Tower:
+def tower_from_doc(doc, n: int, q: int, m: int, u_spec_label: str) -> Tower:
+    """The tower a document holds, which must be the requested level-m tower of (n, q, u_spec)."""
     from .formal import FormalOModule, Tower
     from .rings import RingElem
     _check_doc(doc, TOWER_SCHEMA, _TOWER_SHAPE, "tower")
+    # compared before any size is formed from the document's own values
+    want = {"n": n, "q": q, "m": m, "u_spec_label": u_spec_label}
+    got = {key: doc[key] for key in want}
+    if got != want:
+        raise PreconditionError(f"the document holds the tower {got}, not {want}")
     ring = ring_from_doc(doc["ring"])
-    n, q, m = doc["n"], doc["q"], doc["m"]
-    if not 1 <= m < ring.prec:
-        raise PreconditionError(f"tower.m = {m} is not in 1..{ring.prec - 1}")
+    if ring.prec != m + 1:
+        raise PreconditionError(f"tower ring precision {ring.prec} != level + 1 = {m + 1}")
 
     rank, q = ring.rank, ring.field.q
 
@@ -158,16 +164,14 @@ def tower_from_doc(doc) -> Tower:
                     f"term [{index}, {coeff}] is outside ring rank {rank} or F_{q}")
         return RingElem(ring, dict(pairs))
 
-    module = FormalOModule(ring, n, q, [elem(p) for p in doc["module_u"]])
+    module = FormalOModule(ring, n, [elem(p) for p in doc["module_u"]])
     # the sorted keys must be (o/pi^m)^n itself, which product lists in that order
     domain = product(range(q ** m), repeat=n)
     if any(entry is None or tuple(entry[0]) != v
            for entry, v in zip_longest(doc["table"], domain)):
         raise PreconditionError(f"tower.table keys are not exactly (o/pi^{m})^{n}")
     table = {tuple(vec): elem(pairs) for vec, pairs in doc["table"]}
-    tower = Tower(n=n, q=q, m=m, ring=ring, module=module,
-                  stage_degrees=list(doc["stage_degrees"]),
-                  table=table, u_spec_label=doc["u_spec_label"])
+    tower = Tower(module, m, list(doc["stage_degrees"]), table, u_spec_label)
     back = canonical_dumps(tower_to_doc(tower))
     if back != canonical_dumps(doc):
         raise OracleMismatch("tower document did not survive a round trip")

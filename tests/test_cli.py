@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from leveltower import cli, counting, division, induced, rings, serialize, strata
+from leveltower import cli, counting, division, formal, induced, rings, serialize, strata
 from leveltower.chain import ChainRing
 from leveltower.errors import (
     CapExceeded,
@@ -230,6 +230,14 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
+def _limited_cli(*argv):
+    # a fresh process under the address-space limit, with a timeout
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    return subprocess.run([sys.executable, "-m", "leveltower.cli", *argv],
+                          capture_output=True, text=True, timeout=60, env=env,
+                          preexec_fn=_limit_address_space)
+
+
 @pytest.mark.parametrize("argv,code,message", [
     (["count", "--q", "2", "--n", "2", "--m", "1000000000", "--b", "x:2",
       "--g", "companion:T^2+T+1"], 3,
@@ -239,7 +247,8 @@ def _limit_address_space():
      "error: chain ring size q^m = 2^1000000000000 exceeds desk-scale table cap 729\n"),
     (["count", "--q", "2", "--n", "1000000000000", "--m", "1", "--b", "x:2",
       "--g", "companion:T^2+T+1"], 3,
-     "error: q = 2^1000000000000 exceeds the 2^16 field cap\n"),
+     "error: n = 1000000000000: the degree-n field F_(q^n) has 2^1000000000000 elements, "
+     "above the 2^16 field cap\n"),
     (["tower", "--q", "2", "--n", "100000000", "--m", "1"], 3,
      "error: ring rank >= 2^9999999900000000 exceeds cap 5000\n"),
     (["flag-of-point", "--table", "100000000 2 1"], 2,
@@ -249,6 +258,13 @@ def _limit_address_space():
     (["count", "--q", "2", "--n", "2", "--m", "1", "--b", "x:2",
       "--g", "companion:T^300000+T+1"], 2,
      "error: matrix 'companion:T^300000+T+1' is 300000x300000, not 2x2\n"),
+    # --q is in range: the refused field is the algebra's F_(q^n)
+    (["count", "--q", "4", "--n", "9", "--m", "1", "--b", "x:2",
+      "--g", "companion:T^2+T+1"], 3,
+     "error: n = 9: the degree-n field F_(q^n) has 2^18 elements, above the 2^16 field cap\n"),
+    (["count", "--q", "2", "--n", "17", "--m", "1", "--b", "x:2",
+      "--g", "companion:T^2+T+1"], 3,
+     "error: n = 17: the degree-n field F_(q^n) has 2^17 elements, above the 2^16 field cap\n"),
 ])
 def test_oversized_sizes_are_refused_before_they_are_computed(tmp_path, argv, code, message):
     # each used to exit 4 (a MemoryError, or a size too long to print) or
@@ -257,10 +273,7 @@ def test_oversized_sizes_are_refused_before_they_are_computed(tmp_path, argv, co
         table = tmp_path / "header.table"
         table.write_text(argv[-1] + "\n")
         argv = [*argv[:-1], str(table)]
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
-    proc = subprocess.run([sys.executable, "-m", "leveltower.cli", *argv],
-                          capture_output=True, text=True, timeout=60, env=env,
-                          preexec_fn=_limit_address_space)
+    proc = _limited_cli(*argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", message)
 
 
@@ -358,11 +371,11 @@ def test_removed_knobs_are_rejected(capsys, tmp_path):
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
-ALL_KNOBS = ("q", "n", "m", "prec", "u_spec", "rank_cap", "scan_m", "cache_dir")
+ALL_KNOBS = ("q", "n", "m", "u_spec", "rank_cap", "scan_m", "cache_dir")
 
 
 @pytest.mark.parametrize("command,knobs,extra", [
-    ("tower", "q n m prec u_spec rank_cap cache_dir", []),
+    ("tower", "q n m u_spec rank_cap cache_dir", []),
     ("count", "q n m", ["--b", "x:2", "--g", "companion:T^2+T+1"]),
     ("strata", "q n m", []),
     ("strata-action", "q n scan_m", ["--g", "companion:T^2+T+1"]),
@@ -539,6 +552,16 @@ def _negative_level(good):
     return json.dumps(doc)
 
 
+def _u_spec_nil3(good):
+    # well formed, but for u-spec nil3: it used to be served as a hit for the default nil2
+    return serialize.canonical_dumps(serialize.tower_to_doc(formal.build_tower(2, 2, 1, [3])))
+
+
+def _level_two(good):
+    # well formed, but the (2,2,2) tower: it used to exit 4 on the tower rank check
+    return serialize.canonical_dumps(serialize.tower_to_doc(formal.build_tower(2, 2, 2)))
+
+
 def _key_outside_domain(good):
     # well formed and round-tripping, but the last key is not in (o/pi)^2
     doc = json.loads(good)
@@ -557,9 +580,11 @@ def _key_outside_domain(good):
     _no_level_tables,
     _key_outside_domain,
     _negative_level,
+    _u_spec_nil3,
+    _level_two,
 ], ids=["truncated", "old-schema", "no-ring", "round-trip", "index-beyond-rank",
         "not-an-object", "string-for-int", "no-level-tables", "key-outside-domain",
-        "negative-level"])
+        "negative-level", "other-u-spec", "other-level"])
 def test_corrupt_cache_entry_is_a_miss(capsys, tmp_path, text):
     argv = ["tower", "--q", "2", "--n", "2", "--m", "1", "--cache-dir", str(tmp_path)]
     code, out, _ = run(capsys, *argv)
@@ -592,6 +617,45 @@ def test_reload_defect_is_not_a_cache_miss(capsys, tmp_path, monkeypatch):
     assert out == ""
     assert err.startswith("error: internal defect: TypeError: reload defect (at ")
     assert err.count("\n") == 1
+
+
+def _tower_entry(capsys, cache, *argv):
+    """The cache entry that `tower <argv> --cache-dir cache` writes."""
+    code, out, err = run(capsys, "tower", *argv, "--cache-dir", str(cache))
+    assert code == 0, err
+    return cache / (json.loads(out)["results"]["cache"]["key"] + ".json")
+
+
+def test_cache_entry_of_a_huge_level_is_a_miss(capsys, tmp_path):
+    # m = 40 over a ring of precision 41 and matching rank used to exit 4,
+    # a MemoryError in listing the keys of (o/pi^40)^2
+    shape = ["--q", "2", "--n", "2", "--m", "1"]
+    entry = _tower_entry(capsys, tmp_path, *shape)
+    doc = json.loads(entry.read_text())
+    doc["m"] = 40
+    doc["ring"]["rank"] = doc["ring"]["rank"] // doc["ring"]["prec"] * 41
+    doc["ring"]["prec"] = 41
+    entry.write_text(json.dumps(doc))
+    proc = _limited_cli("tower", *shape, "--cache-dir", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["results"]["cache"]["hit"] is False
+    assert proc.stderr.startswith(f"warning: rebuilding unusable cache entry {entry.stem} "
+                                  "(PreconditionError: the document holds the tower ")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_over_cap_tower_exits_3_although_a_matching_entry_exists(capsys, tmp_path):
+    # the rank cap is applied before the lookup; the entry used to be served as a hit
+    entry = _tower_entry(capsys, tmp_path, "--q", "2", "--n", "2", "--m", "2")
+    request = {"kind": "tower", "schema": serialize.TOWER_SCHEMA, "q": 2, "n": 2, "m": 2,
+               "u_spec": None}
+    assert entry.stem == serialize.content_key({**request, "rank_cap": 5000})
+    key = serialize.content_key({**request, "rank_cap": 500})
+    (tmp_path / f"{key}.json").write_text(entry.read_text())
+    proc = _limited_cli("tower", "--q", "2", "--n", "2", "--m", "2", "--rank-cap", "500",
+                        "--cache-dir", str(tmp_path))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        3, "", "error: ring rank 576 exceeds cap 500\n")
 
 
 @pytest.mark.parametrize("argv,full,code,message", [
@@ -785,10 +849,12 @@ def test_config_none_only_for_prec(capsys, tmp_path, key):
     assert code == 2
     assert out == ""
     assert err == f"error: {key} 'none' is not an integer\n"
+    # the ring precision is m + 1, worked out rather than set
     cfg.write_text("prec = none\n")
     code, out, err = run(capsys, "tower", "--config", str(cfg))
-    assert code == 0 and err == ""
-    assert json.loads(out)["config"]["prec"] is None
+    assert code == 2
+    assert out == ""
+    assert err == "error: unknown config key 'prec' for tower\n"
 
 
 def test_csv_format_versioned_header(capsys):

@@ -66,7 +66,7 @@ def test_frozen_counts_self_pairing(q, codes, m, expected):
     field = FqField(q, 1)
     b = companion(field, _codes(field, *codes))
     g = _inv_unit(b)
-    s = count_structured(b, g, m)
+    s = count_structured(b, g, m, certified(b)[0])
     bf = count_brute(b, g, m)
     assert s.count == expected
     assert bf.count == expected
@@ -78,7 +78,7 @@ def test_frozen_count_rank_three():
     field = FqField(2, 1)
     b = companion(field, _codes(field, 1, 1, 0, 1))
     g = _inv_unit(b)
-    s = count_structured(b, g, 1)
+    s = count_structured(b, g, 1, certified(b)[0])
     bf = count_brute(b, g, 1)
     assert s.count == bf.count == 7 == unit_group_order_unramified(3, 2, 1)
     assert bf.stable
@@ -89,7 +89,7 @@ def test_ramified_element_count_vanishes():
     b = companion(field, [Laurent.pi(field, 1), Laurent.zero(field),
                           Laurent.const(field, 1)])
     g = mat_identity(field, 2)
-    s = count_structured(b, g, 1)
+    s = count_structured(b, g, 1, certified(b)[0])
     bf = count_brute(b, g, 1)
     assert s.count == bf.count == 0
     assert counting._z_prime(b) == Fraction(1, 2)
@@ -121,7 +121,7 @@ def test_noncommensurable_g_rejected():
     g = [[Laurent.pi(field, 1), Laurent.zero(field)],
          [Laurent.zero(field), Laurent.const(field, 1)]]
     with pytest.raises(PreconditionError):
-        count_structured(b, g, 1)
+        count_structured(b, g, 1, certified(b)[0])
     with pytest.raises(PreconditionError):
         count_brute(b, g, 1)
 
@@ -150,8 +150,8 @@ def test_self_pairing_counts_scale_with_twist():
     field = FqField(2, 1)
     b = companion(field, _codes(field, 1, 1, 1))
     g = _inv_unit(b)
-    base = count_structured(b, g, 1).count
-    twisted = count_structured(b, mat_shift(g, 2), 1).count
+    base = count_structured(b, g, 1, certified(b)[0]).count
+    twisted = count_structured(b, mat_shift(g, 2), 1, certified(b)[0]).count
     assert base == twisted == 3
 
 
@@ -290,7 +290,7 @@ def test_count_brute_makes_no_adjugate_call(monkeypatch):
     g = _inv_unit(b)
     assert count_brute(b, g, 1).count == 7
     assert calls == []
-    assert count_structured(b, g, 1).count == 7
+    assert count_structured(b, g, 1, certified(b)[0]).count == 7
     assert calls, "the structured route still takes the adjugate step"
 
 

@@ -6,7 +6,7 @@ import pytest
 from conftest import chain_pi, pi_power, poly_eval
 
 from leveltower import formal
-from leveltower.errors import CapExceeded, PreconditionError, RankCapExceeded
+from leveltower.errors import CapExceeded, RankCapExceeded
 from leveltower.formal import (
     LevelStructure,
     build_tower,
@@ -19,7 +19,7 @@ from leveltower.rings import poly_trim
 
 
 def test_pi_poly_shape():
-    mod = make_module(2, 2)
+    mod = make_module(2, 2, 2)
     pp = mod.pi_poly()
     assert len(pp) == 2 ** 2 + 1
     assert pp[1] == mod.ring.pi()
@@ -29,7 +29,7 @@ def test_pi_poly_shape():
 
 @pytest.mark.parametrize("n,q,m", [(1, 2, 3), (2, 2, 2), (2, 3, 1), (3, 2, 1)])
 def test_pi_power_degree_and_derivative(n, q, m):
-    mod = make_module(n, q, prec=m + 1)
+    mod = make_module(n, q, m)
     poly = poly_trim(pi_power(mod, m))
     assert len(poly) - 1 == q ** (n * m)
     pi_m = mod.ring.one()
@@ -118,9 +118,9 @@ def test_check_level_lets_a_defect_in_the_division_propagate(monkeypatch):
         check_level(build_tower(1, 2, 1).structure)
 
 
-def test_build_tower_requires_enough_precision():
-    with pytest.raises(PreconditionError):
-        build_tower(2, 2, 2, prec=2)
+def test_build_tower_ring_has_precision_level_plus_one():
+    for n, q, m in [(1, 2, 3), (2, 2, 1), (2, 2, 2), (2, 3, 1)]:
+        assert build_tower(n, q, m).ring.prec == m + 1
 
 
 def test_u_spec_value_form():
@@ -180,10 +180,10 @@ def test_check_level_rejects_a_scalar_and_pi_linear_table_that_is_not_additive()
     v0 = (1, chain_pi(ch))
     values = dict(phi.values)
     for c in range(1, ch.q):
-        values[ch.vscale(c, v0)] = values[ch.vscale(c, v0)] + mod.scalar(c) * delta
+        values[ch.vscale(c, v0)] = values[ch.vscale(c, v0)] + mod.ring.from_field(c) * delta
     for w, val in values.items():
         for c in range(ch.q):
-            assert values[ch.vscale(c, w)] == mod.scalar(c) * val
+            assert values[ch.vscale(c, w)] == mod.ring.from_field(c) * val
         assert values[ch.vscale(chain_pi(ch), w)] == mod.pi_eval(val)
     assert any(values[ch.vadd(v, w)] != values[v] + values[w]
                for v in values for w in values)

@@ -37,6 +37,15 @@ CASES = {
     "flag_of_point_2_2_2": ["flag-of-point", "--table",
                             str(GOLDEN / "flag_of_point_2_2_2.table")],
 }
+# every command's CSV report, each on the argv of one JSON case above
+CASES.update({
+    name + "_csv": CASES[json_case] + ["--format", "csv"]
+    for name, json_case in [
+        ("tower", "tower_2_2_1"), ("count", "count_readme"),
+        ("strata_action", "strata_action_readme"), ("flags", "flags_2_4_2"),
+        ("flag_of_point", "flag_of_point_2_2_2"), ("jl", "jl_q3"), ("selftest", "selftest"),
+    ]
+})
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -37,6 +37,7 @@ def _counts_at_identity(b, m, cert=None):
     ident = mat_identity(b[0][0].field, len(b))
     brute = count_brute(b, ident, m)
     assert brute.stable
+    cert = certified(b)[0] if cert is None else cert
     return count_structured(b, ident, m, cert).count, brute.count
 
 

@@ -50,7 +50,7 @@ def test_tower_roundtrip_bit_exact(spec):
     assert [key for key in doc if "table" in key or "level" in key] == ["table"]
     assert len(doc["table"]) == q ** (m * n)
     blob = canonical_dumps(doc)
-    reloaded = tower_from_doc(json.loads(blob))
+    reloaded = tower_from_doc(json.loads(blob), n, q, m, tower.u_spec_label)
     assert canonical_dumps(tower_to_doc(reloaded)) == blob
     report = check_level(reloaded.structure)
     assert report["ok"]
