@@ -12,17 +12,16 @@ error included), 3 a desk-scale cap was exceeded, 4 an internal defect: two
 computation routes disagreed or an unexpected exception was raised (never
 user error).  Every nonzero exit writes one `error:` line to stderr.
 
-Importing this module loads only `argparse`, `json` and `errors`; each
-command imports the modules it runs, so a process loads only its own.
+Importing this module loads only `json` and `errors`; each command imports
+the modules it runs, so a process loads only its own.  The argument grammar
+is read from COMMANDS by `parse_args`, so no parser object is built.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from time import perf_counter
-from typing import Callable, NamedTuple
 
 from .errors import (
     DEFAULT_RANK_CAP,
@@ -68,7 +67,7 @@ class RunConfig:
         """The report's `config`: the given knobs and `format`, checked."""
         out = {key: getattr(self, key) for key in knobs}
         out["format"] = self.format
-        if self.format not in ("json", "csv", "text"):
+        if self.format not in FORMATS:
             raise PreconditionError(f"unknown output format {self.format!r}")
         if out.get("rank_cap", 1) <= 0:
             raise PreconditionError("cap rank_cap must be positive")
@@ -95,6 +94,7 @@ class RunConfig:
 
 
 _INT_KEYS = {"q", "n", "m", "rank_cap", "scan_m"}
+FORMATS = ("json", "csv", "text")
 
 
 def _int(tok: str, what: str, bound: int | None = None) -> int:
@@ -138,19 +138,18 @@ def load_config_file(path: str) -> dict:
     return out
 
 
-def resolve_config(args, knobs) -> RunConfig:
+def resolve_config(name: str, args: dict) -> RunConfig:
     """The command's knobs from `--config`, then from its flags; any other key exits 2."""
     cfg = RunConfig()
-    settable = (*knobs, "format")
-    if args.config:
-        for key, value in load_config_file(args.config).items():
+    settable = (*COMMANDS[name].knobs, "format")
+    if args["config"]:
+        for key, value in load_config_file(args["config"]).items():
             if key not in settable:
-                raise PreconditionError(f"unknown config key {key!r} for {args.command}")
+                raise PreconditionError(f"unknown config key {key!r} for {name}")
             setattr(cfg, key, value)
-    for name in settable:
-        value = getattr(args, name)
-        if value is not None:
-            setattr(cfg, name, value)
+    for key in settable:
+        if args[key] is not None:
+            setattr(cfg, key, args[key])
     return cfg
 
 
@@ -569,11 +568,12 @@ def emit(report: dict, cfg: RunConfig) -> str:
 # -- entry point ------------------------------------------------------------------
 
 
-class Command(NamedTuple):
-    run: Callable       # run(cfg, *required argument values) -> results
-    help: str
-    knobs: tuple        # the RunConfig fields it reads; the only ones it accepts
-    required: tuple = ()  # (name, help) of each required --name argument, in run order
+class Command:
+    def __init__(self, run, help: str, knobs: tuple, required: tuple = ()):
+        self.run = run            # run(cfg, *required argument values) -> results
+        self.help = help
+        self.knobs = knobs        # the RunConfig fields it reads; the only ones it accepts
+        self.required = required  # (name, help) of each required --name argument, in run order
 
 
 COMMANDS = {
@@ -584,7 +584,7 @@ COMMANDS = {
                       ("g", "matrix: companion:<poly>, diag:..., mat:..."))),
     "strata": Command(cmd_strata, "count boundary labels per rank", ("q", "n", "m")),
     "strata-action": Command(cmd_strata_action, "fixed labels of a certified unit-class matrix",
-                             ("q", "n", "scan_m"), (("g", None),)),
+                             ("q", "n", "scan_m"), (("g", "matrix, as for count"),)),
     "flags": Command(cmd_flags, "count full flags of labels", ("q", "n", "m")),
     "flag-of-point": Command(cmd_flag_of_point, "flag of a value table read from a file", (),
                              (("table", "value-table file"),)),
@@ -593,58 +593,112 @@ COMMANDS = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    """A usage error exits 2 with one `error:` line, like every other refusal."""
+def _help(name: str | None) -> str:
+    """What `-h` prints: the command list, or the flags of the command `name`."""
+    if name is None:
+        rows = [f"{cmd:<15}{command.help}" for cmd, command in COMMANDS.items()]
+        return "usage: leveltower COMMAND [--FLAG VALUE ...]\n\ncommands:\n" + "".join(
+            f"  {row}\n" for row in rows)
+    command = COMMANDS[name]
+    rows = ["--config FILE", *(f"--{knob.replace('_', '-')} VALUE" for knob in command.knobs),
+            "--format {json,csv,text}", "--timings",
+            *(f"--{arg} VALUE  (required) {text}" for arg, text in command.required)]
+    return f"usage: leveltower {name} [--FLAG VALUE ...]\n\n{command.help}\n\nflags:\n" + "".join(
+        f"  {row}\n" for row in rows)
 
-    def error(self, message):
-        self.exit(EXIT_PRECONDITION, f"error: {message}\n")
+
+def _is_flag(tok: str) -> bool:
+    # a dash word with no space, unless it is a negative integer (`--u-spec -1`)
+    return tok.startswith("-") and tok != "-" and " " not in tok and not tok[1:].isdigit()
 
 
-def build_parser(only: str | None = None) -> argparse.ArgumentParser:
-    """The command-line parser; with `only`, the one subcommand it names.
+def _usage_error(message: str):
+    sys.stderr.write(f"error: {message}\n")
+    raise SystemExit(EXIT_PRECONDITION)
 
-    A subcommand's parser does not depend on the others, so `main` builds
-    just the one that its arguments name.
+
+def _invalid_choice(argument: str, value: str, choices):
+    _usage_error(f"argument {argument}: invalid choice: {value!r} "
+                 f"(choose from {', '.join(map(repr, choices))})")
+
+
+def parse_args(argv: list) -> tuple:
+    """(command name, {flag key: value}) from argv, read against COMMANDS.
+
+    argv is a command name, then `--name value` or `--name=value` for
+    `config`, `format`, the command's knobs and its required arguments, and
+    a bare `--timings`; a flag given twice keeps its last value, and only
+    its full spelling is a flag.  `-h`/`--help` prints the command list, or
+    the command's flags, and raises SystemExit(0).  A usage error writes one
+    `error:` line and raises SystemExit(2): a bad value at once, then a
+    missing required argument, then every unrecognized token.
     """
-    parser = _Parser(
-        prog="leveltower",
-        description="Exact arithmetic for level towers, strata, and depth-zero matching.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in COMMANDS.items():
-        if only is not None and name != only:
+    if argv and argv[0] in ("-h", "--help"):
+        sys.stdout.write(_help(None))
+        raise SystemExit(EXIT_OK)
+    if not argv:
+        _usage_error("the following arguments are required: command")
+    name = argv[0]
+    if name not in COMMANDS:
+        _invalid_choice("command", name, COMMANDS)
+    command = COMMANDS[name]
+    keys = ("config", *command.knobs, "format", *(arg for arg, _ in command.required))
+    flags = {"--" + key.replace("_", "-"): key for key in keys}
+    args = dict.fromkeys(keys)
+    args["timings"] = False
+    extras = []
+    rest = iter(argv[1:])
+    for tok in rest:
+        if tok in ("-h", "--help"):
+            sys.stdout.write(_help(name))
+            raise SystemExit(EXIT_OK)
+        flag, eq, value = tok.partition("=")
+        if flag == "--timings":
+            if eq:
+                _usage_error(f"argument --timings: ignored explicit argument {value!r}")
+            args["timings"] = True
             continue
-        # flags are matched by their full spelling only: `--rank` is not `--rank-cap`
-        p = sub.add_parser(name, help=command.help, allow_abbrev=False)
-        p.add_argument("--config", help="flat key=value configuration file")
-        for knob in command.knobs:
-            p.add_argument("--" + knob.replace("_", "-"), dest=knob,
-                           type=int if knob in _INT_KEYS else None)
-        p.add_argument("--format", choices=["json", "csv", "text"])
-        p.add_argument("--timings", action="store_true")
-        for arg, text in command.required:
-            p.add_argument("--" + arg, required=True, help=text)
-    return parser
+        if flag not in flags:
+            extras.append(tok)
+            continue
+        if not eq:
+            value = next(rest, None)
+            if value is None or _is_flag(value):
+                _usage_error(f"argument {flag}: expected one argument")
+        key = flags[flag]
+        if key in _INT_KEYS:
+            try:
+                value = int(value)
+            except ValueError:
+                _usage_error(f"argument {flag}: invalid int value: {value!r}")
+        elif key == "format" and value not in FORMATS:
+            _invalid_choice("--format", value, FORMATS)
+        args[key] = value
+    missing = [f"--{arg}" for arg, _ in command.required if args[arg] is None]
+    if missing:
+        _usage_error(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        _usage_error(f"unrecognized arguments: {' '.join(extras)}")
+    return name, args
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
-    args = parser.parse_args(argv)
-    command = COMMANDS[args.command]
+    name, args = parse_args(sys.argv[1:] if argv is None else list(argv))
+    command = COMMANDS[name]
     try:
-        cfg = resolve_config(args, command.knobs)
+        cfg = resolve_config(name, args)
         resolved = cfg.resolved(command.knobs)
         t0 = perf_counter()
-        results = command.run(cfg, *(getattr(args, arg) for arg, _ in command.required))
+        results = command.run(cfg, *(args[arg] for arg, _ in command.required))
         elapsed = perf_counter() - t0
         from .serialize import REPORT_SCHEMA
         report = {
             "schema": REPORT_SCHEMA,
-            "command": args.command,
+            "command": name,
             "config": resolved,
             "results": results,
         }
-        if args.timings:
+        if args["timings"]:
             report["timings"] = {"total_seconds": round(elapsed, 6)}
         sys.stdout.write(emit(report, cfg))
         return EXIT_OK

@@ -2,7 +2,7 @@
 
 Every document is a plain JSON-safe structure; `canonical_dumps` fixes key
 order and spacing so equal documents produce identical bytes, and
-`content_key` hashes those bytes for content addressing.  Ring and tower
+`content_key` names a request by the CRC-32 of those bytes.  Ring and tower
 documents reconstruct working objects; a reloaded tower must behave
 identically to a fresh build (its describe-document must match bit for
 bit, which `tower_from_doc` verifies).  Ring and tower documents store each
@@ -17,6 +17,10 @@ requested tower (its n, q, m and u_spec label) over a ring of precision
 m + 1, and that the table keys are exactly (o/pi^m)^n, before reading it,
 so a misshapen document or one for another tower raises PreconditionError
 and any other exception from the reload is a defect, not a corrupt entry.
+Because every entry is checked against its request before it is used, a
+cache key only has to spread entries over file names: two requests whose
+keys collide overwrite each other's entry, and each reads the other's as a
+miss, never as its own tower.
 
 Cache writes go to a temporary file in the same directory followed by
 os.replace, so a reader never observes a half-written entry.
@@ -40,8 +44,9 @@ def canonical_dumps(doc) -> str:
 
 
 def content_key(doc) -> str:
-    import hashlib
-    return hashlib.sha256(canonical_dumps(doc).encode("ascii")).hexdigest()
+    """8 lowercase hex digits, the CRC-32 of the document's canonical bytes."""
+    from zlib import crc32
+    return f"{crc32(canonical_dumps(doc).encode('ascii')):08x}"
 
 
 # -- document shapes -------------------------------------------------------------
@@ -182,7 +187,7 @@ def tower_from_doc(doc, n: int, q: int, m: int, u_spec_label: str) -> Tower:
 
 
 class Cache:
-    """Content-addressed text store with atomic writes."""
+    """Text store under lowercase hex keys, with atomic writes."""
 
     def __init__(self, root: str):
         self.root = root
@@ -194,7 +199,7 @@ class Cache:
 
     def _path(self, key: str) -> str:
         if not key or any(c not in "0123456789abcdef" for c in key):
-            raise PreconditionError("cache keys are lowercase hex digests")
+            raise PreconditionError("cache keys are lowercase hex digits")
         return os.path.join(self.root, key + ".json")
 
     def get(self, key: str) -> str | None:

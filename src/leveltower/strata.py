@@ -156,8 +156,11 @@ def enumerate_flags(n: int, q: int, m: int) -> list:
     patterns = {pivots for pivots, _ in smaller}
     out = []
     for B in top:
-        basis = tuple(zip(*B[1]))   # basis[i][k] = B's generator k at coordinate i
-        carried = {col: ch.matvec(basis, col) for col in columns}
+        # B's generators are the identity on every row but e, so a carried
+        # column is the column itself with its dot product with row e inserted
+        e = next(i for i in range(n) if i not in B[0])
+        row_e = (tuple(col[e] for col in B[1]),)
+        carried = {col: col[:e] + ch.matvec(row_e, col) + col[e:] for col in columns}
         rows = {pivots: tuple(B[0][p] for p in pivots) for pivots in patterns}
         image = []
         for pivots, small_cols in smaller:

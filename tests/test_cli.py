@@ -767,23 +767,72 @@ def test_count_refuses_past_the_lattice_visit_cap(capsys, monkeypatch):
     assert err == "error: stable lattice descent visits more than 0 lattices\n"
 
 
-def test_main_builds_only_the_named_subcommand(capsys, monkeypatch):
-    built = []
-    build = cli.build_parser
-
-    def recorded(only=None):
-        built.append(only)
-        return build(only)
-
-    monkeypatch.setattr(cli, "build_parser", recorded)
-    assert run(capsys, "jl", "--q", "2")[0] == 0
+def test_unknown_command_lists_every_command(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["nope"])
     assert exc.value.code == 2
-    err = capsys.readouterr().err
-    # an unknown command still gets the full parser and its list of choices
-    assert built == ["jl", None]
-    assert all(repr(name) in err for name in cli.COMMANDS)
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("error: argument command: invalid choice: 'nope' (choose from "
+                       + ", ".join(repr(name) for name in cli.COMMANDS) + ")\n")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["tower", "--help"],
+                                  ["count", "--q", "2", "-h"]])
+def test_help_goes_to_stdout_and_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.startswith("usage: leveltower ")
+    if argv[0] == "count":
+        # every flag the command takes is listed, its required arguments too
+        assert all(f"--{flag} " in out for flag in ("config", "q", "n", "m", "format", "b", "g"))
+        assert "--timings" in out
+    elif len(argv) == 1:
+        assert all(f"  {name} " in out for name in cli.COMMANDS)
+
+
+@pytest.mark.parametrize("argv,message", [
+    ([], "the following arguments are required: command"),
+    (["tower", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+    # a knob of another command is not a flag of this one
+    (["jl", "--m", "2"], "unrecognized arguments: --m 2"),
+    (["jl", "--q", "2", "3"], "unrecognized arguments: 3"),
+    (["jl", "--q"], "argument --q: expected one argument"),
+    (["jl", "--q", "--format", "json"], "argument --q: expected one argument"),
+    (["jl", "--q", "x"], "argument --q: invalid int value: 'x'"),
+    (["jl", "--q="], "argument --q: invalid int value: ''"),
+    (["jl", "--format", "xml"],
+     "argument --format: invalid choice: 'xml' (choose from 'json', 'csv', 'text')"),
+    (["count", "--q", "2"], "the following arguments are required: --b, --g"),
+    (["count", "--g", "diag:1,1"], "the following arguments are required: --b"),
+    (["jl", "--timings=1"], "argument --timings: ignored explicit argument '1'"),
+    # a bad value is reported before a missing argument, and that before an unknown flag
+    (["count", "--bogus", "1", "--q", "x"], "argument --q: invalid int value: 'x'"),
+    (["count", "--bogus", "1"], "the following arguments are required: --b, --g"),
+])
+def test_usage_errors_exit_2_with_one_line(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_flag_spellings_and_repeats(capsys):
+    base = run(capsys, "strata", "--q", "2", "--n", "3", "--m", "1")
+    assert base[0] == 0
+    # `--name=value` is `--name value`, and a repeated flag keeps its last value
+    assert run(capsys, "strata", "--q=2", "--n=3", "--m", "1") == base
+    assert run(capsys, "strata", "--q", "3", "--n", "3", "--q", "2", "--m=2", "--m", "1") == base
+    # a negative integer is a value, not a flag
+    assert run(capsys, "strata", "--q", "2", "--n", "-3") == (
+        2, "", "error: height n must be >= 1\n")
+    code, out, err = run(capsys, "strata", "--q", "2", "--n", "3", "--m", "1", "--timings",
+                         "--timings")
+    assert (code, err) == (0, "")
+    assert "total_seconds" in json.loads(out)["timings"]
 
 
 def test_jl_cap_exit(capsys):

@@ -31,7 +31,7 @@ def test_content_key_stable_and_distinct():
     c = content_key({"kind": "t", "q": 3})
     assert a == b
     assert a != c
-    assert len(a) == 64 and set(a) <= set("0123456789abcdef")
+    assert len(a) == 8 and set(a) <= set("0123456789abcdef")
 
 
 def test_ring_roundtrip_bit_exact():

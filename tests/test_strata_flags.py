@@ -237,20 +237,30 @@ def test_built_flags_pass_the_step_check(n, q, m):
 
 @pytest.mark.parametrize("wrong", ["rescaled", "none"])
 def test_a_wrong_carried_label_is_caught(monkeypatch, wrong):
-    # the fifth carried column comes back scaled by the unit 1 + pi (the same
-    # span, but not the canonical form) or by pi (no unit entry left)
+    # the fifth line of (o/pi^2)^2 comes with its column scaled by the unit
+    # 1 + pi (the same span, but not the canonical form) or by pi (no unit
+    # entry left); the carry copies that column onto B's pivot rows, so its
+    # image in (o/pi^2)^3 is not a label
+    summands = strata.enumerate_summands
+    ch = ChainRing(FqField(2, 1), 2)
+    pi = chain_pi(ch)
+
+    def corrupt(n, q, m, h):
+        out = summands(n, q, m, h)
+        if n == 2:
+            pivots, (col,) = out[4]
+            out[4] = (pivots, (ch.vscale(1 + pi if wrong == "rescaled" else pi, col),))
+        return out
+
     matvec = ChainRing.matvec
     carried = []
 
-    def corrupt(self, M, v):
-        got = matvec(self, M, v)
-        carried.append(got)
-        if len(carried) == 5:
-            pi = chain_pi(self)
-            return self.vscale(1 + pi if wrong == "rescaled" else pi, got)
-        return got
+    def counted(self, M, v):
+        carried.append(v)
+        return matvec(self, M, v)
 
-    monkeypatch.setattr(ChainRing, "matvec", corrupt)
+    monkeypatch.setattr(strata, "enumerate_summands", corrupt)
+    monkeypatch.setattr(ChainRing, "matvec", counted)
     with pytest.raises(OracleMismatch, match="carried into a hyperplane is not a label"):
         enumerate_flags(3, 2, 2)
     # the first hyperplane carries the six columns of the lines of (o/pi^2)^2
