@@ -1,7 +1,8 @@
 """Sound-but-incomplete certification of regular elliptic elements.
 
 The certifier looks at the Newton polygon of the characteristic polynomial
-and, on a single integral slope, at the residue factorization.  It answers
+and, on a single integral slope, at the residue factorization; separability
+is read off the discriminant det P'(C_P), an n x n determinant.  It answers
 "irreducible, totally ramified", "irreducible, unramified", or "reducible"
 only when the answer is provable from those invariants; everything else
 raises Inconclusive.  No certified answer is ever wrong; some true answers
@@ -17,7 +18,7 @@ from math import gcd
 from .errors import CertificationError, Inconclusive, PreconditionError
 from .fq import factor
 from .laurent import Laurent
-from .matrices import det
+from .matrices import companion, det, mat_mul
 
 
 @dataclass
@@ -78,32 +79,17 @@ def newton_segments(coeffs):
     return segs
 
 
-def _sylvester_resultant(coeffs):
-    """Res(P, P') via the Sylvester determinant with formal degrees (n, n-1)."""
+def _discriminant(coeffs):
+    """Res(P, P') for monic P: det P'(C_P), the norm of P' in o[T]/(P).  Column
+    j of P'(C_P) is T^j P' mod P, C_P applied j times to P'; the determinant
+    is taken of the transpose, whose rows are those columns."""
     field = coeffs[0].field
     n = len(coeffs) - 1
-    dcoeffs = []
-    for i in range(1, n + 1):
-        c = coeffs[i]
-        acc = Laurent.zero(field)
-        for _ in range(i % field.p):
-            acc = acc + c
-        dcoeffs.append(acc)
-    m = n - 1
-    size = n + m
-    zero = Laurent.zero(field)
-    rows = []
-    for k in range(m):
-        row = [zero] * size
-        for i, c in enumerate(reversed(coeffs)):
-            row[k + i] = c
-        rows.append(tuple(row))
-    for k in range(n):
-        row = [zero] * size
-        for i, c in enumerate(reversed(dcoeffs)):
-            row[k + i] = c
-        rows.append(tuple(row))
-    return det(tuple(rows))
+    C = companion(field, coeffs)
+    cols = [tuple((coeffs[i].scale(i % field.p),) for i in range(1, n + 1))]
+    for _ in range(n - 1):
+        cols.append(mat_mul(C, cols[-1]))
+    return det(tuple(tuple(x for (x,) in col) for col in cols))
 
 
 def regular_elliptic_certify(coeffs) -> EllipticCertificate:
@@ -169,9 +155,11 @@ def regular_elliptic_certify(coeffs) -> EllipticCertificate:
 
 
 def _separability(coeffs, n: int):
+    """(separable, v(disc)): P is separable exactly when Res(P, P') != 0, also
+    where p | n lowers the degree of P'; (True, None) at n = 1."""
     if n == 1:
         return True, None
-    disc = _sylvester_resultant(coeffs)
+    disc = _discriminant(coeffs)
     if disc.is_zero():
         return False, None
     return True, disc.valuation()

@@ -15,8 +15,8 @@ multiplication is truncated convolution; both are table-backed at desk scale.
 `leibniz_det` and `leibniz_charpoly` are the package's one determinant and
 characteristic polynomial, over any commutative ring given by its
 operations; `ChainRing` and `matrices` (Laurent entries) both call them.
-Sizes are desk scale (at most 7, the discriminant's Sylvester matrix for
-n = 4), where Leibniz expansion is exact and cheap.
+Sizes are desk scale (at most n: the discriminant is an n x n determinant),
+where Leibniz expansion is exact and cheap.
 """
 
 from __future__ import annotations

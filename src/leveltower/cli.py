@@ -276,7 +276,7 @@ def cmd_tower(cfg: RunConfig) -> dict:
         cache = Cache(cfg.cache_dir)
         key = content_key({
             "kind": "tower", "schema": TOWER_SCHEMA, "q": cfg.q, "n": cfg.n, "m": cfg.m,
-            "u_spec": cfg.u_spec, "rank_cap": cfg.rank_cap,
+            "u_spec": cfg.u_spec,
         })
         cache_info["key"] = key
         try:  # an undecodable, misshapen, non-round-tripping or other tower's entry is a miss

@@ -65,16 +65,19 @@ def normalizer_split(g):
     """Write g = pi^w * u with u in GL_n(o), or reject.
 
     Elements of this shape are exactly the normalizer of K_m, which is what
-    makes the coset condition well posed.
+    makes the coset condition well posed.  The n elementary divisor exponents
+    are at least the least entry valuation w and sum to v(det g), so they are
+    all equal exactly when v(det g) = n w.
     """
-    exps = smith_exponents(g)
-    if exps[0] != exps[-1]:
+    d = det(g)
+    if d.is_zero():
+        raise PreconditionError("matrix is singular, no elementary divisors")
+    w = min(x.valuation() for row in g for x in row)
+    if d.valuation() != len(g) * w:
         raise PreconditionError(
-            f"element has elementary divisor exponents {exps}, "
+            f"element has v(det g) = {d.valuation()} but least entry valuation {w}: "
             "not in pi^Z GL_n(o), so it does not normalize K_m")
-    w = exps[0]
-    u = mat_shift(g, -w)
-    return w, u
+    return w, mat_shift(g, -w)
 
 
 def _frame_target(g, m: int):

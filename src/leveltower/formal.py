@@ -6,9 +6,10 @@ Conventions used throughout:
 * o = F_q[[pi]] acts through the normal form
   [pi](T) = pi*T + u_1*T^q + ... + u_{n-1}*T^(q^(n-1)) + T^(q^n),
   [c](T) = c*T for c in F_q.
-* A point of level m is a vector v in (o/pi^m)^n, int-encoded per ChainRing;
-  v stands for sum_j v_j * pi^(-m) e_j in the generic fibre picture, so the
-  unit vector e_j denotes the basis point pi^(-m) e_j.
+* A point of level m is a vector v in (o/pi^m)^n of ints whose base-q digits
+  are pi-adic F_q-codes, lowest first, as in `chain`; v stands for
+  sum_j v_j * pi^(-m) e_j in the generic fibre picture, so the unit vector
+  e_j denotes the basis point pi^(-m) e_j.
 * Polynomials are dense coefficient lists over a CoeffRing, lowest degree
   first, as in rings.py.
 """
@@ -18,7 +19,6 @@ from __future__ import annotations
 from itertools import product
 from math import prod
 
-from .chain import ChainRing
 from .errors import DEFAULT_RANK_CAP, NonExactDivision, PreconditionError, RankCapExceeded
 from .fq import FqField, split_prime_power
 from .rings import (
@@ -135,14 +135,12 @@ class LevelStructure:
 
     def __init__(self, module: FormalOModule, m: int, values: dict):
         self.module, self.m, self.values = module, m, values
-        self.chain = ChainRing(module.ring.field, m)
 
     def torsion_vectors(self):
         """Vectors killed by pi, i.e. with all digits below the top one zero."""
-        ch = self.chain
-        top = ch.q ** (ch.m - 1)
-        return [tuple(top * c for c in cs)
-                for cs in product(range(ch.q), repeat=self.module.n)]
+        q = self.module.q
+        top = q ** (self.m - 1)
+        return [tuple(top * c for c in cs) for cs in product(range(q), repeat=self.module.n)]
 
 
 def check_level(phi: LevelStructure):
@@ -164,11 +162,10 @@ def check_level(phi: LevelStructure):
     Returns a report dict with keys ok, witness, quotient_degree, pairs_checked.
     """
     module, m, values = phi.module, phi.m, phi.values
-    ring, ch = module.ring, phi.chain
-    n = module.n
+    ring, q, n = module.ring, module.q, module.n
     report = {"ok": False, "witness": None, "quotient_degree": None, "pairs_checked": 0}
 
-    domain = set(ch.all_vectors(n))
+    domain = set(product(range(q ** m), repeat=n))
     if values.keys() != domain:
         report["witness"] = {"kind": "domain", "detail": (
             f"{len(values)} values on {len(values.keys() & domain)} of {len(domain)} vectors")}
@@ -182,9 +179,9 @@ def check_level(phi: LevelStructure):
         if not powers.pop().is_zero():
             report["witness"] = {"kind": "torsion", "j": j}
             return report
-        scaled = [[ring.from_field(d) * y for d in range(ch.q)] for y in powers]
-        terms.append([sum((s[d] for s, d in zip(scaled, ch.digits(c))), ring.zero())
-                      for c in range(ch.size)])
+        scaled = [[ring.from_field(d) * y for d in range(q)] for y in powers]
+        terms.append([sum((s[c // q ** i % q] for i, s in enumerate(scaled)), ring.zero())
+                      for c in range(q ** m)])
     for v, val in values.items():
         k = max((i for i, c in enumerate(v) if c), default=None)
         if k is None:

@@ -8,7 +8,8 @@ their row.  Determinants and characteristic polynomials are the Leibniz
 expansions of `chain`, over Laurent arithmetic, and both normal forms rest
 on them: `smith_exponents` reads the elementary divisors off the least
 valuations of the k x k minors, and `hnf` eliminates modulo one power of pi
-above the determinant, so no step inverts a unit as a power series.
+above its first nonsingular maximal minor, so no step inverts a unit as a
+power series.
 """
 
 from __future__ import annotations
@@ -118,12 +119,13 @@ def hnf(columns):
     pi^(a_i) and the entry (i, j), j > i, supported on exponents < a_i.
 
     The form commutes with scaling by pi^t, so the columns are first scaled
-    to be integral with an entry of valuation 0.  With D the least
-    valuation of a maximal minor, the lattice then contains pi^D o^n, so the
-    elimination runs in o/pi^N, N = D + 1, where a unit inverse is a
-    polynomial of degree < N.  Taking N = D + 1 rather than D keeps what the
-    placed columns add to a later pivot row above that row's exponent, so
-    each pivot is found among the columns not yet placed.
+    to be integral with an entry of valuation 0.  With D the valuation of
+    the first nonsingular maximal minor A, the lattice contains
+    A adj(A) o^n = pi^D o^n, so the elimination runs in o/pi^N, N = D + 1,
+    where a unit inverse is a polynomial of degree < N; the form does not
+    depend on N.  Taking N = D + 1 rather than D keeps what the placed
+    columns add to a later pivot row above that row's exponent, so each
+    pivot is found among the columns not yet placed.
     """
     n = len(columns[0])
     field = columns[0][0].field
@@ -131,8 +133,9 @@ def hnf(columns):
     if low == inf:
         raise PreconditionError("columns do not have full rank")
     cols = [[x.shift(-low) for x in c] for c in columns]
-    D = min(det(tuple(tuple(cols[j][i] for j in pick) for i in range(n))).valuation()
-            for pick in combinations(range(len(cols)), n))
+    minors = (det(tuple(tuple(cols[j][i] for j in pick) for i in range(n)))
+              for pick in combinations(range(len(cols)), n))
+    D = next((d.valuation() for d in minors if not d.is_zero()), inf)
     if D == inf:
         raise PreconditionError("columns do not have full rank")
     N = D + 1

@@ -11,7 +11,8 @@ index, so a document grows with the nonzero terms rather than the ring rank.
 A tower document holds the ring with its stages and one table, the level-m
 structure on (o/pi^m)^n in the top ring, which `build_tower` fills with one
 span routine.  The tower cache key includes TOWER_SCHEMA, so an entry
-written under an older schema is a plain miss, never misread.
+written under an older schema is a plain miss, never misread; the rank cap,
+checked before the lookup, does not change the tower and is not in the key.
 `tower_from_doc` checks the whole document's JSON shape, that it holds the
 requested tower (its n, q, m and u_spec label) over a ring of precision
 m + 1, and that the table keys are exactly (o/pi^m)^n, before reading it,
@@ -204,7 +205,7 @@ class Cache:
 
     def get(self, key: str) -> str | None:
         try:
-            with open(self._path(key), "r", encoding="ascii") as fh:
+            with open(self._path(key), "r", encoding="utf-8") as fh:
                 return fh.read()
         except FileNotFoundError:
             return None
@@ -214,7 +215,7 @@ class Cache:
         path = self._path(key)
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w", encoding="ascii") as fh:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.write(text)
             os.replace(tmp, path)
         except BaseException:

@@ -162,6 +162,44 @@ def brute_hc_character(spec, g):
     return _root_power(spec.central, det_val // n) * total
 
 
+def laplace_det(M):
+    """det M by Laplace expansion along the rows, each minor on the lower rows
+    kept by its column set: 2^n minors, a determinant that shares nothing with
+    `chain.leibniz_det` and takes the 9 x 9 Sylvester matrix in milliseconds."""
+    n = len(M)
+    field = M[0][0].field
+    minors = {(): Laurent.one(field)}
+    for k in range(n - 1, -1, -1):
+        lower = {}
+        for cols in combinations(range(n), n - k):
+            total = Laurent.zero(field)
+            for i, c in enumerate(cols):
+                term = M[k][c] * minors[cols[:i] + cols[i + 1:]]
+                total = total - term if i % 2 else total + term
+            lower[cols] = total
+        minors = lower
+    return minors[tuple(range(n))]
+
+
+def sylvester_resultant(coeffs):
+    """Res(P, P') of a monic P, Laurent coefficients lowest first, as the
+    determinant of the Sylvester matrix with formal degrees (n, n - 1): the
+    oracle of `certify._discriminant`."""
+    field = coeffs[0].field
+    n = len(coeffs) - 1
+    zero = Laurent.zero(field)
+    dcoeffs = [sum((coeffs[i] for _ in range(i % field.p)), zero) for i in range(1, n + 1)]
+    size = 2 * n - 1
+    rows = []
+    for shifts, poly in ((n - 1, coeffs), (n, dcoeffs)):
+        for k in range(shifts):
+            row = [zero] * size
+            for i, c in enumerate(reversed(poly)):
+                row[k + i] = c
+            rows.append(row)
+    return laplace_det(rows)
+
+
 def chain_pi(ch):
     """The code of pi in the chain ring ch: digits (0, 1), which is q, or 0 when m = 1."""
     return ch.q if ch.m > 1 else 0

@@ -1,10 +1,14 @@
 """Decision tree of the regular-elliptic certifier."""
 
-import pytest
+import random
 
-from leveltower.certify import regular_elliptic_certify
+import pytest
+from conftest import sylvester_resultant
+
+from leveltower import matrices
+from leveltower.certify import _discriminant, _separability, regular_elliptic_certify
 from leveltower.errors import CertificationError, Inconclusive
-from leveltower.fq import FqField
+from leveltower.fq import FqField, split_prime_power
 from leveltower.laurent import Laurent
 
 
@@ -90,3 +94,56 @@ def test_summary_is_plain_data():
     s = cert.summary()
     assert s["kind"] == "unramified"
     assert isinstance(s["det_val"], int)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_discriminant_equals_the_sylvester_resultant(q):
+    # det P'(C_P) is Res(P, P') exactly, also where p | n and P' drops degree;
+    # in a third of the trials P is a polynomial in T^p below its leading
+    # term, so P' = 0 when p | n
+    field = FqField(*split_prime_power(q))
+    rng = random.Random(700 + q)
+    seen = set()
+    for trial in range(36):
+        n = 2 + trial % 4
+        coeffs = [Laurent(field, {e: rng.randrange(q) for e in range(rng.randrange(3))})
+                  for _ in range(n)] + [Laurent.one(field)]
+        if trial % 3 == 0:
+            coeffs = [c if i % field.p == 0 or i == n else Laurent.zero(field)
+                      for i, c in enumerate(coeffs)]
+        disc = sylvester_resultant(coeffs)
+        assert _discriminant(coeffs) == disc
+        expected = (False, None) if disc.is_zero() else (True, disc.valuation())
+        assert _separability(coeffs, n) == expected
+        seen.add(expected[0])
+    assert seen == {False, True}
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_an_eisenstein_polynomial_in_t_to_the_p_is_inseparable(q):
+    # T^2 + pi over F_2 and T^3 + pi over F_3: P' = 0, a totally ramified field
+    field = FqField(q)
+    pol = [Laurent.pi(field, 1)] + [Laurent.zero(field)] * (q - 1) + [Laurent.one(field)]
+    assert sylvester_resultant(pol).is_zero()
+    cert = regular_elliptic_certify(pol)
+    assert (cert.kind, cert.e, cert.eisenstein) == ("ramified", q, True)
+    assert (cert.separable, cert.disc_val) == (False, None)
+
+
+def test_the_certificate_takes_no_determinant_above_n_by_n(monkeypatch):
+    sizes = []
+    leibniz = matrices.leibniz_det
+
+    def recorded(M, *ops):
+        sizes.append(len(M))
+        return leibniz(M, *ops)
+
+    monkeypatch.setattr(matrices, "leibniz_det", recorded)
+    f2 = FqField(2, 1)
+    # T^2+T+1, T^3+T+1, T^4+T+1 and T^5+T^2+1 are irreducible over F_2
+    for codes in [(1, 1, 1), (1, 1, 0, 1), (1, 1, 0, 0, 1), (1, 0, 1, 0, 0, 1)]:
+        n = len(codes) - 1
+        sizes.clear()
+        cert = regular_elliptic_certify(_poly(f2, *codes))
+        assert (cert.kind, cert.f, cert.separable) == ("unramified", n, True)
+        assert max(sizes) == n

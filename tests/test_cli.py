@@ -54,6 +54,17 @@ def test_tower_command(capsys):
     assert doc["results"]["level_check"]["ok"] is True
 
 
+@pytest.mark.parametrize("q,rank", [(27, 702), (32, 992)])
+def test_tower_at_a_level_above_the_chain_ring_cap(capsys, q, rank):
+    # the level structure builds no chain ring, so q^m = 27^2 costs no
+    # (q^m)^2 tables and 32^2 = 1024 > 729 is not refused
+    code, out, err = run(capsys, "tower", "--q", str(q), "--n", "1", "--m", "2")
+    assert (code, err) == (0, "")
+    res = json.loads(out)["results"]
+    assert res["rank"] == res["gl_order"] == rank
+    assert res["level_check"]["ok"] is True
+
+
 def test_tower_rank_cap_exit(capsys):
     code, out, err = run(capsys, "tower", "--q", "3", "--n", "3", "--m", "1")
     assert code == 3
@@ -142,6 +153,17 @@ def test_strata_action_zero_table(capsys):
     for row in doc["results"]["fixed_counts"].values():
         assert set(row.values()) == {0}
     assert doc["results"]["observed_minimal_free_level"] == {"1": 1, "2": 1}
+
+
+def test_strata_action_zero_table_at_rank_5(capsys):
+    # the certificate's discriminant is a 5 x 5 determinant, where the
+    # Sylvester form was 9 x 9 and took seconds
+    code, out, _ = run(capsys, "strata-action", "--q", "2", "--n", "5",
+                       "--g", "companion:T^5+T^2+1", "--scan-m", "2")
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["fixed_counts"] == {str(h): {"1": 0, "2": 0} for h in range(1, 5)}
+    assert results["observed_minimal_free_level"] == {str(h): 1 for h in range(1, 5)}
 
 
 def test_strata_action_stops_when_nothing_is_fixed_mod_pi(capsys, monkeypatch):
@@ -582,16 +604,17 @@ def _key_outside_domain(good):
     _negative_level,
     _u_spec_nil3,
     _level_two,
+    lambda good: good[:-1] + ',"note":"é"}',
 ], ids=["truncated", "old-schema", "no-ring", "round-trip", "index-beyond-rank",
         "not-an-object", "string-for-int", "no-level-tables", "key-outside-domain",
-        "negative-level", "other-u-spec", "other-level"])
+        "negative-level", "other-u-spec", "other-level", "non-ascii"])
 def test_corrupt_cache_entry_is_a_miss(capsys, tmp_path, text):
     argv = ["tower", "--q", "2", "--n", "2", "--m", "1", "--cache-dir", str(tmp_path)]
     code, out, _ = run(capsys, *argv)
     assert code == 0
     key = json.loads(out)["results"]["cache"]["key"]
     entry = tmp_path / f"{key}.json"
-    entry.write_text(text(entry.read_text()))
+    entry.write_text(text(entry.read_text(encoding="utf-8")), encoding="utf-8")
     code, out, err = run(capsys, *argv)
     assert code == 0
     assert json.loads(out)["results"]["cache"]["hit"] is False
@@ -645,17 +668,29 @@ def test_cache_entry_of_a_huge_level_is_a_miss(capsys, tmp_path):
 
 
 def test_over_cap_tower_exits_3_although_a_matching_entry_exists(capsys, tmp_path):
-    # the rank cap is applied before the lookup; the entry used to be served as a hit
+    # the rank cap is applied before the lookup, and is not part of the key:
+    # the one entry of the request exists, and is not served
     entry = _tower_entry(capsys, tmp_path, "--q", "2", "--n", "2", "--m", "2")
-    request = {"kind": "tower", "schema": serialize.TOWER_SCHEMA, "q": 2, "n": 2, "m": 2,
-               "u_spec": None}
-    assert entry.stem == serialize.content_key({**request, "rank_cap": 5000})
-    key = serialize.content_key({**request, "rank_cap": 500})
-    (tmp_path / f"{key}.json").write_text(entry.read_text())
+    assert entry.stem == serialize.content_key({
+        "kind": "tower", "schema": serialize.TOWER_SCHEMA, "q": 2, "n": 2, "m": 2,
+        "u_spec": None})
     proc = _limited_cli("tower", "--q", "2", "--n", "2", "--m", "2", "--rank-cap", "500",
                         "--cache-dir", str(tmp_path))
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         3, "", "error: ring rank 576 exceeds cap 500\n")
+    assert os.listdir(tmp_path) == [entry.name]
+
+
+def test_tower_cache_hit_under_another_rank_cap(capsys, tmp_path):
+    # the cap does not change the tower, so a tower built under one cap is a
+    # hit under any other cap it fits
+    argv = ["tower", "--q", "2", "--n", "2", "--m", "1", "--cache-dir", str(tmp_path)]
+    code1, out1, _ = run(capsys, *argv, "--rank-cap", "100000")
+    code2, out2, err2 = run(capsys, *argv, "--rank-cap", "200000")
+    assert code1 == code2 == 0 and err2 == ""
+    c1, c2 = json.loads(out1)["results"]["cache"], json.loads(out2)["results"]["cache"]
+    assert (c1["hit"], c2["hit"]) == (False, True)
+    assert c1["key"] == c2["key"]
 
 
 @pytest.mark.parametrize("argv,full,code,message", [
@@ -744,6 +779,27 @@ def test_count_past_the_old_unit_scan_cap(capsys, q, n, m, g):
     assert res["agreement"] is True
     assert res["structured"]["per_fiber"] == res["bruteforce"]["per_fiber"]
     assert res["per_fiber"] in (0, (q ** n - 1) * q ** (n * (m - 1)))
+
+
+def test_count_at_rank_5_reaches_the_unit_scan_cap(capsys):
+    # the certificate and the normalizer test take n x n determinants, so
+    # the unit-scan cap is the first thing that stops this count
+    code, out, err = run(capsys, "count", "--q", "2", "--n", "5", "--m", "1",
+                         "--b", "x:3", "--g", "companion:T^5+T^2+1")
+    assert (code, out) == (3, "")
+    assert err == "error: unit group scan size 33554432 exceeds cap 200000\n"
+
+
+@pytest.mark.parametrize("g,message", [
+    ("diag:1,P", "element has v(det g) = 1 but least entry valuation 0: "
+                 "not in pi^Z GL_n(o), so it does not normalize K_m"),
+    ("mat:1,1;1,1", "matrix is singular, no elementary divisors"),
+    ("diag:0,0", "matrix is singular, no elementary divisors"),
+], ids=["outside-the-normalizer", "singular", "zero"])
+def test_count_refuses_a_g_outside_the_normalizer(capsys, g, message):
+    code, out, err = run(capsys, "count", "--q", "2", "--n", "2", "--m", "1",
+                         "--b", "w", "--g", g)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("q,n,m,g", [(2, 3, 3, "companion:T^3+T+1"),

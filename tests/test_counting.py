@@ -15,10 +15,11 @@ from conftest import (
     certified,
     counting_suite,
     lattice_bases,
+    random_unit_matrix,
     triangular_eigen_matrix,
 )
 
-from leveltower import chain, cli, counting
+from leveltower import chain, cli, counting, matrices
 from leveltower.chain import ChainRing, gl_elements
 from leveltower.counting import (
     _fixed_lattices,
@@ -27,6 +28,7 @@ from leveltower.counting import (
     _triangular_inverse,
     count_brute,
     count_structured,
+    normalizer_split,
     stable_lattice_reduction,
     unit_group_order_unramified,
 )
@@ -339,3 +341,55 @@ def test_frame_count_lists_only_residue_units(monkeypatch):
                      "--g", "companion:T^2+T+P*T+1"])
     assert code == 0
     assert rings and set(rings) == {1}
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_normalizer_split_agrees_with_the_smith_test(monkeypatch, q):
+    # g is in pi^Z GL_n(o) exactly when its elementary divisor exponents are
+    # all equal; normalizer_split decides it with one determinant
+    field = FqField(q)
+    rng = random.Random(90 + q)
+    sizes = []
+    leibniz = matrices.leibniz_det
+
+    def recorded(M, *ops):
+        sizes.append(len(M))
+        return leibniz(M, *ops)
+
+    outcomes = Counter()
+    for trial in range(48):
+        n = 1 + trial % 4
+        kind = trial // 4 % 3
+        if kind == 0:
+            g = mat_shift(random_unit_matrix(field, n, rng), rng.randrange(3))
+        else:
+            g = [[Laurent(field, {e: rng.randrange(q) for e in range(rng.randrange(3))})
+                  for _ in range(n)] for _ in range(n)]
+            if kind == 2:  # singular: a repeated row, or the zero matrix at n = 1
+                g[-1] = g[0] if n > 1 else [Laurent.zero(field)]
+        try:
+            exps = smith_exponents(g)
+        except PreconditionError as exc:
+            assert str(exc) == "matrix is singular, no elementary divisors"
+            outcome = "singular"
+        else:
+            outcome = "inside" if exps[0] == exps[-1] else "outside"
+        outcomes[outcome] += 1
+        sizes.clear()
+        monkeypatch.setattr(matrices, "leibniz_det", recorded)
+        try:
+            got = normalizer_split(g)
+        except PreconditionError as exc:
+            got = str(exc)
+        monkeypatch.undo()
+        assert sizes == [n]
+        if outcome == "singular":
+            assert got == "matrix is singular, no elementary divisors"
+        elif outcome == "outside":
+            assert got == (f"element has v(det g) = {sum(exps)} but least entry valuation "
+                           f"{exps[0]}: not in pi^Z GL_n(o), so it does not normalize K_m")
+        else:
+            w, u = got
+            assert w == exps[0] and u == mat_shift(g, -w)
+            assert det(u).valuation() == 0
+    assert set(outcomes) == {"singular", "inside", "outside"}

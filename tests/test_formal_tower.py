@@ -1,11 +1,13 @@
 """Formal module arithmetic, level towers, and the level-structure checker."""
 
 import random
+from itertools import product
 
 import pytest
 from conftest import chain_pi, pi_power, poly_eval
 
 from leveltower import formal
+from leveltower.chain import ChainRing
 from leveltower.errors import CapExceeded, RankCapExceeded
 from leveltower.formal import (
     LevelStructure,
@@ -174,7 +176,7 @@ def test_check_level_rejects_a_scalar_and_pi_linear_table_that_is_not_additive()
     # add a pi-torsion value delta on the F_q^x orbit of one unit vector v0,
     # c*delta at c*v0; pi*w never lands on that orbit, so [pi] still intertwines
     tower = build_tower(2, 3, 2, rank_cap=10 ** 7)
-    phi, mod, ch = tower.structure, tower.module, tower.structure.chain
+    phi, mod, ch = tower.structure, tower.module, ChainRing(tower.ring.field, 2)
     delta = phi.values[phi.torsion_vectors()[1]]
     assert not delta.is_zero() and mod.pi_eval(delta).is_zero()
     v0 = (1, chain_pi(ch))
@@ -226,5 +228,5 @@ def test_tower_builds_one_table_one_digit_at_a_time(monkeypatch, n, q, m):
     span = [q ** k for k in range(1, n + 1)]
     assert sizes == span + ([q ** k for k in range(1, m * n + 1)] if m > 1 else [])
     assert tower.structure.values is tower.table
-    assert set(tower.table) == set(tower.structure.chain.all_vectors(n))
+    assert set(tower.table) == set(product(range(q ** m), repeat=n))
     assert check_level(tower.structure)["ok"]

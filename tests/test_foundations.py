@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from conftest import brute_units, chain_pi, method_echelon, random_unit_matrix, root_of_unity
 
-from leveltower import chain
+from leveltower import chain, matrices
 from leveltower.chain import ChainRing, gl_elements
 from leveltower.cyclotomic import Cyclotomic
 from leveltower.errors import CapExceeded, PreconditionError
@@ -30,6 +30,7 @@ from leveltower.matrices import (
     mat_identity,
     mat_mul,
     mat_reduce_mod,
+    mat_shift,
     smith_exponents,
 )
 
@@ -311,13 +312,36 @@ def test_hnf_is_the_canonical_basis_of_the_same_lattice(q):
         assert sum(a) == det(A).valuation()
         deep += sum(a) > 32
         assert _in_lattice(A, H) and _in_lattice(H, A)
-        # a spanning set with a redundant column gives the same basis
+        # a spanning set with a redundant column gives the same basis, also
+        # first, where the first nonsingular maximal minor is pi det(A), or
+        # for n = 3 comes after a singular one, and the elimination runs in
+        # o/pi^N for a larger N
         extra = [x + y.shift(1) for x, y in zip(*_columns(A)[:2])]
         assert hnf(_columns(A) + [tuple(extra)]) == H
+        assert hnf([tuple(extra)] + _columns(A)) == H
     assert deep
     with pytest.raises(PreconditionError, match="full rank"):
         col = (Laurent.one(field), Laurent.pi(field, 1))
         hnf([col, col])
+
+
+def test_hnf_takes_one_determinant_when_the_first_columns_are_independent(monkeypatch):
+    # the 2n columns that counting._top_stable_lattice passes: M and g1^T M
+    field = FqField(2)
+    g1 = mat_shift(companion(field, [Laurent.pi(field, 1), Laurent.one(field),
+                                     Laurent.zero(field), Laurent.one(field)]), -1)
+    M = mat_identity(field, 3)
+    cols = list(zip(*M)) + list(zip(*mat_mul(tuple(zip(*g1)), M)))
+    sizes = []
+
+    def counted(A):
+        sizes.append(len(A))
+        return det(A)
+
+    monkeypatch.setattr(matrices, "det", counted)
+    H = hnf(cols)
+    assert sizes == [3]
+    assert hnf(cols[::-1]) == H
 
 
 def test_charpoly_of_companion_matrix():
